@@ -14,7 +14,7 @@ import json
 import sys
 from typing import Optional
 
-from .classifier import classification_sweep, locate, predict_lattice
+from .classifier import classification_sweep, predict_lattice
 from .crystal import (
     SizeLimitExceeded,
     default_cap,

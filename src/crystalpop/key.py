@@ -95,6 +95,36 @@ def key_map(graph: CrystalGraph, family: DemazureFamily, v: int) -> Permutation:
     return best
 
 
+def all_keys(graph: CrystalGraph, family: DemazureFamily) -> list[Permutation]:
+    """key_map of every vertex, from one pass over family.order. The first
+    member containing a vertex is its candidate key (the order is by
+    length); every later member containing it must lie Bruhat-above that
+    candidate. Vertices are grouped by candidate, so each pair of members
+    is compared at most once."""
+    keys: list[Permutation] = [None] * graph.num_vertices  # type: ignore[list-item]
+    groups: list[tuple[Permutation, int]] = []  # (key, bitset of its vertices)
+    assigned = 0
+    for w in family.order:
+        bits = family.members[w]
+        for best, group in groups:
+            shared = bits & group
+            if shared and not bruhat_leq(best, w):
+                v = (shared & -shared).bit_length() - 1
+                raise NonUniqueMinimum(f"vertex {v}: {best} and {w} are incomparable")
+        fresh = bits & ~assigned
+        if fresh:
+            groups.append((w, fresh))
+            assigned |= fresh
+        while fresh:
+            keys[(fresh & -fresh).bit_length() - 1] = w
+            fresh &= fresh - 1
+    missing = ~assigned & ((1 << graph.num_vertices) - 1)
+    if missing:
+        v = (missing & -missing).bit_length() - 1
+        raise NonUniqueMinimum(f"vertex {v} belongs to no family member")
+    return keys
+
+
 @dataclass
 class KeyReport:
     checked: int
@@ -108,10 +138,12 @@ class KeyReport:
 def verify_key_properties(graph: CrystalGraph, family: DemazureFamily) -> KeyReport:
     """Check the four defining properties of the key map plus order
     preservation along every cover edge."""
-    kappa = [key_map(graph, family, v) for v in range(graph.num_vertices)]
+    kappa = all_keys(graph, family)
+    e = identity(graph.n + 1)
     violations = []
     checked = 0
     for v in range(graph.num_vertices):
+        descents = right_descents(kappa[v])
         for i in range(1, graph.n + 1):
             has_up = graph.succ[v][i - 1] is not None
             has_down = graph.pred[v][i - 1] is not None
@@ -130,12 +162,12 @@ def verify_key_properties(graph: CrystalGraph, family: DemazureFamily) -> KeyRep
                             f"kappa(v) nor kappa(v)s_{i}"
                         )
             checked += 1
-            if i in right_descents(kappa[v]) and not has_down:
+            if i in descents and not has_down:
                 violations.append(
                     f"descent {i} of the key of vertex {v} without an incoming edge"
                 )
         checked += 1
-        if kappa[v] == identity(graph.n + 1) and v != graph.min_vertex:
+        if kappa[v] == e and v != graph.min_vertex:
             violations.append(f"identity key at non-minimal vertex {v}")
     for src, dst, _ in graph.edges():
         checked += 1
@@ -146,12 +178,13 @@ def verify_key_properties(graph: CrystalGraph, family: DemazureFamily) -> KeyRep
 
 def verify_pop_key_inequality(graph: CrystalGraph, family: DemazureFamily) -> KeyReport:
     """key(pop(v)) is weakly below pop(key(v)), for every vertex."""
+    kappa = all_keys(graph, family)
     violations = []
     checked = 0
     for v in range(graph.num_vertices):
         checked += 1
-        lhs = key_map(graph, family, pop_crystal(graph, v))
-        rhs = coxeter_pop(key_map(graph, family, v))
+        lhs = kappa[pop_crystal(graph, v)]
+        rhs = coxeter_pop(kappa[v])
         if not weak_leq(lhs, rhs):
             violations.append(f"pop/key inequality fails at vertex {v}")
     return KeyReport(checked=checked, violations=violations)

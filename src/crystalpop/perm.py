@@ -4,12 +4,25 @@ quotients, and longest elements.
 A permutation of [m] is stored in one-line notation. Generators are named
 by their index: i stands for the adjacent transposition swapping i and i+1,
 so generator subsets are sets of integers in [1, m-1].
+
+The order tests read two invariants that each Permutation computes once:
+
+- The inversion bitmask has one bit per value pair a < b in which b stands
+  before a. The length is its popcount, and the right weak order is
+  containment of these inversion sets: u <= w iff Inv(u) is a subset of
+  Inv(w) (Bjorner and Brenti, *Combinatorics of Coxeter Groups*,
+  Prop. 3.1.3). The left descents are the pairs (i, i+1) in the set.
+- The Bruhat rank array r[i, j] = #{a <= i : w(a) >= j}. By the tableau
+  criterion (ibid., Thm. 2.1.5), u <= w in Bruhat order iff
+  r_u[i, j] <= r_w[i, j] for all i, j. Each entry is stored in unary, so
+  the entrywise comparison is one bitwise containment test as well.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 
 
 @dataclass(frozen=True, order=True)
@@ -50,6 +63,35 @@ class Permutation:
         w[a], w[b] = w[b], w[a]
         return Permutation(tuple(w))
 
+    @cached_property
+    def inversion_mask(self) -> int:
+        """Bit (a-1)*m + (b-1) is set iff a < b and b stands before a."""
+        line = self.one_line
+        m = len(line)
+        mask = 0
+        for pos, b in enumerate(line):
+            for a in line[pos + 1:]:
+                if a < b:
+                    mask |= 1 << ((a - 1) * m + b - 1)
+        return mask
+
+    @cached_property
+    def bruhat_ranks(self) -> int:
+        """The rank array r[i, j] for 1 <= i < m and 2 <= j <= m (the rows
+        i = m and the column j = 1 are the same for every permutation).
+        Each entry gets a field of m-1 bits whose lowest r[i, j] bits are
+        set, so that entrywise <= is bitwise containment."""
+        line = self.one_line
+        m = len(line)
+        counts = [0] * (m + 1)
+        packed = 0
+        for v in line[:-1]:
+            for j in range(2, v + 1):
+                counts[j] += 1
+            for c in counts[2:]:
+                packed = packed << (m - 1) | (1 << c) - 1
+        return packed
+
     def __str__(self):
         if self.m <= 9:
             return "".join(str(v) for v in self.one_line)
@@ -75,13 +117,7 @@ def all_permutations(m: int):
 
 def length(w: Permutation) -> int:
     """Coxeter length = inversion count."""
-    line = w.one_line
-    return sum(
-        1
-        for a in range(len(line))
-        for b in range(a + 1, len(line))
-        if line[a] > line[b]
-    )
+    return w.inversion_mask.bit_count()
 
 
 def right_descents(w: Permutation) -> frozenset[int]:
@@ -90,30 +126,23 @@ def right_descents(w: Permutation) -> frozenset[int]:
 
 
 def left_descents(w: Permutation) -> frozenset[int]:
-    return right_descents(w.inverse())
+    """The i such that i+1 stands before i: the inverted pairs (i, i+1)."""
+    mask, m = w.inversion_mask, w.m
+    return frozenset(i for i in range(1, m) if mask >> ((i - 1) * m + i) & 1)
 
 
 def weak_leq(u: Permutation, w: Permutation) -> bool:
-    """Right weak order: u <= w iff lengths add along u^{-1}w."""
+    """Right weak order: u <= w iff Inv(u) is contained in Inv(w)."""
     if u.m != w.m:
         raise ValueError("permutations act on different sets")
-    return length(u) + length(u.inverse() * w) == length(w)
+    return not u.inversion_mask & ~w.inversion_mask
 
 
 def bruhat_leq(u: Permutation, w: Permutation) -> bool:
-    """Bruhat order via dominance of rank matrices."""
+    """Bruhat order: the rank array of u is entrywise at most that of w."""
     if u.m != w.m:
         raise ValueError("permutations act on different sets")
-    m = u.m
-    for i in range(1, m):
-        cu = cw = 0
-        for j in range(1, m + 1):
-            # counts of entries >= j among the first i positions
-            cu = sum(1 for a in range(i) if u.one_line[a] >= j)
-            cw = sum(1 for a in range(i) if w.one_line[a] >= j)
-            if cu > cw:
-                return False
-    return True
+    return not u.bruhat_ranks & ~w.bruhat_ranks
 
 
 def longest_element(m: int) -> Permutation:
@@ -181,11 +210,6 @@ def coxeter_pop(w: Permutation) -> Permutation:
     return w * longest_parabolic(right_descents(w), w.m)
 
 
-def weak_covers_down(w: Permutation) -> list[Permutation]:
-    """Elements covered by w in the right weak order."""
-    return [w.right_mult_gen(i) for i in sorted(right_descents(w))]
-
-
 def descents_commute(w: Permutation) -> bool:
     """True iff no two right descents are adjacent (no double descent)."""
     desc = right_descents(w)
@@ -211,6 +235,8 @@ def verify_section3_lemmas(m: int) -> LemmaReport:
     pop/quotient exchange inequality, and the sorting time of the maximal
     quotient elements (h-1 pops reach the identity, h-2 do not, and every
     intermediate element has pairwise commuting descents)."""
+    if m < 1:
+        raise ValueError(f"the lemma suite needs m >= 1, got {m}")
     perms = list(all_permutations(m))
     gens = list(range(1, m))
     subsets = [
@@ -218,6 +244,7 @@ def verify_section3_lemmas(m: int) -> LemmaReport:
         for r in range(m)
         for c in itertools.combinations(gens, r)
     ]
+    pop = {w: coxeter_pop(w) for w in perms}
     violations = []
     checked = 0
 
@@ -230,21 +257,19 @@ def verify_section3_lemmas(m: int) -> LemmaReport:
             checked += 1
             if not weak_leq(rep[y], rep[z]):
                 violations.append(f"quotient monotonicity fails: J={set(j)} y={y} z={z}")
+        for w in perms:
+            checked += 1
+            if not weak_leq(rep[pop[w]], pop[rep[w]]):
+                violations.append(f"pop/quotient exchange fails: J={set(j)} w={w}")
 
     commuting = [y for y in perms if descents_commute(y)]
     for y in commuting:
-        py = coxeter_pop(y)
+        py = pop[y]
         for x in perms:
             if bruhat_leq(x, y):
                 checked += 1
-                if not bruhat_leq(coxeter_pop(x), py):
+                if not bruhat_leq(pop[x], py):
                     violations.append(f"Bruhat pop monotonicity fails: x={x} y={y}")
-
-    for j in subsets:
-        for w in perms:
-            checked += 1
-            if not weak_leq(min_coset_rep(coxeter_pop(w), j), coxeter_pop(min_coset_rep(w, j))):
-                violations.append(f"pop/quotient exchange fails: J={set(j)} w={w}")
 
     full = frozenset(gens)
     for s in gens:

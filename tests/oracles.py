@@ -64,32 +64,57 @@ def naive_meet(reach: list[set[int]], size: int, ids):
     return maximal[0] if len(maximal) == 1 else None
 
 
-def bruhat_leq_subword(u: Permutation, w: Permutation) -> bool:
-    """u <= w in Bruhat order iff u is a subword product of a reduced word
+def inversion_count(p: Permutation) -> int:
+    """Number of position pairs a < b with p(a) > p(b)."""
+    line = p.one_line
+    return sum(
+        1 for a in range(len(line)) for b in range(a + 1, len(line))
+        if line[a] > line[b]
+    )
+
+
+def weak_leq_by_length(u: Permutation, w: Permutation) -> bool:
+    """Right weak order: u <= w iff lengths add along u^{-1}w."""
+    inv = [0] * u.m
+    for pos, val in enumerate(u.one_line, start=1):
+        inv[val - 1] = pos
+    u_inv_w = Permutation(tuple(inv[j - 1] for j in w.one_line))
+    return inversion_count(u) + inversion_count(u_inv_w) == inversion_count(w)
+
+
+def bruhat_leq_by_rank_counts(u: Permutation, w: Permutation) -> bool:
+    """Bruhat order via dominance of rank matrices, each entry counted
+    afresh."""
+    m = u.m
+    for i in range(1, m):
+        for j in range(1, m + 1):
+            # counts of entries >= j among the first i positions
+            cu = sum(1 for a in range(i) if u.one_line[a] >= j)
+            cw = sum(1 for a in range(i) if w.one_line[a] >= j)
+            if cu > cw:
+                return False
+    return True
+
+
+def bruhat_lower_interval(w: Permutation) -> set[Permutation]:
+    """All u <= w in Bruhat order: the subword products of a reduced word
     of w (the subword products of one reduced word form the full lower
     interval)."""
     products = {identity(w.m)}
     for i in reduced_word(w):
         products |= {x.right_mult_gen(i) for x in products}
-    return u in products
+    return products
 
 
 def weak_order_pairs(perms) -> set[tuple[Permutation, Permutation]]:
     """All (u, w) with u <= w in right weak order, by BFS over covers
     w -> w s_i that increase the inversion count."""
-    def inversions(p):
-        line = p.one_line
-        return sum(
-            1 for a in range(len(line)) for b in range(a + 1, len(line))
-            if line[a] > line[b]
-        )
-
     below: dict[Permutation, set[Permutation]] = {}
-    for w in sorted(perms, key=inversions):
+    for w in sorted(perms, key=inversion_count):
         acc = {w}
         for i in range(1, w.m):
             u = w.right_mult_gen(i)
-            if inversions(u) < inversions(w):
+            if inversion_count(u) < inversion_count(w):
                 acc |= below[u]
         below[w] = acc
     return {(u, w) for w, us in below.items() for u in us}

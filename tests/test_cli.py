@@ -133,6 +133,14 @@ def test_verify_lemma_suite(capsys):
     assert "all pass" in out
 
 
+def test_verify_lemma_suite_rejects_m_below_one(capsys):
+    for m in ("0", "-1"):
+        code, out, err = run(capsys, "verify", "--m", m)
+        assert code == 2
+        assert out == ""
+        assert "invalid input" in err
+
+
 def test_verify_needs_arguments(capsys):
     code, _, err = run(capsys, "verify")
     assert code == 2

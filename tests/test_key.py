@@ -6,6 +6,9 @@ from crystalpop.crystal import (
     stabilizer_colors,
 )
 from crystalpop.key import (
+    DemazureFamily,
+    NonUniqueMinimum,
+    all_keys,
     build_demazure_family,
     key_map,
     verify_key_properties,
@@ -71,6 +74,29 @@ def test_key_of_minimum_is_identity_and_unique():
         keys = [key_map(graph, family, v) for v in range(graph.num_vertices)]
         assert keys[graph.min_vertex] == e
         assert keys.count(e) == 1
+
+
+def test_all_keys_matches_key_map():
+    for parts, n in SHAPES:
+        graph, family = built(parts, n)
+        assert all_keys(graph, family) == [
+            key_map(graph, family, v) for v in range(graph.num_vertices)
+        ]
+
+
+def test_incomparable_members_have_no_key():
+    graph = generate_crystal(Partition((1,), 1))
+    u, w = parse_permutation("213"), parse_permutation("132")
+    # vertex 0 lies in two members of equal length, hence Bruhat-incomparable
+    family = DemazureFamily(order=[u, w], members={u: 0b11, w: 0b01})
+    with pytest.raises(NonUniqueMinimum):
+        key_map(graph, family, 0)
+    with pytest.raises(NonUniqueMinimum):
+        all_keys(graph, family)
+    assert key_map(graph, family, 1) == u
+    family = DemazureFamily(order=[u], members={u: 0b01})
+    with pytest.raises(NonUniqueMinimum):
+        all_keys(graph, family)
 
 
 def test_key_fixes_embedded_quotient():

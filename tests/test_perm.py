@@ -22,7 +22,13 @@ from crystalpop.perm import (
     verify_section3_lemmas,
     weak_leq,
 )
-from oracles import bruhat_leq_subword, weak_order_pairs
+from oracles import (
+    bruhat_leq_by_rank_counts,
+    bruhat_lower_interval,
+    inversion_count,
+    weak_leq_by_length,
+    weak_order_pairs,
+)
 
 perm_strategy = st.permutations(range(1, 6)).map(lambda t: Permutation(tuple(t)))
 
@@ -61,19 +67,39 @@ def test_length_and_descents():
     assert right_descents(identity(4)) == frozenset()
 
 
+def test_length_and_left_descents_match_direct_counts():
+    for m in range(1, 6):
+        for w in all_permutations(m):
+            assert length(w) == inversion_count(w)
+            assert left_descents(w) == right_descents(w.inverse())
+
+
 def test_weak_order_matches_cover_bfs():
-    perms = list(all_permutations(4))
-    pairs = weak_order_pairs(perms)
-    for u in perms:
-        for w in perms:
-            assert weak_leq(u, w) == ((u, w) in pairs)
+    for m in range(1, 6):
+        perms = list(all_permutations(m))
+        pairs = weak_order_pairs(perms)
+        for u in perms:
+            for w in perms:
+                expected = (u, w) in pairs
+                assert weak_leq_by_length(u, w) == expected
+                assert weak_leq(u, w) == expected
 
 
 def test_bruhat_order_matches_subword_oracle():
-    perms = list(all_permutations(4))
-    for u in perms:
+    for m in range(1, 6):
+        perms = list(all_permutations(m))
         for w in perms:
-            assert bruhat_leq(u, w) == bruhat_leq_subword(u, w)
+            below = bruhat_lower_interval(w)
+            for u in perms:
+                expected = u in below
+                assert bruhat_leq_by_rank_counts(u, w) == expected
+                assert bruhat_leq(u, w) == expected
+
+
+def test_order_tests_reject_mismatched_sizes():
+    for leq in (weak_leq, bruhat_leq):
+        with pytest.raises(ValueError):
+            leq(identity(3), identity(4))
 
 
 def test_weak_implies_bruhat():
@@ -141,7 +167,7 @@ def test_pop_strictly_below_in_weak_order(w):
 
 
 def test_lemma_suite_small():
-    for m in (2, 3, 4):
+    for m in (1, 2, 3, 4):
         report = verify_section3_lemmas(m)
         assert report.ok, report.violations
 
