@@ -28,6 +28,7 @@ from .pop import (
     is_poppable,
     max_orbit_size,
     orbit,
+    orbit_lengths,
     pop_agreement_on_quotient,
     pop_permutation,
 )
@@ -92,8 +93,8 @@ def cmd_pop(args) -> str:
         buf = io.StringIO()
         writer = csv.writer(buf)
         writer.writerow(["id", "tableau", "orbit_length"])
-        for v, t in enumerate(graph.vertices):
-            writer.writerow([v, format_tableau(t), orbit(graph, v).length])
+        for v, (t, size) in enumerate(zip(graph.vertices, orbit_lengths(graph))):
+            writer.writerow([v, format_tableau(t), size])
         return buf.getvalue()
     size, witness = max_orbit_size(graph)
     if args.format == "json":

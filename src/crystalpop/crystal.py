@@ -1,11 +1,14 @@
 """Crystal operators on tableaux and full crystal-graph generation.
 
-The lowering operator for color i scans the reading word restricted to the
-letters {i, i+1}, pairing each i+1 (an opening parenthesis) with a later i
-(a closing one); the rightmost unmatched i is bumped to i+1. Raising is the
-reverse. The crystal graph is the closure of the highest-weight tableau
-under all lowering operators, with breadth-first vertex ids so generation
-is deterministic.
+Everything runs on reading words (entries in reading_cells order). F_i pairs
+each i+1 with a later i like parentheses and bumps the rightmost unmatched i
+to i+1 (Bump-Schilling, Crystal Bases, Ch. 2-3); one pass finds that letter
+for every color, since a letter a opens a bracket for color a-1 and closes
+one for color a. E_i is F_{n+1-i} on the reversed word with letters a ->
+n+2-a. The crystal graph is the breadth-first closure of the highest-weight
+word under all F_i, ids in discovery order. An image differs from its source
+in one cell, so checking that cell against n+1 and its right and lower
+neighbours is validate_tableau; tableaux are built once, after the search.
 """
 
 from __future__ import annotations
@@ -17,12 +20,8 @@ from typing import Optional
 
 from .perm import Permutation, parabolic_quotient, reduced_word
 from .tableaux import (
-    Partition,
-    Tableau,
-    dual_shape,
-    format_tableau,
-    highest_weight_tableau,
-    reading_cells,
+    ColumnViolation, EntryOutOfRange, Partition, RowViolation, Tableau, dual_shape,
+    format_tableau, highest_weight_tableau, hook_content_count, reading_cells, reading_word,
 )
 
 DEFAULT_VERTEX_CAP = 2_000_000
@@ -41,36 +40,33 @@ def default_cap() -> int:
     return int(os.environ.get(CAP_ENV_VAR, DEFAULT_VERTEX_CAP))
 
 
+def _lowering_targets(word, n: int) -> list[Optional[int]]:
+    """targets[i] is the position of the letter F_i bumps in a reading word,
+    or None if F_i is zero, for all colors i in [1, n+1] at once."""
+    depth = [0] * (n + 2)
+    targets: list[Optional[int]] = [None] * (n + 2)
+    for p, a in enumerate(word):
+        depth[a - 1] += 1
+        if depth[a]:
+            depth[a] -= 1
+        else:
+            targets[a] = p
+    return targets
+
+
 def lowering_F(t: Tableau, i: int) -> Optional[Tableau]:
     """F_i: bump the rightmost unmatched i to i+1, or None if F_i(t) = 0."""
-    depth = 0
-    target = None
-    for cell in reading_cells(t.shape):
-        letter = t.entry(*cell)
-        if letter == i + 1:
-            depth += 1
-        elif letter == i:
-            if depth > 0:
-                depth -= 1
-            else:
-                target = cell
-    if target is None:
-        return None
-    return t.with_entry(*target, i + 1)
+    n = t.shape.n
+    p = _lowering_targets(reading_word(t), n)[i] if 1 <= i <= n + 1 else None
+    return None if p is None else t.with_entry(*reading_cells(t.shape)[p], i + 1)
 
 
 def raising_E(t: Tableau, i: int) -> Optional[Tableau]:
     """E_i: drop the leftmost unmatched i+1 to i, or None if E_i(t) = 0."""
-    stack = []
-    for cell in reading_cells(t.shape):
-        letter = t.entry(*cell)
-        if letter == i + 1:
-            stack.append(cell)
-        elif letter == i and stack:
-            stack.pop()
-    if not stack:
-        return None
-    return t.with_entry(*stack[0], i)
+    n = t.shape.n
+    mirrored = [n + 2 - a for a in reversed(reading_word(t))]
+    p = _lowering_targets(mirrored, n)[n + 1 - i] if 0 <= i <= n else None
+    return None if p is None else t.with_entry(*reading_cells(t.shape)[-1 - p], i)
 
 
 @dataclass
@@ -110,38 +106,63 @@ class CrystalGraph:
         return sinks[0]
 
 
+def _check_bump(cells, p: int, value: int, word, right, below, top: int) -> None:
+    """validate_tableau, with the same errors, for a semistandard word whose
+    letter p grows to value: only that cell can break a condition."""
+    (i, j), r, b = cells[p], right[p], below[p]
+    if value > top:
+        raise EntryOutOfRange((i, j), f"{value} not in [1, {top}]")
+    if r is not None and word[r] < value:
+        raise RowViolation((i, j + 1), f"{value} > {word[r]}")
+    if b is not None and word[b] <= value:
+        raise ColumnViolation((i + 1, j), f"{value} >= {word[b]}")
+
+
 def generate_crystal(shape: Partition, cap: Optional[int] = None) -> CrystalGraph:
     """Breadth-first closure of the highest-weight tableau under all F_i."""
     if cap is None:
         cap = default_cap()
     n = shape.n
-    t_min = highest_weight_tableau(shape)
-    vertices = [t_min]
-    index = {t_min: 0}
+    over_cap = f"crystal for {shape.parts} at n={n} exceeds cap {cap}"
+    if hook_content_count(shape) > cap:
+        raise SizeLimitExceeded(over_cap)
+    cells = reading_cells(shape)
+    position = {cell: p for p, cell in enumerate(cells)}
+    right = [position.get((i, j + 1)) for i, j in cells]
+    below = [position.get((i + 1, j)) for i, j in cells]
+    words = [reading_word(highest_weight_tableau(shape))]
+    ids = {words[0]: 0}
     succ: list[list[Optional[int]]] = [[None] * n]
     pred: list[list[Optional[int]]] = [[None] * n]
     head = 0
-    while head < len(vertices):
-        t = vertices[head]
+    while head < len(words):
+        word = words[head]
+        targets = _lowering_targets(word, n)
         for i in range(1, n + 1):
-            img = lowering_F(t, i)
-            if img is None:
+            p = targets[i]
+            if p is None:
                 continue
-            w = index.get(img)
-            if w is None:
-                if len(vertices) >= cap:
-                    raise SizeLimitExceeded(
-                        f"crystal for {shape.parts} at n={n} exceeds cap {cap}"
-                    )
-                w = len(vertices)
-                index[img] = w
-                vertices.append(img)
+            _check_bump(cells, p, i + 1, word, right, below, n + 1)
+            img = word[:p] + (i + 1,) + word[p + 1:]
+            if (w := ids.get(img)) is None:
+                if len(words) >= cap:
+                    raise SizeLimitExceeded(over_cap)
+                w = len(words)
+                ids[img] = w
+                words.append(img)
                 succ.append([None] * n)
                 pred.append([None] * n)
             succ[head][i - 1] = w
             pred[w][i - 1] = head
         head += 1
-    return CrystalGraph(shape=shape, vertices=vertices, succ=succ, pred=pred, index=index)
+    del ids
+    # The top row is read last; each word is freed as its tableau replaces it.
+    ends = [shape.size - sum(shape.parts[:k]) for k in range(len(shape.parts) + 1)]
+    rows = [slice(lo, hi) for hi, lo in zip(ends, ends[1:])]
+    for v, word in enumerate(words):
+        words[v] = Tableau(shape, tuple(map(word.__getitem__, rows)))
+    index = {t: v for v, t in enumerate(words)}
+    return CrystalGraph(shape=shape, vertices=words, succ=succ, pred=pred, index=index)
 
 
 @dataclass(frozen=True)
@@ -225,25 +246,14 @@ def dual_crystal(graph: CrystalGraph) -> DualCrystal:
 def weyl_reflect(graph: CrystalGraph, v: int, i: int) -> int:
     """Reverse the maximal i-colored chain through v: if v sits at position
     j from the bottom of an m-chain, return the vertex at position m+1-j."""
-    up = 0
-    cur = v
-    while graph.succ[cur][i - 1] is not None:
-        cur = graph.succ[cur][i - 1]
-        up += 1
-    down = 0
-    cur = v
-    while graph.pred[cur][i - 1] is not None:
-        cur = graph.pred[cur][i - 1]
-        down += 1
-    steps = up - down
-    cur = v
-    if steps >= 0:
-        for _ in range(steps):
-            cur = graph.succ[cur][i - 1]
-    else:
-        for _ in range(-steps):
-            cur = graph.pred[cur][i - 1]
-    return cur
+    chain = [v]
+    while (w := graph.pred[chain[-1]][i - 1]) is not None:
+        chain.append(w)
+    below = len(chain) - 1
+    chain.reverse()
+    while (w := graph.succ[chain[-1]][i - 1]) is not None:
+        chain.append(w)
+    return chain[len(chain) - 1 - below]
 
 
 def weyl_act(graph: CrystalGraph, v: int, word) -> int:

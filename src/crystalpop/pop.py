@@ -7,13 +7,7 @@ from typing import Callable, Optional
 
 from .crystal import CrystalGraph, embed_parabolic_quotient, levi_restrict
 from .perm import Permutation, coxeter_pop
-from .poset import (
-    MeetUndefined,
-    NotPoppable,
-    ReachabilityIndex,
-    components_and_sources,
-    meet,
-)
+from .poset import MeetUndefined, ReachabilityIndex, components_and_sources, meet
 
 
 class NonTermination(RuntimeError):
@@ -56,16 +50,6 @@ def pop_crystal(graph: CrystalGraph, v: int) -> int:
             cur = graph.pred[cur][i - 1]
 
 
-def pop_crystal_by_components(graph: CrystalGraph, v: int) -> int:
-    """Defining form: the unique source of the component of v in the crystal
-    restricted to the down-colors of v."""
-    view = levi_restrict(graph, down_colors(graph, v))
-    _, sources = components_and_sources(view, v)
-    if len(sources) != 1:
-        raise NotPoppable(f"component of {v} has sources {sorted(sources)}")
-    return next(iter(sources))
-
-
 def orbit(graph: CrystalGraph, v: int,
           operator: Callable[[CrystalGraph, int], int] = pop_crystal) -> OrbitReport:
     trajectory = [v]
@@ -80,14 +64,23 @@ def orbit(graph: CrystalGraph, v: int,
         seen.add(nxt)
 
 
+def orbit_lengths(graph: CrystalGraph) -> list[int]:
+    """orbit(graph, v).length for every v, one pop each: pop_crystal moves to
+    a smaller id or stays fixed, so the lengths fill in id order."""
+    lengths = [0] * graph.num_vertices
+    for v in range(graph.num_vertices):
+        w = pop_crystal(graph, v)
+        if w > v:
+            raise NonTermination(f"pop moved vertex {v} up to {w}")
+        lengths[v] = 1 if w == v else 1 + lengths[w]
+    return lengths
+
+
 def max_orbit_size(graph: CrystalGraph) -> tuple[int, int]:
     """Maximum orbit size of the crystal pop operator and its first witness."""
-    best, witness = 0, 0
-    for v in range(graph.num_vertices):
-        size = orbit(graph, v).length
-        if size > best:
-            best, witness = size, v
-    return best, witness
+    lengths = orbit_lengths(graph)
+    best = max(lengths)
+    return best, lengths.index(best)
 
 
 def pop_permutation(w: Permutation) -> Permutation:

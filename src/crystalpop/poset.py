@@ -64,10 +64,6 @@ class ReachabilityIndex:
         return not self.leq(u, v) and not self.leq(v, u)
 
 
-def leq(index: ReachabilityIndex, u: int, v: int) -> bool:
-    return index.leq(u, v)
-
-
 def _minimal_of_upset(index: ReachabilityIndex, bits: int) -> list[int]:
     """Minimal elements of an up-closed bitset. The lowest id present is
     always minimal because ids refine the order."""

@@ -6,8 +6,13 @@ with no shared code paths with the library internals they check.
 
 from __future__ import annotations
 
+from typing import Optional
+
+from crystalpop.crystal import CrystalGraph, levi_restrict
 from crystalpop.perm import Permutation, identity, reduced_word
-from crystalpop.tableaux import Partition, Tableau
+from crystalpop.pop import down_colors
+from crystalpop.poset import NotPoppable, components_and_sources
+from crystalpop.tableaux import Partition, Tableau, highest_weight_tableau, reading_cells
 
 
 def enumerate_ssyt(shape: Partition) -> list[Tableau]:
@@ -36,6 +41,77 @@ def enumerate_ssyt(shape: Partition) -> list[Tableau]:
 
     fill(0)
     return out
+
+
+def lowering_by_cells(t: Tableau, i: int) -> Optional[Tableau]:
+    """F_i by a bracket scan of the cells for color i alone: bump the
+    rightmost unmatched i to i+1 (the tableau is revalidated)."""
+    depth = 0
+    target = None
+    for cell in reading_cells(t.shape):
+        letter = t.entry(*cell)
+        if letter == i + 1:
+            depth += 1
+        elif letter == i:
+            if depth > 0:
+                depth -= 1
+            else:
+                target = cell
+    if target is None:
+        return None
+    return t.with_entry(*target, i + 1)
+
+
+def raising_by_cells(t: Tableau, i: int) -> Optional[Tableau]:
+    """E_i with a stack of open i+1 cells: drop the leftmost unmatched i+1."""
+    stack = []
+    for cell in reading_cells(t.shape):
+        letter = t.entry(*cell)
+        if letter == i + 1:
+            stack.append(cell)
+        elif letter == i and stack:
+            stack.pop()
+    if not stack:
+        return None
+    return t.with_entry(*stack[0], i)
+
+
+def generate_crystal_by_tableaux(shape: Partition) -> CrystalGraph:
+    """Breadth-first closure of the highest-weight tableau under
+    lowering_by_cells, one tableau and one color at a time."""
+    n = shape.n
+    t_min = highest_weight_tableau(shape)
+    vertices = [t_min]
+    index = {t_min: 0}
+    succ: list[list[Optional[int]]] = [[None] * n]
+    pred: list[list[Optional[int]]] = [[None] * n]
+    head = 0
+    while head < len(vertices):
+        for i in range(1, n + 1):
+            img = lowering_by_cells(vertices[head], i)
+            if img is None:
+                continue
+            w = index.get(img)
+            if w is None:
+                w = len(vertices)
+                index[img] = w
+                vertices.append(img)
+                succ.append([None] * n)
+                pred.append([None] * n)
+            succ[head][i - 1] = w
+            pred[w][i - 1] = head
+        head += 1
+    return CrystalGraph(shape=shape, vertices=vertices, succ=succ, pred=pred, index=index)
+
+
+def pop_crystal_by_components(graph: CrystalGraph, v: int) -> int:
+    """Defining form of the crystal pop: the unique source of the component
+    of v in the crystal restricted to the down-colors of v."""
+    view = levi_restrict(graph, down_colors(graph, v))
+    _, sources = components_and_sources(view, v)
+    if len(sources) != 1:
+        raise NotPoppable(f"component of {v} has sources {sorted(sources)}")
+    return next(iter(sources))
 
 
 def reachable_sets(graph) -> list[set[int]]:

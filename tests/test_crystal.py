@@ -2,6 +2,8 @@ import json
 
 import pytest
 
+from crystalpop import crystal
+from crystalpop.classifier import sweep_pairs
 from crystalpop.crystal import (
     CAP_ENV_VAR,
     SizeLimitExceeded,
@@ -20,12 +22,22 @@ from crystalpop.crystal import (
 from crystalpop.perm import length, parabolic_quotient
 from crystalpop.tableaux import (
     Partition,
+    Tableau,
+    TableauError,
     format_tableau,
     hook_content_count,
     parse_tableau,
+    reading_cells,
+    reading_word,
+    validate_tableau,
     weight,
 )
-from oracles import enumerate_ssyt
+from oracles import (
+    enumerate_ssyt,
+    generate_crystal_by_tableaux,
+    lowering_by_cells,
+    raising_by_cells,
+)
 
 SHAPES = [
     ((1,), 1), ((2, 1), 2), ((2, 2), 3), ((3, 1), 3),
@@ -37,6 +49,54 @@ def test_lowering_example():
     t = parse_tableau("1,1,2,2,3/3,3", 3)
     assert format_tableau(lowering_F(t, 1)) == "1,2,2,2,3/3,3"
     assert lowering_F(t, 2) is None
+
+
+def _outcome(fn, *args):
+    """The result, or the type and message of the error raised."""
+    try:
+        return fn(*args)
+    except TableauError as exc:
+        return type(exc), str(exc)
+
+
+def test_operators_match_cell_scans():
+    for parts, n in SHAPES:
+        for t in enumerate_ssyt(Partition(parts, n)):
+            for i in range(-1, n + 3):
+                assert _outcome(lowering_F, t, i) == _outcome(lowering_by_cells, t, i)
+                assert _outcome(raising_E, t, i) == _outcome(raising_by_cells, t, i)
+
+
+@pytest.mark.parametrize(
+    "parts,n", sweep_pairs(4, 7) + [((5, 3, 1), 4)], ids=lambda x: str(x)
+)
+def test_word_bfs_matches_tableau_bfs(parts, n):
+    shape = Partition(parts, n)
+    graph = generate_crystal(shape)
+    ref = generate_crystal_by_tableaux(shape)
+    assert graph.vertices == ref.vertices
+    assert graph.succ == ref.succ
+    assert graph.pred == ref.pred
+    assert list(graph.index.items()) == list(ref.index.items())
+    assert all(validate_tableau(shape, t.rows) == t for t in graph.vertices)
+
+
+def test_bump_check_raises_what_validate_raises():
+    for parts, n in SHAPES:
+        shape = Partition(parts, n)
+        cells = reading_cells(shape)
+        position = {cell: p for p, cell in enumerate(cells)}
+        right = [position.get((i, j + 1)) for i, j in cells]
+        below = [position.get((i + 1, j)) for i, j in cells]
+        for t in enumerate_ssyt(shape):
+            word = reading_word(t)
+            for p, cell in enumerate(cells):
+                for value in range(word[p] + 1, n + 3):
+                    want = _outcome(t.with_entry, *cell, value)
+                    got = _outcome(
+                        crystal._check_bump, cells, p, value, word, right, below, n + 1
+                    )
+                    assert got == (None if isinstance(want, Tableau) else want)
 
 
 def test_raising_inverts_lowering():
@@ -97,6 +157,22 @@ def test_cap_enforced(monkeypatch):
     assert default_cap() == 7
     with pytest.raises(SizeLimitExceeded):
         generate_crystal(Partition((3, 1), 3))
+
+
+def test_cap_checked_before_generation(monkeypatch):
+    def no_search(*args):
+        raise AssertionError("the search started")
+
+    monkeypatch.setattr(crystal, "_lowering_targets", no_search)
+    monkeypatch.setattr(crystal, "highest_weight_tableau", no_search)
+    shape = Partition((6, 4, 2), 5)
+    assert hook_content_count(shape) == 62_370
+    with pytest.raises(SizeLimitExceeded, match=r"crystal for \(6, 4, 2\) at n=5 exceeds cap 1000"):
+        generate_crystal(shape, cap=1000)
+    monkeypatch.undo()
+    assert generate_crystal(Partition((3, 1), 3), cap=45).num_vertices == 45
+    with pytest.raises(SizeLimitExceeded):
+        generate_crystal(Partition((3, 1), 3), cap=44)
 
 
 def test_levi_restrict_filters_colors():

@@ -2,19 +2,22 @@ import pytest
 
 from crystalpop.crystal import generate_crystal
 from crystalpop.perm import all_permutations, coxeter_pop, identity, parse_permutation
+from crystalpop import pop
 from crystalpop.pop import (
+    NonTermination,
     down_colors,
     is_poppable,
     max_orbit_size,
     orbit,
+    orbit_lengths,
     pop_agreement_on_quotient,
     pop_crystal,
-    pop_crystal_by_components,
     pop_permutation,
     semilattice_pop,
 )
 from crystalpop.poset import MeetUndefined, ReachabilityIndex
 from crystalpop.tableaux import Partition
+from oracles import pop_crystal_by_components
 
 SHAPES = [
     ((1,), 1), ((2, 1), 2), ((1, 1), 3), ((2, 2), 3),
@@ -59,6 +62,21 @@ def test_max_orbit_equals_coxeter_number():
         size, witness = max_orbit_size(graph)
         assert size == n + 1
         assert orbit(graph, witness).length == size
+
+
+def test_orbit_lengths_match_orbits():
+    for parts, n in SHAPES:
+        graph = generate_crystal(Partition(parts, n))
+        assert orbit_lengths(graph) == [
+            orbit(graph, v).length for v in range(graph.num_vertices)
+        ]
+
+
+def test_orbit_lengths_reject_a_pop_that_moves_up(monkeypatch):
+    graph = generate_crystal(Partition((2, 1), 2))
+    monkeypatch.setattr(pop, "pop_crystal", lambda g, v: v + 1)
+    with pytest.raises(NonTermination):
+        orbit_lengths(graph)
 
 
 def test_max_orbit_witness_two_one():
