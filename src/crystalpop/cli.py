@@ -25,6 +25,8 @@ from .crystal import (
 from .key import build_demazure_family, verify_key_properties, verify_pop_key_inequality
 from .perm import parse_permutation, verify_section3_lemmas
 from .pop import (
+    NonTermination,
+    forward_orbit,
     is_poppable,
     max_orbit_size,
     orbit,
@@ -113,18 +115,7 @@ def cmd_pop(args) -> str:
 
 
 def cmd_perm_pop(args) -> str:
-    w = parse_permutation(args.element)
-    lines = [str(w)]
-    seen = {w}
-    while True:
-        nxt = pop_permutation(w)
-        if nxt == w:
-            break
-        if nxt in seen:
-            raise PropertyFailure("permutation pop orbit cycled")
-        lines.append(str(nxt))
-        seen.add(nxt)
-        w = nxt
+    lines = [str(w) for w in forward_orbit(parse_permutation(args.element), pop_permutation)]
     return "\n".join(lines) + f"\norbit length {len(lines)}\n"
 
 
@@ -271,7 +262,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         return 2
     try:
         text = args.func(args)
-    except PropertyFailure as exc:
+    except (PropertyFailure, NonTermination) as exc:
         sys.stderr.write(f"property check failed: {exc}\n")
         return 1
     except (TableauError, SizeLimitExceeded, ValueError) as exc:

@@ -72,14 +72,14 @@ def raising_E(t: Tableau, i: int) -> Optional[Tableau]:
 @dataclass
 class CrystalGraph:
     """Edge-colored DAG over the tableaux of one shape. succ[v][i-1] is the
-    id of F_i(vertex v) or None; pred is the E_i counterpart."""
+    id of F_i(vertex v) or None; pred is the E_i counterpart. Vertex 0 is
+    the highest-weight tableau, the minimum, by construction."""
 
     shape: Partition
     vertices: list[Tableau]
     succ: list[list[Optional[int]]]
     pred: list[list[Optional[int]]]
     index: dict[Tableau, int] = field(repr=False, default_factory=dict)
-    min_vertex: int = 0
 
     @property
     def n(self) -> int:
@@ -166,34 +166,6 @@ def generate_crystal(shape: Partition, cap: Optional[int] = None) -> CrystalGrap
 
 
 @dataclass(frozen=True)
-class LeviView:
-    """The crystal with only the edges whose colors lie in a chosen subset."""
-
-    graph: CrystalGraph
-    colors: frozenset[int]
-
-    def succ_edges(self, v: int):
-        for i in self.colors:
-            w = self.graph.succ[v][i - 1]
-            if w is not None:
-                yield w, i
-
-    def pred_edges(self, v: int):
-        for i in self.colors:
-            w = self.graph.pred[v][i - 1]
-            if w is not None:
-                yield w, i
-
-
-def levi_restrict(graph: CrystalGraph, colors) -> LeviView:
-    colors = frozenset(colors)
-    bad = colors - set(range(1, graph.n + 1))
-    if bad:
-        raise ValueError(f"colors {sorted(bad)} outside [1, {graph.n}]")
-    return LeviView(graph, colors)
-
-
-@dataclass(frozen=True)
 class DualCrystal:
     """The dual crystal together with the forced vertex bijection from the
     original graph (to_dual[v] is the dual id of vertex v)."""
@@ -220,8 +192,8 @@ def dual_crystal(graph: CrystalGraph) -> DualCrystal:
             f"dual vertex count {dual.num_vertices} != {graph.num_vertices}"
         )
     mapping: list[Optional[int]] = [None] * graph.num_vertices
-    mapping[graph.min_vertex] = dual.min_vertex
-    queue = [graph.min_vertex]
+    mapping[0] = 0
+    queue = [0]
     head = 0
     while head < len(queue):
         v = queue[head]
@@ -278,7 +250,7 @@ def embed_parabolic_quotient(graph: CrystalGraph) -> dict[Permutation, int]:
     kset = stabilizer_colors(graph.shape)
     out = {}
     for w in parabolic_quotient(kset, graph.n + 1):
-        out[w] = weyl_act(graph, graph.min_vertex, reduced_word(w))
+        out[w] = weyl_act(graph, 0, reduced_word(w))
     return out
 
 

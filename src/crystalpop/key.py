@@ -65,7 +65,7 @@ def build_demazure_family(graph: CrystalGraph) -> DemazureFamily:
     agree; a mismatch raises InconsistentFamily."""
     kset = stabilizer_colors(graph.shape)
     order = parabolic_quotient(kset, graph.n + 1)
-    members: dict[Permutation, int] = {identity(graph.n + 1): 1 << graph.min_vertex}
+    members: dict[Permutation, int] = {identity(graph.n + 1): 1 << 0}
     for w in order:
         if length(w) == 0:
             continue
@@ -167,7 +167,7 @@ def verify_key_properties(graph: CrystalGraph, family: DemazureFamily) -> KeyRep
                     f"descent {i} of the key of vertex {v} without an incoming edge"
                 )
         checked += 1
-        if kappa[v] == e and v != graph.min_vertex:
+        if kappa[v] == e and v != 0:
             violations.append(f"identity key at non-minimal vertex {v}")
     for src, dst, _ in graph.edges():
         checked += 1

@@ -167,17 +167,22 @@ def longest_parabolic(gens: frozenset[int] | set[int], m: int) -> Permutation:
 
 
 def min_coset_rep(w: Permutation, gens: frozenset[int] | set[int]) -> Permutation:
-    """Minimum-length representative of the left coset W_J w: strip left
-    descents lying in J."""
-    cur = w
-    changed = True
-    while changed:
-        changed = False
-        for i in gens:
-            if i in left_descents(cur):
-                cur = cur.left_mult_gen(i)
-                changed = True
-    return cur
+    """Minimum-length representative of the left coset W_J w. W_J acts on
+    values and permutes each block {i, ..., k+1}, for a maximal run i..k of
+    generators in J, freely: the representative writes each block's values
+    in increasing order of position. Generators outside [1, m-1] are ignored."""
+    m = w.m
+    block = list(range(m + 1))  # block[a] = the smallest value in a's block
+    for i in sorted(gens):
+        if 0 < i < m:
+            block[i + 1] = block[i]
+    nxt = list(range(m + 1))  # nxt[b] = the next value block b hands out
+    line = []
+    for a in w.one_line:
+        b = block[a]
+        line.append(nxt[b])
+        nxt[b] += 1
+    return Permutation(tuple(line))
 
 
 def parabolic_quotient(gens: frozenset[int] | set[int], m: int) -> list[Permutation]:

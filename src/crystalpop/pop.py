@@ -1,13 +1,18 @@
-"""Pop-stack sorting dynamics on crystals and permutations."""
+"""Pop-stack sorting dynamics on crystals and permutations. The crystal pop
+sends a vertex to the unique source of its component in the crystal
+restricted to its descent colors; is_poppable checks, with one labelling
+pass per color set, that every such source is unique."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
-from .crystal import CrystalGraph, embed_parabolic_quotient, levi_restrict
+from .crystal import CrystalGraph, embed_parabolic_quotient
 from .perm import Permutation, coxeter_pop
-from .poset import MeetUndefined, ReachabilityIndex, components_and_sources, meet
+from .poset import MeetUndefined, ReachabilityIndex, meet
+
+MAX_POPPABLE_COLORS = 12
 
 
 class NonTermination(RuntimeError):
@@ -50,18 +55,22 @@ def pop_crystal(graph: CrystalGraph, v: int) -> int:
             cur = graph.pred[cur][i - 1]
 
 
-def orbit(graph: CrystalGraph, v: int,
-          operator: Callable[[CrystalGraph, int], int] = pop_crystal) -> OrbitReport:
-    trajectory = [v]
-    seen = {v}
-    while True:
-        nxt = operator(graph, trajectory[-1])
-        if nxt == trajectory[-1]:
-            return OrbitReport(start=v, trajectory=tuple(trajectory))
-        if nxt in seen or len(trajectory) > graph.num_vertices:
-            raise NonTermination(f"orbit of {v} does not reach a fixed point")
+def forward_orbit(start, step) -> tuple:
+    """start, step(start), step(step(start)), ... up to and including the
+    first fixed point of step; revisiting an earlier element raises
+    NonTermination."""
+    trajectory = [start]
+    seen = {start}
+    while (nxt := step(trajectory[-1])) != trajectory[-1]:
+        if nxt in seen:
+            raise NonTermination(f"orbit of {start} does not reach a fixed point")
         trajectory.append(nxt)
         seen.add(nxt)
+    return tuple(trajectory)
+
+
+def orbit(graph: CrystalGraph, v: int) -> OrbitReport:
+    return OrbitReport(start=v, trajectory=forward_orbit(v, lambda w: pop_crystal(graph, w)))
 
 
 def orbit_lengths(graph: CrystalGraph) -> list[int]:
@@ -107,22 +116,35 @@ def semilattice_pop(graph: CrystalGraph, v: int,
     return result
 
 
-def is_poppable(graph, max_colors: int = 12) -> bool:
+def is_poppable(graph) -> bool:
     """Every component of every color restriction has a unique source.
-    Accepts any graph with the CrystalGraph succ/pred layout."""
+
+    Needs the CrystalGraph pred layout with ids in topological order (every
+    predecessor has a smaller id; see poset.py). For each nonempty color set
+    J, one pass in id order labels the vertices: a vertex with no
+    J-predecessor is its own label, any other takes the label of its
+    J-predecessors, and the check fails when two of those differ. A
+    completed pass makes labels constant on components, with each source its
+    own label, so each component has one source; conversely, a component's
+    unique source is every label in it. With J empty, components are single
+    vertices."""
     n = graph.n
-    if n > max_colors:
+    if n > MAX_POPPABLE_COLORS:
         raise ValueError(f"2^{n} color subsets is past the practical limit")
-    for mask in range(1 << n):
-        colors = frozenset(i for i in range(1, n + 1) if mask >> (i - 1) & 1)
-        view = levi_restrict(graph, colors)
-        remaining = set(range(graph.num_vertices))
-        while remaining:
-            start = remaining.pop()
-            component, sources = components_and_sources(view, start)
-            if len(sources) != 1:
-                return False
-            remaining -= component
+    for mask in range(1, 1 << n):
+        colors = [i for i in range(n) if mask >> i & 1]
+        label = list(range(graph.num_vertices))
+        for v, row in enumerate(graph.pred):
+            mine = None
+            for i in colors:
+                w = row[i]
+                if w is not None:
+                    if mine is None:
+                        mine = label[w]
+                    elif label[w] != mine:
+                        return False
+            if mine is not None:
+                label[v] = mine
     return True
 
 

@@ -12,11 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .crystal import CrystalGraph, LeviView
-
-
-class NotPoppable(RuntimeError):
-    """A color-restricted component has more than one source."""
+from .crystal import CrystalGraph
 
 
 class MeetUndefined(RuntimeError):
@@ -165,21 +161,3 @@ def find_bowtie(graph: CrystalGraph,
                     return BowtieCertificate(t1=t1, t2=t2, u1=u1, u2=u2)
     return None
 
-
-def components_and_sources(view: LeviView, start: int) -> tuple[set[int], set[int]]:
-    """Weakly-connected component of start in the color-restricted graph,
-    together with its in-degree-zero vertices."""
-    component = {start}
-    queue = [start]
-    while queue:
-        v = queue.pop()
-        for w, _ in view.succ_edges(v):
-            if w not in component:
-                component.add(w)
-                queue.append(w)
-        for w, _ in view.pred_edges(v):
-            if w not in component:
-                component.add(w)
-                queue.append(w)
-    sources = {v for v in component if not any(True for _ in view.pred_edges(v))}
-    return component, sources

@@ -6,12 +6,12 @@ with no shared code paths with the library internals they check.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Optional
 
-from crystalpop.crystal import CrystalGraph, levi_restrict
-from crystalpop.perm import Permutation, identity, reduced_word
-from crystalpop.pop import down_colors
-from crystalpop.poset import NotPoppable, components_and_sources
+from crystalpop.crystal import CrystalGraph
+from crystalpop.perm import Permutation, identity, left_descents, reduced_word
+from crystalpop.pop import MAX_POPPABLE_COLORS, down_colors
 from crystalpop.tableaux import Partition, Tableau, highest_weight_tableau, reading_cells
 
 
@@ -104,6 +104,76 @@ def generate_crystal_by_tableaux(shape: Partition) -> CrystalGraph:
     return CrystalGraph(shape=shape, vertices=vertices, succ=succ, pred=pred, index=index)
 
 
+class NotPoppable(RuntimeError):
+    """A color-restricted component has more than one source."""
+
+
+@dataclass(frozen=True)
+class LeviView:
+    """The crystal with only the edges whose colors lie in a chosen subset."""
+
+    graph: CrystalGraph
+    colors: frozenset[int]
+
+    def succ_edges(self, v: int):
+        for i in self.colors:
+            w = self.graph.succ[v][i - 1]
+            if w is not None:
+                yield w, i
+
+    def pred_edges(self, v: int):
+        for i in self.colors:
+            w = self.graph.pred[v][i - 1]
+            if w is not None:
+                yield w, i
+
+
+def levi_restrict(graph: CrystalGraph, colors) -> LeviView:
+    colors = frozenset(colors)
+    bad = colors - set(range(1, graph.n + 1))
+    if bad:
+        raise ValueError(f"colors {sorted(bad)} outside [1, {graph.n}]")
+    return LeviView(graph, colors)
+
+
+def components_and_sources(view: LeviView, start: int) -> tuple[set[int], set[int]]:
+    """Weakly-connected component of start in the color-restricted graph,
+    together with its in-degree-zero vertices."""
+    component = {start}
+    queue = [start]
+    while queue:
+        v = queue.pop()
+        for w, _ in view.succ_edges(v):
+            if w not in component:
+                component.add(w)
+                queue.append(w)
+        for w, _ in view.pred_edges(v):
+            if w not in component:
+                component.add(w)
+                queue.append(w)
+    sources = {v for v in component if not any(True for _ in view.pred_edges(v))}
+    return component, sources
+
+
+def is_poppable_by_components(graph) -> bool:
+    """Every component of every color restriction has a unique source, by a
+    graph search per component of each of the 2^n color subsets."""
+    n = graph.n
+    if n > MAX_POPPABLE_COLORS:
+        raise ValueError(f"2^{n} color subsets is past the practical limit")
+    for mask in range(1 << n):
+        colors = frozenset(i for i in range(1, n + 1) if mask >> (i - 1) & 1)
+        view = levi_restrict(graph, colors)
+        remaining = set(range(graph.num_vertices))
+        while remaining:
+            start = remaining.pop()
+            component, sources = components_and_sources(view, start)
+            if len(sources) != 1:
+                return False
+            remaining -= component
+    return True
+
+
 def pop_crystal_by_components(graph: CrystalGraph, v: int) -> int:
     """Defining form of the crystal pop: the unique source of the component
     of v in the crystal restricted to the down-colors of v."""
@@ -194,3 +264,17 @@ def weak_order_pairs(perms) -> set[tuple[Permutation, Permutation]]:
                 acc |= below[u]
         below[w] = acc
     return {(u, w) for w, us in below.items() for u in us}
+
+
+def min_coset_rep_by_descents(w: Permutation, gens) -> Permutation:
+    """Minimum-length representative of the left coset W_J w: strip left
+    descents lying in J until none is left."""
+    cur = w
+    changed = True
+    while changed:
+        changed = False
+        for i in gens:
+            if i in left_descents(cur):
+                cur = cur.left_mult_gen(i)
+                changed = True
+    return cur

@@ -107,7 +107,7 @@ def test_criterion_04_max_orbit_is_coxeter_number(sweep_crystals):
         ok &= size == n + 1
         for v in range(graph.num_vertices):
             rep = orbit(graph, v)
-            ok &= rep.trajectory[-1] == graph.min_vertex and rep.length <= n + 1
+            ok &= rep.trajectory[-1] == 0 and rep.length <= n + 1
         if not ok:
             print(f"\nfirst failure at shape {parts}, n={n}")
             break

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from crystalpop import cli, pop
 from crystalpop.cli import main
 
 
@@ -90,6 +91,17 @@ def test_perm_pop_identity_fixed(capsys):
     code, out, _ = run(capsys, "perm-pop", "--element", "123")
     assert code == 0
     assert out.strip().splitlines() == ["123", "orbit length 1"]
+
+
+def test_cycling_orbits_fail_the_property_check(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "pop_permutation", lambda w: w.right_mult_gen(1))
+    code, out, err = run(capsys, "perm-pop", "--element", "123")
+    assert (code, out) == (1, "")
+    assert "property check failed" in err
+    monkeypatch.setattr(pop, "pop_crystal", lambda graph, v: v ^ 1)
+    code, out, err = run(capsys, "pop", "--shape", "2,1", "--n", "2", "--element", "1,1/2")
+    assert (code, out) == (1, "")
+    assert "property check failed" in err
 
 
 def test_lattice_positive(capsys):

@@ -32,7 +32,7 @@ def test_family_boundary_sets():
     graph, family = built((2, 1), 2)
     order = family.order
     assert order[0] == identity(3)
-    assert family.members[order[0]] == 1 << graph.min_vertex
+    assert family.members[order[0]] == 1 << 0
     top = max(order, key=length)
     assert family.members[top] == (1 << graph.num_vertices) - 1
 
@@ -72,7 +72,7 @@ def test_key_of_minimum_is_identity_and_unique():
         graph, family = built(parts, n)
         e = identity(n + 1)
         keys = [key_map(graph, family, v) for v in range(graph.num_vertices)]
-        assert keys[graph.min_vertex] == e
+        assert keys[0] == e
         assert keys.count(e) == 1
 
 

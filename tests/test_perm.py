@@ -26,6 +26,7 @@ from oracles import (
     bruhat_leq_by_rank_counts,
     bruhat_lower_interval,
     inversion_count,
+    min_coset_rep_by_descents,
     weak_leq_by_length,
     weak_order_pairs,
 )
@@ -123,6 +124,16 @@ def test_min_coset_rep_properties():
                 assert not (left_descents(rep) & j)
                 # rep is in the same left coset W_J w
                 assert min_coset_rep(rep, j) == rep
+
+
+def test_min_coset_rep_matches_descent_stripping():
+    for m in range(1, 7):
+        subsets = [
+            frozenset(c) for r in range(m) for c in itertools.combinations(range(1, m), r)
+        ]
+        for w in all_permutations(m):
+            for j in subsets:
+                assert min_coset_rep(w, j) == min_coset_rep_by_descents(w, j)
 
 
 def test_parabolic_quotient_counts():

@@ -1,11 +1,16 @@
+from types import SimpleNamespace
+
 import pytest
 
+from crystalpop.classifier import sweep_pairs
 from crystalpop.crystal import generate_crystal
 from crystalpop.perm import all_permutations, coxeter_pop, identity, parse_permutation
 from crystalpop import pop
 from crystalpop.pop import (
+    MAX_POPPABLE_COLORS,
     NonTermination,
     down_colors,
+    forward_orbit,
     is_poppable,
     max_orbit_size,
     orbit,
@@ -17,7 +22,7 @@ from crystalpop.pop import (
 )
 from crystalpop.poset import MeetUndefined, ReachabilityIndex
 from crystalpop.tableaux import Partition
-from oracles import pop_crystal_by_components
+from oracles import is_poppable_by_components, pop_crystal_by_components
 
 SHAPES = [
     ((1,), 1), ((2, 1), 2), ((1, 1), 3), ((2, 2), 3),
@@ -44,7 +49,7 @@ def test_pop_fixes_only_minimum():
         graph = generate_crystal(Partition(parts, n))
         for v in range(graph.num_vertices):
             fixed = pop_crystal(graph, v) == v
-            assert fixed == (v == graph.min_vertex)
+            assert fixed == (v == 0)
 
 
 def test_orbit_reaches_minimum_within_coxeter_number():
@@ -52,7 +57,7 @@ def test_orbit_reaches_minimum_within_coxeter_number():
         graph = generate_crystal(Partition(parts, n))
         for v in range(graph.num_vertices):
             rep = orbit(graph, v)
-            assert rep.trajectory[-1] == graph.min_vertex
+            assert rep.trajectory[-1] == 0
             assert rep.length <= n + 1
 
 
@@ -77,6 +82,12 @@ def test_orbit_lengths_reject_a_pop_that_moves_up(monkeypatch):
     monkeypatch.setattr(pop, "pop_crystal", lambda g, v: v + 1)
     with pytest.raises(NonTermination):
         orbit_lengths(graph)
+
+
+def test_forward_orbit_rejects_a_cycle():
+    assert forward_orbit(5, lambda x: max(x - 2, 0)) == (5, 3, 1, 0)
+    with pytest.raises(NonTermination):
+        forward_orbit(0, lambda x: x ^ 1)
 
 
 def test_max_orbit_witness_two_one():
@@ -125,8 +136,27 @@ def test_is_poppable():
     for parts, n in SHAPES:
         graph = generate_crystal(Partition(parts, n))
         assert is_poppable(graph)
+    n = MAX_POPPABLE_COLORS + 1
+    too_many_colors = SimpleNamespace(n=n, num_vertices=1, pred=[[None] * n], succ=[[None] * n])
     with pytest.raises(ValueError):
-        is_poppable(generate_crystal(Partition((1,), 1)), max_colors=0)
+        is_poppable(too_many_colors)
+
+
+def test_is_poppable_matches_component_reference():
+    for parts, n in sweep_pairs(4, 7) + [((5, 3, 1), 4)]:
+        graph = generate_crystal(Partition(parts, n))
+        assert is_poppable(graph) == is_poppable_by_components(graph)
+
+
+def test_two_sources_in_one_component_are_not_poppable():
+    # F_1(0) = F_2(1) = 2: the {1, 2}-component {0, 1, 2} has sources 0 and 1
+    graph = SimpleNamespace(
+        n=2, num_vertices=3,
+        pred=[[None, None], [None, None], [0, 1]],
+        succ=[[2, None], [None, 2], [None, None]],
+    )
+    assert not is_poppable(graph)
+    assert not is_poppable_by_components(graph)
 
 
 def test_pop_agreement_on_quotient():

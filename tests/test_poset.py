@@ -1,10 +1,9 @@
 import pytest
 
-from crystalpop.crystal import generate_crystal, levi_restrict
+from crystalpop.crystal import generate_crystal
 from crystalpop.poset import (
     BowtieCertificate,
     ReachabilityIndex,
-    components_and_sources,
     find_bowtie,
     is_lattice,
     join,
@@ -13,7 +12,7 @@ from crystalpop.poset import (
     verify_bowtie,
 )
 from crystalpop.tableaux import Partition
-from oracles import naive_join, naive_meet, reachable_sets
+from oracles import components_and_sources, levi_restrict, naive_join, naive_meet, reachable_sets
 
 SHAPES = [
     ((1,), 1), ((2, 1), 2), ((2, 2), 3), ((3, 1), 3),
