@@ -9,6 +9,7 @@ n+2-a. The crystal graph is the breadth-first closure of the highest-weight
 word under all F_i, ids in discovery order. An image differs from its source
 in one cell, so checking that cell against n+1 and its right and lower
 neighbours is validate_tableau; tableaux are built once, after the search.
+to_json writes the json.dumps(indent=2) layout from fixed templates.
 """
 
 from __future__ import annotations
@@ -98,12 +99,6 @@ class CrystalGraph:
             for c, w in enumerate(row, start=1):
                 if w is not None:
                     yield v, w, c
-
-    def max_vertex(self) -> int:
-        sinks = [v for v, row in enumerate(self.succ) if not any(x is not None for x in row)]
-        if len(sinks) != 1:
-            raise IsomorphismFailure(f"expected a unique sink, found {sinks}")
-        return sinks[0]
 
 
 def _check_bump(cells, p: int, value: int, word, right, below, top: int) -> None:
@@ -254,19 +249,20 @@ def embed_parabolic_quotient(graph: CrystalGraph) -> dict[Permutation, int]:
     return out
 
 
+_JSON_VERTEX = '{\n      "id": %d,\n      "rows": %s\n    }'
+_JSON_EDGE = '{\n      "src": %d,\n      "dst": %d,\n      "color": %d\n    }'
+
+
 def to_json(graph: CrystalGraph) -> str:
-    payload = {
-        "lambda": list(graph.shape.parts),
-        "n": graph.n,
-        "vertices": [
-            {"id": v, "rows": format_tableau(t)} for v, t in enumerate(graph.vertices)
-        ],
-        "edges": [
-            {"src": src, "dst": dst, "color": color}
-            for src, dst, color in graph.edges()
-        ],
-    }
-    return json.dumps(payload, indent=2)
+    """{"lambda", "n", "vertices": [{"id", "rows"}], "edges": [{"src", "dst",
+    "color"}]} in the json.dumps(indent=2) layout."""
+    def array(items: list[str]) -> str:
+        return "[\n    " + ",\n    ".join(items) + "\n  ]" if items else "[]"
+    vertices = [_JSON_VERTEX % (v, json.dumps(format_tableau(t)))
+                for v, t in enumerate(graph.vertices)]
+    edges = array([_JSON_EDGE % e for e in graph.edges()])
+    return (f'{{\n  "lambda": {array([str(p) for p in graph.shape.parts])},\n  "n": {graph.n},'
+            f'\n  "vertices": {array(vertices)},\n  "edges": {edges}\n}}')
 
 
 _DOT_PALETTE = [

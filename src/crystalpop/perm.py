@@ -133,14 +133,14 @@ def left_descents(w: Permutation) -> frozenset[int]:
 
 def weak_leq(u: Permutation, w: Permutation) -> bool:
     """Right weak order: u <= w iff Inv(u) is contained in Inv(w)."""
-    if u.m != w.m:
+    if len(u.one_line) != len(w.one_line):
         raise ValueError("permutations act on different sets")
     return not u.inversion_mask & ~w.inversion_mask
 
 
 def bruhat_leq(u: Permutation, w: Permutation) -> bool:
     """Bruhat order: the rank array of u is entrywise at most that of w."""
-    if u.m != w.m:
+    if len(u.one_line) != len(w.one_line):
         raise ValueError("permutations act on different sets")
     return not u.bruhat_ranks & ~w.bruhat_ranks
 

@@ -32,27 +32,22 @@ class OrbitReport:
         return len(self.trajectory)
 
 
-def down_colors(graph: CrystalGraph, v: int) -> frozenset[int]:
-    """Colors of the edges entering v (the vertex's descents)."""
-    return frozenset(
-        i for i in range(1, graph.n + 1) if graph.pred[v][i - 1] is not None
-    )
-
-
 def pop_crystal(graph: CrystalGraph, v: int) -> int:
     """Descent walk: repeatedly pick a color that is both a descent of the
     starting vertex and of the current one, and raise along it to
     exhaustion. The fixed point is the source of the restricted component,
     so the walk order does not matter; we take the smallest color."""
-    target = down_colors(graph, v)
-    cur = v
+    pred = graph.pred
+    target = [i for i, w in enumerate(pred[v]) if w is not None]
     while True:
-        avail = target & down_colors(graph, cur)
-        if not avail:
-            return cur
-        i = min(avail)
-        while graph.pred[cur][i - 1] is not None:
-            cur = graph.pred[cur][i - 1]
+        row = pred[v]
+        for i in target:
+            if row[i] is not None:
+                break
+        else:
+            return v
+        while (w := pred[v][i]) is not None:
+            v = w
 
 
 def forward_orbit(start, step) -> tuple:

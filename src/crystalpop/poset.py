@@ -142,7 +142,13 @@ def verify_bowtie(graph: CrystalGraph, cert: BowtieCertificate,
 
 def find_bowtie(graph: CrystalGraph,
                 index: Optional[ReachabilityIndex] = None) -> Optional[BowtieCertificate]:
-    """First bowtie in a deterministic scan over cover edges, or None."""
+    """First bowtie in a deterministic scan over cover edges, or None.
+
+    For a cover edge (t1, u1) the possible t2 are lows, the part of down[u1]
+    incomparable with t1. A candidate u2 has one below it exactly when it
+    lies in `above`, the union of up[t] over lows, so the lowest candidate
+    in `above` is the first u2 that trying every candidate in id order
+    accepts, with the same t2. A t already in `above` adds nothing to it."""
     if index is None:
         index = ReachabilityIndex(graph)
     up, down = index.up, index.down
@@ -151,13 +157,16 @@ def find_bowtie(graph: CrystalGraph,
         for u1 in graph.succ[t1]:
             if u1 is None:
                 continue
-            candidates = up[t1] & ~up[u1] & ~down[u1]
-            while candidates:
+            lows = down[u1] & ~cmp_t1
+            above = 0
+            while lows:
+                t = (lows & -lows).bit_length() - 1
+                above |= up[t]
+                lows &= ~above
+            candidates = up[t1] & ~up[u1] & ~down[u1] & above
+            if candidates:
                 u2 = (candidates & -candidates).bit_length() - 1
-                candidates &= candidates - 1
                 t2bits = down[u1] & down[u2] & ~cmp_t1
-                if t2bits:
-                    t2 = (t2bits & -t2bits).bit_length() - 1
-                    return BowtieCertificate(t1=t1, t2=t2, u1=u1, u2=u2)
+                t2 = (t2bits & -t2bits).bit_length() - 1
+                return BowtieCertificate(t1=t1, t2=t2, u1=u1, u2=u2)
     return None
-

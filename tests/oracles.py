@@ -6,13 +6,17 @@ with no shared code paths with the library internals they check.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from typing import Optional
 
-from crystalpop.crystal import CrystalGraph
+from crystalpop.crystal import CrystalGraph, IsomorphismFailure
 from crystalpop.perm import Permutation, identity, left_descents, reduced_word
-from crystalpop.pop import MAX_POPPABLE_COLORS, down_colors
-from crystalpop.tableaux import Partition, Tableau, highest_weight_tableau, reading_cells
+from crystalpop.poset import BowtieCertificate, ReachabilityIndex
+from crystalpop.pop import MAX_POPPABLE_COLORS
+from crystalpop.tableaux import (
+    Partition, Tableau, format_tableau, highest_weight_tableau, reading_cells,
+)
 
 
 def enumerate_ssyt(shape: Partition) -> list[Tableau]:
@@ -102,6 +106,75 @@ def generate_crystal_by_tableaux(shape: Partition) -> CrystalGraph:
             pred[w][i - 1] = head
         head += 1
     return CrystalGraph(shape=shape, vertices=vertices, succ=succ, pred=pred, index=index)
+
+
+def unique_sink(graph: CrystalGraph) -> int:
+    """The one vertex with no outgoing edge (the maximum)."""
+    sinks = [v for v, row in enumerate(graph.succ) if not any(x is not None for x in row)]
+    if len(sinks) != 1:
+        raise IsomorphismFailure(f"expected a unique sink, found {sinks}")
+    return sinks[0]
+
+
+def to_json_by_dumps(graph: CrystalGraph) -> str:
+    """The export as a payload of dicts passed to json.dumps(indent=2)."""
+    payload = {
+        "lambda": list(graph.shape.parts),
+        "n": graph.n,
+        "vertices": [
+            {"id": v, "rows": format_tableau(t)} for v, t in enumerate(graph.vertices)
+        ],
+        "edges": [
+            {"src": src, "dst": dst, "color": color}
+            for src, dst, color in graph.edges()
+        ],
+    }
+    return json.dumps(payload, indent=2)
+
+
+def down_colors(graph: CrystalGraph, v: int) -> frozenset[int]:
+    """Colors of the edges entering v (the vertex's descents)."""
+    return frozenset(
+        i for i in range(1, graph.n + 1) if graph.pred[v][i - 1] is not None
+    )
+
+
+def pop_crystal_by_color_sets(graph: CrystalGraph, v: int) -> int:
+    """Descent walk on color sets: raise to exhaustion along the smallest
+    color that is a descent of both v and the current vertex."""
+    target = down_colors(graph, v)
+    cur = v
+    while True:
+        avail = target & down_colors(graph, cur)
+        if not avail:
+            return cur
+        i = min(avail)
+        while graph.pred[cur][i - 1] is not None:
+            cur = graph.pred[cur][i - 1]
+
+
+def find_bowtie_by_candidates(graph: CrystalGraph,
+                              index: Optional[ReachabilityIndex] = None
+                              ) -> Optional[BowtieCertificate]:
+    """First bowtie over cover edges (t1, u1), trying every candidate u2 in
+    id order and taking the first t2 that fits."""
+    if index is None:
+        index = ReachabilityIndex(graph)
+    up, down = index.up, index.down
+    for t1 in range(graph.num_vertices):
+        cmp_t1 = up[t1] | down[t1]
+        for u1 in graph.succ[t1]:
+            if u1 is None:
+                continue
+            candidates = up[t1] & ~up[u1] & ~down[u1]
+            while candidates:
+                u2 = (candidates & -candidates).bit_length() - 1
+                candidates &= candidates - 1
+                t2bits = down[u1] & down[u2] & ~cmp_t1
+                if t2bits:
+                    t2 = (t2bits & -t2bits).bit_length() - 1
+                    return BowtieCertificate(t1=t1, t2=t2, u1=u1, u2=u2)
+    return None
 
 
 class NotPoppable(RuntimeError):

@@ -1,9 +1,13 @@
+import hashlib
 import json
 
 import pytest
 
 from crystalpop import cli, pop
 from crystalpop.cli import main
+from crystalpop.crystal import generate_crystal
+from crystalpop.tableaux import Partition, format_tableau
+from oracles import find_bowtie_by_candidates
 
 
 def run(capsys, *argv):
@@ -45,6 +49,20 @@ def test_gen_out_file(tmp_path, capsys):
                        "--format", "json", "--out", str(target))
     assert code == 0 and out == ""
     assert len(json.loads(target.read_text())["edges"]) == 8
+
+
+def test_gen_json_bytes_are_frozen(tmp_path, capsys):
+    # Size and sha256 of json.dumps(payload, indent=2) on (5,3,1) n=5.
+    args = ("gen", "--shape", "5,3,1", "--n", "5", "--format", "json")
+    code, out, _ = run(capsys, *args)
+    data = out.encode()
+    assert code == 0 and len(data) == 3_033_874
+    assert hashlib.sha256(data).hexdigest() == (
+        "891193a6afb432e19aad1332b50f3ed19aa4872deddb5add733ddca30cb22beb"
+    )
+    target = tmp_path / "crystal.json"
+    assert run(capsys, *args, "--out", str(target)) == (0, "", "")
+    assert target.read_bytes() == data
 
 
 def test_pop_max_orbit(capsys):
@@ -115,6 +133,19 @@ def test_lattice_negative_prints_certificate(capsys):
     assert code == 0
     assert "not a lattice" in out
     assert out.count("bowtie") == 4
+
+
+@pytest.mark.parametrize("shape,n", [("5,2", 3), ("4,4", 5)])
+def test_lattice_prints_the_reference_certificate(capsys, shape, n):
+    graph = generate_crystal(Partition(tuple(map(int, shape.split(","))), n))
+    cert = find_bowtie_by_candidates(graph)
+    want = [
+        f"bowtie {name}: {format_tableau(graph.vertices[v])}"
+        for name, v in (("t1", cert.t1), ("t2", cert.t2), ("u1", cert.u1), ("u2", cert.u2))
+    ]
+    code, out, _ = run(capsys, "lattice", "--shape", shape, "--n", str(n))
+    assert code == 0
+    assert [line for line in out.splitlines() if line.startswith("bowtie")] == want
 
 
 def test_classify_small_sweep(capsys):

@@ -37,6 +37,8 @@ from oracles import (
     levi_restrict,
     lowering_by_cells,
     raising_by_cells,
+    to_json_by_dumps,
+    unique_sink,
 )
 
 SHAPES = [
@@ -141,7 +143,7 @@ def test_figure_structure_two_one():
         (0, 1, 1), (0, 2, 2), (1, 3, 2), (2, 4, 1),
         (3, 5, 2), (4, 6, 1), (5, 7, 1), (6, 7, 2),
     ]
-    assert graph.max_vertex() == 7
+    assert unique_sink(graph) == 7
 
 
 def test_single_box_chain():
@@ -232,6 +234,15 @@ def test_json_export_schema():
     assert len(payload["vertices"]) == 8 and len(payload["edges"]) == 8
     assert payload["vertices"][0] == {"id": 0, "rows": "1,1/2"}
     assert payload["edges"][0] == {"src": 0, "dst": 1, "color": 1}
+
+
+def test_json_export_matches_dumps_reference():
+    pairs = sweep_pairs(4, 7) + [((5, 3, 1), 4), ((), 1), ((2, 1), 9)]
+    for parts, n in pairs:
+        graph = generate_crystal(Partition(parts, n))
+        assert to_json(graph) == to_json_by_dumps(graph), (parts, n)
+    empty = to_json(generate_crystal(Partition((), 1)))
+    assert '"lambda": []' in empty and '"edges": []' in empty
 
 
 def test_dot_export_deterministic():

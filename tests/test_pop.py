@@ -9,7 +9,6 @@ from crystalpop import pop
 from crystalpop.pop import (
     MAX_POPPABLE_COLORS,
     NonTermination,
-    down_colors,
     forward_orbit,
     is_poppable,
     max_orbit_size,
@@ -22,7 +21,12 @@ from crystalpop.pop import (
 )
 from crystalpop.poset import MeetUndefined, ReachabilityIndex
 from crystalpop.tableaux import Partition
-from oracles import is_poppable_by_components, pop_crystal_by_components
+from oracles import (
+    down_colors,
+    is_poppable_by_components,
+    pop_crystal_by_color_sets,
+    pop_crystal_by_components,
+)
 
 SHAPES = [
     ((1,), 1), ((2, 1), 2), ((1, 1), 3), ((2, 2), 3),
@@ -42,6 +46,13 @@ def test_pop_crystal_matches_component_definition():
         graph = generate_crystal(Partition(parts, n))
         for v in range(graph.num_vertices):
             assert pop_crystal(graph, v) == pop_crystal_by_components(graph, v)
+
+
+def test_pop_crystal_matches_color_set_reference():
+    for parts, n in sweep_pairs(4, 7) + [((5, 3, 1), 4)]:
+        graph = generate_crystal(Partition(parts, n))
+        for v in range(graph.num_vertices):
+            assert pop_crystal(graph, v) == pop_crystal_by_color_sets(graph, v), (parts, n, v)
 
 
 def test_pop_fixes_only_minimum():

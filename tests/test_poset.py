@@ -1,5 +1,8 @@
+from types import SimpleNamespace
+
 import pytest
 
+from crystalpop.classifier import sweep_pairs
 from crystalpop.crystal import generate_crystal
 from crystalpop.poset import (
     BowtieCertificate,
@@ -12,7 +15,14 @@ from crystalpop.poset import (
     verify_bowtie,
 )
 from crystalpop.tableaux import Partition
-from oracles import components_and_sources, levi_restrict, naive_join, naive_meet, reachable_sets
+from oracles import (
+    components_and_sources,
+    find_bowtie_by_candidates,
+    levi_restrict,
+    naive_join,
+    naive_meet,
+    reachable_sets,
+)
 
 SHAPES = [
     ((1,), 1), ((2, 1), 2), ((2, 2), 3), ((3, 1), 3),
@@ -102,6 +112,31 @@ def test_find_bowtie_agrees_with_is_lattice():
         else:
             assert cert is not None
             assert verify_bowtie(graph, cert, index)
+
+
+def test_find_bowtie_matches_candidate_reference():
+    for parts, n in sweep_pairs(4, 7) + [((5, 3, 1), 4)]:
+        graph = generate_crystal(Partition(parts, n))
+        index = ReachabilityIndex(graph)
+        cert = find_bowtie(graph, index)
+        assert cert == find_bowtie_by_candidates(graph, index), (parts, n)
+        assert (cert is None) == is_lattice(graph, index).is_lattice, (parts, n)
+        assert cert is None or verify_bowtie(graph, cert, index), (parts, n)
+
+
+def test_find_bowtie_takes_up_sets_of_every_possible_t2():
+    # On the cover edge (0, 3) both 1 and 2 can be t2; u2 = 4 lies above 1
+    # only and u2 = 5 above 2 only, so the first u2 needs both up-sets.
+    succ = [[3, 4, 5], [4, 3, None], [5, None, 3]] + [[None] * 3 for _ in range(3)]
+    pred = [[None] * 3 for _ in succ]
+    for v, row in enumerate(succ):
+        for i, w in enumerate(row):
+            if w is not None:
+                pred[w][i] = v
+    graph = SimpleNamespace(num_vertices=len(succ), succ=succ, pred=pred)
+    cert = BowtieCertificate(t1=0, t2=1, u1=3, u2=4)
+    assert find_bowtie(graph) == find_bowtie_by_candidates(graph) == cert
+    assert verify_bowtie(graph, cert)
 
 
 def test_verify_bowtie_rejects_bad_certificate():
