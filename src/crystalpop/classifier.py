@@ -163,9 +163,11 @@ def eta_embed(t: Tableau, target: Partition, t_cols: int) -> Tableau:
     return validate_tableau(target, rows)
 
 
-def _dual_quad(nu: Partition) -> tuple[Tableau, Tableau, Tableau, Tableau]:
-    """A bowtie quadruple in the crystal of shape nu, built constructively
-    when a reduced pattern applies and by scanning otherwise."""
+def _dual_quad(graph: CrystalGraph) -> tuple[Tableau, Tableau, Tableau, Tableau]:
+    """A bowtie quadruple of tableaux in the crystal graph of a shape nu,
+    built constructively when a reduced pattern of nu applies and by
+    scanning the graph otherwise."""
+    nu = graph.shape
     parts, n = nu.parts, nu.n
     ell = len(parts)
     # literal three-row pattern at rows q..q+2, no rows below it
@@ -186,16 +188,11 @@ def _dual_quad(nu: Partition) -> tuple[Tableau, Tableau, Tableau, Tableau]:
         t_cols = parts[1] - 2
         quad = bowtie_E(Partition((parts[0] - t_cols, 2), n))
         return tuple(eta_embed(x, nu, t_cols) for x in quad)  # type: ignore[return-value]
-    graph = generate_crystal(nu)
     cert = find_bowtie(graph)
     if cert is None:
         raise HypothesisViolated(f"no bowtie exists in the crystal of {parts}")
-    return (
-        graph.vertices[cert.t1],
-        graph.vertices[cert.t2],
-        graph.vertices[cert.u1],
-        graph.vertices[cert.u2],
-    )
+    quad = (cert.t1, cert.t2, cert.u1, cert.u2)
+    return tuple(graph.tableau(v) for v in quad)  # type: ignore[return-value]
 
 
 def bowtie_C_via_duality(shape: Partition, p: int) -> tuple[Tableau, Tableau, Tableau, Tableau]:
@@ -216,10 +213,10 @@ def bowtie_C_via_duality(shape: Partition, p: int) -> tuple[Tableau, Tableau, Ta
         raise HypothesisViolated("dual-shape pattern check failed")
     graph = generate_crystal(shape)
     dual = dual_crystal(graph)
-    quad = _dual_quad(nu)
+    quad = _dual_quad(dual.graph)
     back = dual.from_dual()
     return tuple(  # type: ignore[return-value]
-        graph.vertices[back[dual.graph.vertex_id(x)]] for x in quad
+        graph.tableau(back[dual.graph.vertex_id(x)]) for x in quad
     )
 
 

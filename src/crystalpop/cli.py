@@ -22,7 +22,7 @@ from .crystal import (
     to_dot,
     to_json,
 )
-from .key import build_demazure_family, verify_key_properties, verify_pop_key_inequality
+from .key import all_keys, build_demazure_family, verify_key_properties, verify_pop_key_inequality
 from .perm import parse_permutation, verify_section3_lemmas
 from .pop import (
     NonTermination,
@@ -77,7 +77,7 @@ def cmd_gen(args) -> str:
             writer.writerow([src, dst, color])
         return buf.getvalue()
     lines = [f"crystal {args.shape} n={graph.n}: {graph.num_vertices} vertices"]
-    lines += [f"  {v}: {format_tableau(t)}" for v, t in enumerate(graph.vertices)]
+    lines += [f"  {v}: {format_tableau(graph.tableau(v))}" for v in range(graph.num_vertices)]
     lines += [f"  {src} -> {dst} (F{c})" for src, dst, c in graph.edges()]
     return "\n".join(lines) + "\n"
 
@@ -89,14 +89,14 @@ def cmd_pop(args) -> str:
         if t.shape != graph.shape:
             raise TableauError(f"element has shape {t.shape.parts}, crystal has {graph.shape.parts}")
         rep = orbit(graph, graph.vertex_id(t))
-        lines = [format_tableau(graph.vertices[v]) for v in rep.trajectory]
+        lines = [format_tableau(graph.tableau(v)) for v in rep.trajectory]
         return "\n".join(lines) + f"\norbit length {rep.length}\n"
     if args.format == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf)
         writer.writerow(["id", "tableau", "orbit_length"])
-        for v, (t, size) in enumerate(zip(graph.vertices, orbit_lengths(graph))):
-            writer.writerow([v, format_tableau(t), size])
+        for v, size in enumerate(orbit_lengths(graph)):
+            writer.writerow([v, format_tableau(graph.tableau(v)), size])
         return buf.getvalue()
     size, witness = max_orbit_size(graph)
     if args.format == "json":
@@ -105,12 +105,12 @@ def cmd_pop(args) -> str:
             "n": graph.n,
             "max_orbit": size,
             "coxeter_number": graph.n + 1,
-            "witness": format_tableau(graph.vertices[witness]),
+            "witness": format_tableau(graph.tableau(witness)),
         }
         return json.dumps(payload, indent=2) + "\n"
     return (
         f"max orbit {size} (coxeter number {graph.n + 1}), "
-        f"witness {format_tableau(graph.vertices[witness])}\n"
+        f"witness {format_tableau(graph.tableau(witness))}\n"
     )
 
 
@@ -140,7 +140,7 @@ def cmd_lattice(args) -> str:
         if cert is None or not verify_bowtie(graph, cert, index):
             raise PropertyFailure("non-lattice without a verifiable bowtie")
         for name, v in (("t1", cert.t1), ("t2", cert.t2), ("u1", cert.u1), ("u2", cert.u2)):
-            lines.append(f"bowtie {name}: {format_tableau(graph.vertices[v])}")
+            lines.append(f"bowtie {name}: {format_tableau(graph.tableau(v))}")
     return "\n".join(lines) + "\n"
 
 
@@ -188,12 +188,12 @@ def cmd_verify(args) -> str:
         lines.append("pop agreement on embedded quotient: pass")
     else:
         failures.append("pop agreement on embedded quotient: FAIL")
-    family = build_demazure_family(graph)
-    kp = verify_key_properties(graph, family)
+    kappa = all_keys(graph, build_demazure_family(graph))
+    kp = verify_key_properties(graph, kappa)
     lines.append(f"key properties: {'pass' if kp.ok else 'FAIL'} ({kp.checked} checks)")
     if not kp.ok:
         failures.extend(kp.violations)
-    ki = verify_pop_key_inequality(graph, family)
+    ki = verify_pop_key_inequality(graph, kappa)
     lines.append(f"pop-key inequality: {'pass' if ki.ok else 'FAIL'} ({ki.checked} checks)")
     if not ki.ok:
         failures.extend(ki.violations)

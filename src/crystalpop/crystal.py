@@ -8,7 +8,8 @@ one for color a. E_i is F_{n+1-i} on the reversed word with letters a ->
 n+2-a. The crystal graph is the breadth-first closure of the highest-weight
 word under all F_i, ids in discovery order. An image differs from its source
 in one cell, so checking that cell against n+1 and its right and lower
-neighbours is validate_tableau; tableaux are built once, after the search.
+neighbours is validate_tableau. The graph keeps the reading words as its
+vertices; graph.tableau(v) rebuilds a tableau when an output needs one.
 to_json writes the json.dumps(indent=2) layout from fixed templates.
 """
 
@@ -16,7 +17,8 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 from .perm import Permutation, parabolic_quotient, reduced_word
@@ -72,15 +74,15 @@ def raising_E(t: Tableau, i: int) -> Optional[Tableau]:
 
 @dataclass
 class CrystalGraph:
-    """Edge-colored DAG over the tableaux of one shape. succ[v][i-1] is the
-    id of F_i(vertex v) or None; pred is the E_i counterpart. Vertex 0 is
-    the highest-weight tableau, the minimum, by construction."""
+    """Edge-colored DAG over the tableaux of one shape, each stored as its
+    reading word. succ[v][i-1] is the id of F_i(vertex v) or None; pred is
+    the E_i counterpart. Vertex 0 is the highest-weight tableau, the
+    minimum, by construction."""
 
     shape: Partition
-    vertices: list[Tableau]
+    words: list[tuple[int, ...]]
     succ: list[list[Optional[int]]]
     pred: list[list[Optional[int]]]
-    index: dict[Tableau, int] = field(repr=False, default_factory=dict)
 
     @property
     def n(self) -> int:
@@ -88,10 +90,20 @@ class CrystalGraph:
 
     @property
     def num_vertices(self) -> int:
-        return len(self.vertices)
+        return len(self.words)
+
+    @cached_property
+    def _rows(self) -> list[slice]:
+        """The reading-word slice of each row, top row first (it is read last)."""
+        parts = self.shape.parts
+        ends = [self.shape.size - sum(parts[:k]) for k in range(len(parts) + 1)]
+        return [slice(lo, hi) for hi, lo in zip(ends, ends[1:])]
+
+    def tableau(self, v: int) -> Tableau:
+        return Tableau(self.shape, tuple(map(self.words[v].__getitem__, self._rows)))
 
     def vertex_id(self, t: Tableau) -> int:
-        return self.index[t]
+        return self.words.index(reading_word(t))
 
     def edges(self):
         """(src, dst, color) triples in id order."""
@@ -150,14 +162,7 @@ def generate_crystal(shape: Partition, cap: Optional[int] = None) -> CrystalGrap
             succ[head][i - 1] = w
             pred[w][i - 1] = head
         head += 1
-    del ids
-    # The top row is read last; each word is freed as its tableau replaces it.
-    ends = [shape.size - sum(shape.parts[:k]) for k in range(len(shape.parts) + 1)]
-    rows = [slice(lo, hi) for hi, lo in zip(ends, ends[1:])]
-    for v, word in enumerate(words):
-        words[v] = Tableau(shape, tuple(map(word.__getitem__, rows)))
-    index = {t: v for v, t in enumerate(words)}
-    return CrystalGraph(shape=shape, vertices=words, succ=succ, pred=pred, index=index)
+    return CrystalGraph(shape=shape, words=words, succ=succ, pred=pred)
 
 
 @dataclass(frozen=True)
@@ -258,8 +263,8 @@ def to_json(graph: CrystalGraph) -> str:
     "color"}]} in the json.dumps(indent=2) layout."""
     def array(items: list[str]) -> str:
         return "[\n    " + ",\n    ".join(items) + "\n  ]" if items else "[]"
-    vertices = [_JSON_VERTEX % (v, json.dumps(format_tableau(t)))
-                for v, t in enumerate(graph.vertices)]
+    vertices = [_JSON_VERTEX % (v, json.dumps(format_tableau(graph.tableau(v))))
+                for v in range(graph.num_vertices)]
     edges = array([_JSON_EDGE % e for e in graph.edges()])
     return (f'{{\n  "lambda": {array([str(p) for p in graph.shape.parts])},\n  "n": {graph.n},'
             f'\n  "vertices": {array(vertices)},\n  "edges": {edges}\n}}')
@@ -272,8 +277,8 @@ _DOT_PALETTE = [
 
 def to_dot(graph: CrystalGraph) -> str:
     lines = ["digraph crystal {", "  rankdir=BT;"]
-    for v, t in enumerate(graph.vertices):
-        lines.append(f'  v{v} [label="{format_tableau(t)}"];')
+    for v in range(graph.num_vertices):
+        lines.append(f'  v{v} [label="{format_tableau(graph.tableau(v))}"];')
     for src, dst, color in graph.edges():
         pen = _DOT_PALETTE[(color - 1) % len(_DOT_PALETTE)]
         lines.append(f'  v{src} -> v{dst} [label="F{color}", color={pen}];')

@@ -135,10 +135,9 @@ class KeyReport:
         return not self.violations
 
 
-def verify_key_properties(graph: CrystalGraph, family: DemazureFamily) -> KeyReport:
+def verify_key_properties(graph: CrystalGraph, kappa: list[Permutation]) -> KeyReport:
     """Check the four defining properties of the key map plus order
-    preservation along every cover edge."""
-    kappa = all_keys(graph, family)
+    preservation along every cover edge; kappa is all_keys(graph, family)."""
     e = identity(graph.n + 1)
     violations = []
     checked = 0
@@ -176,9 +175,9 @@ def verify_key_properties(graph: CrystalGraph, family: DemazureFamily) -> KeyRep
     return KeyReport(checked=checked, violations=violations)
 
 
-def verify_pop_key_inequality(graph: CrystalGraph, family: DemazureFamily) -> KeyReport:
-    """key(pop(v)) is weakly below pop(key(v)), for every vertex."""
-    kappa = all_keys(graph, family)
+def verify_pop_key_inequality(graph: CrystalGraph, kappa: list[Permutation]) -> KeyReport:
+    """key(pop(v)) is weakly below pop(key(v)), for every vertex; kappa is
+    all_keys(graph, family)."""
     violations = []
     checked = 0
     for v in range(graph.num_vertices):

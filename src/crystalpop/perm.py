@@ -56,13 +56,6 @@ class Permutation:
         w[i - 1], w[i] = w[i], w[i - 1]
         return Permutation(tuple(w))
 
-    def left_mult_gen(self, i: int) -> "Permutation":
-        """s_i * self: swap the values i and i+1."""
-        w = list(self.one_line)
-        a, b = w.index(i), w.index(i + 1)
-        w[a], w[b] = w[b], w[a]
-        return Permutation(tuple(w))
-
     @cached_property
     def inversion_mask(self) -> int:
         """Bit (a-1)*m + (b-1) is set iff a < b and b stands before a."""

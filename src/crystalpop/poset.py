@@ -34,7 +34,6 @@ class ReachabilityIndex:
     """Per-vertex ancestor/descendant bitsets over the crystal DAG."""
 
     def __init__(self, graph: CrystalGraph):
-        self.graph = graph
         size = graph.num_vertices
         up = [0] * size
         for v in range(size - 1, -1, -1):

@@ -80,9 +80,10 @@ def raising_by_cells(t: Tableau, i: int) -> Optional[Tableau]:
     return t.with_entry(*stack[0], i)
 
 
-def generate_crystal_by_tableaux(shape: Partition) -> CrystalGraph:
+def generate_crystal_by_tableaux(shape: Partition):
     """Breadth-first closure of the highest-weight tableau under
-    lowering_by_cells, one tableau and one color at a time."""
+    lowering_by_cells, one tableau and one color at a time: the tableaux in
+    discovery order and the succ and pred tables."""
     n = shape.n
     t_min = highest_weight_tableau(shape)
     vertices = [t_min]
@@ -105,7 +106,7 @@ def generate_crystal_by_tableaux(shape: Partition) -> CrystalGraph:
             succ[head][i - 1] = w
             pred[w][i - 1] = head
         head += 1
-    return CrystalGraph(shape=shape, vertices=vertices, succ=succ, pred=pred, index=index)
+    return vertices, succ, pred
 
 
 def unique_sink(graph: CrystalGraph) -> int:
@@ -122,7 +123,8 @@ def to_json_by_dumps(graph: CrystalGraph) -> str:
         "lambda": list(graph.shape.parts),
         "n": graph.n,
         "vertices": [
-            {"id": v, "rows": format_tableau(t)} for v, t in enumerate(graph.vertices)
+            {"id": v, "rows": format_tableau(graph.tableau(v))}
+            for v in range(graph.num_vertices)
         ],
         "edges": [
             {"src": src, "dst": dst, "color": color}
@@ -339,6 +341,14 @@ def weak_order_pairs(perms) -> set[tuple[Permutation, Permutation]]:
     return {(u, w) for w, us in below.items() for u in us}
 
 
+def left_mult_gen(w: Permutation, i: int) -> Permutation:
+    """s_i * w: swap the values i and i+1."""
+    line = list(w.one_line)
+    a, b = line.index(i), line.index(i + 1)
+    line[a], line[b] = line[b], line[a]
+    return Permutation(tuple(line))
+
+
 def min_coset_rep_by_descents(w: Permutation, gens) -> Permutation:
     """Minimum-length representative of the left coset W_J w: strip left
     descents lying in J until none is left."""
@@ -348,6 +358,6 @@ def min_coset_rep_by_descents(w: Permutation, gens) -> Permutation:
         changed = False
         for i in gens:
             if i in left_descents(cur):
-                cur = cur.left_mult_gen(i)
+                cur = left_mult_gen(cur, i)
                 changed = True
     return cur

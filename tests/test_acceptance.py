@@ -18,6 +18,7 @@ from crystalpop.crystal import (
     lowering_F,
 )
 from crystalpop.key import (
+    all_keys,
     build_demazure_family,
     verify_key_properties,
     verify_pop_key_inequality,
@@ -158,9 +159,9 @@ def test_criterion_08_key_map_suite(sweep_crystals):
     for (parts, n), graph in sweep_crystals.items():
         if n > 3 or graph.num_vertices > 2000:
             continue
-        family = build_demazure_family(graph)
-        a = verify_key_properties(graph, family)
-        b = verify_pop_key_inequality(graph, family)
+        kappa = all_keys(graph, build_demazure_family(graph))
+        a = verify_key_properties(graph, kappa)
+        b = verify_pop_key_inequality(graph, kappa)
         ok &= a.ok and b.ok
         if not ok:
             print(f"\nkey suite fails at {parts}, n={n}: {(a.violations + b.violations)[:3]}")

@@ -1,5 +1,6 @@
 import pytest
 
+from crystalpop import classifier, crystal
 from crystalpop.classifier import (
     CLAUSE_A1_A2,
     CLAUSE_COLUMNS,
@@ -25,7 +26,7 @@ from crystalpop.classifier import (
 )
 from crystalpop.crystal import generate_crystal
 from crystalpop.poset import ReachabilityIndex, is_lattice, join, verify_bowtie
-from crystalpop.tableaux import Partition, validate_tableau
+from crystalpop.tableaux import Partition, dual_shape, validate_tableau
 
 
 @pytest.mark.parametrize(
@@ -88,14 +89,29 @@ def test_bowtie_E_verifies(parts, n):
     assert verify_bowtie(graph, locate(graph, bowtie_E(shape)))
 
 
-@pytest.mark.parametrize(
-    "parts,n,p",
-    [((3, 3, 1), 3, 1), ((3, 3, 1, 1), 4, 1), ((5, 3, 1), 3, 1), ((3, 3, 1), 4, 1)],
-)
+BOWTIE_C_CASES = [((3, 3, 1), 3, 1), ((3, 3, 1, 1), 4, 1), ((5, 3, 1), 3, 1), ((3, 3, 1), 4, 1)]
+
+
+@pytest.mark.parametrize("parts,n,p", BOWTIE_C_CASES)
 def test_bowtie_C_pullback_verifies(parts, n, p):
     shape = Partition(parts, n)
     graph = generate_crystal(shape)
     assert verify_bowtie(graph, locate(graph, bowtie_C_via_duality(shape, p)))
+
+
+@pytest.mark.parametrize("parts,n,p", BOWTIE_C_CASES)
+def test_bowtie_C_generates_each_crystal_once(monkeypatch, parts, n, p):
+    # the shape and its dual, even where the dual certificate is scanned for
+    shapes = []
+
+    def spy(shape, cap=None):
+        shapes.append(shape.parts)
+        return generate_crystal(shape, cap)
+
+    monkeypatch.setattr(crystal, "generate_crystal", spy)
+    monkeypatch.setattr(classifier, "generate_crystal", spy)
+    bowtie_C_via_duality(Partition(parts, n), p)
+    assert sorted(shapes) == sorted([parts, dual_shape(Partition(parts, n)).parts])
 
 
 def test_constructors_reject_wrong_shapes():
@@ -144,8 +160,8 @@ def test_embeds_preserve_crystal_membership():
     graph = generate_crystal(shape)
     target = Partition((3, 3, 1), 4)
     big = generate_crystal(target)
-    for t in graph.vertices[:20]:
-        assert big.vertex_id(iota_embed(t, target)) >= 0
+    for v in range(20):
+        assert big.vertex_id(iota_embed(graph.tableau(v), target)) >= 0
 
 
 def test_sweep_pairs_bounds():

@@ -51,16 +51,47 @@ def test_gen_out_file(tmp_path, capsys):
     assert len(json.loads(target.read_text())["edges"]) == 8
 
 
-def test_gen_json_bytes_are_frozen(tmp_path, capsys):
-    # Size and sha256 of json.dumps(payload, indent=2) on (5,3,1) n=5.
-    args = ("gen", "--shape", "5,3,1", "--n", "5", "--format", "json")
+# Byte counts and sha256 of command outputs that any change to the vertex
+# store must reproduce; the (5,3,1) n=5 export is also in perfbench/expected.json.
+FROZEN_OUTPUTS = [
+    pytest.param(
+        ("gen", "--shape", "5,3,1", "--n", "5", "--format", "json"), 3_033_874,
+        "891193a6afb432e19aad1332b50f3ed19aa4872deddb5add733ddca30cb22beb", id="gen_json",
+    ),
+    pytest.param(
+        ("gen", "--shape", "5,3,1", "--n", "4", "--format", "dot"), 350_566,
+        "fa2f2d17e77526297eff90ee1a3601820e2859fdc33a9ea741637b08e5a72f78", id="gen_dot",
+    ),
+    pytest.param(
+        ("gen", "--shape", "5,3,1", "--n", "4", "--format", "text"), 178_770,
+        "ecae7b3d399562144e3fbe6a55e07af4fde7b28dd7435e3c8a6fcd07e747968b", id="gen_text",
+    ),
+    pytest.param(
+        ("pop", "--shape", "5,3,1", "--n", "4", "--format", "csv"), 66_955,
+        "00a7a32bf96b1b769a29a39388525c2a4fd5fb406f12f4d8d9059aff0a85ff31", id="pop_csv",
+    ),
+    pytest.param(
+        ("pop", "--shape", "5,3,1", "--n", "4", "--format", "json"), 127,
+        "130fe34d26f2b16cde19dc8cd42f7537d592b8dbbdd249a23181129efd57322e", id="pop_json",
+    ),
+    pytest.param(
+        ("pop", "--shape", "5,3,1", "--n", "4", "--element", "1,1,2,4,5/2,3,5/4"), 105,
+        "261ecd1005dab0e57739cf7d3d66220930e336fca5cf33fb11e9d483ce1cab37", id="pop_element",
+    ),
+    pytest.param(
+        ("lattice", "--shape", "4,4", "--n", "5"), 137,
+        "24f00a6e417bedecf4933b45bda09f965e873b6805db8430129c4b1dd4a19b07", id="lattice",
+    ),
+]
+
+
+@pytest.mark.parametrize("args,size,digest", FROZEN_OUTPUTS)
+def test_gen_json_bytes_are_frozen(tmp_path, capsys, args, size, digest):
     code, out, _ = run(capsys, *args)
     data = out.encode()
-    assert code == 0 and len(data) == 3_033_874
-    assert hashlib.sha256(data).hexdigest() == (
-        "891193a6afb432e19aad1332b50f3ed19aa4872deddb5add733ddca30cb22beb"
-    )
-    target = tmp_path / "crystal.json"
+    assert code == 0 and len(data) == size
+    assert hashlib.sha256(data).hexdigest() == digest
+    target = tmp_path / "output"
     assert run(capsys, *args, "--out", str(target)) == (0, "", "")
     assert target.read_bytes() == data
 
@@ -140,7 +171,7 @@ def test_lattice_prints_the_reference_certificate(capsys, shape, n):
     graph = generate_crystal(Partition(tuple(map(int, shape.split(","))), n))
     cert = find_bowtie_by_candidates(graph)
     want = [
-        f"bowtie {name}: {format_tableau(graph.vertices[v])}"
+        f"bowtie {name}: {format_tableau(graph.tableau(v))}"
         for name, v in (("t1", cert.t1), ("t2", cert.t2), ("u1", cert.u1), ("u2", cert.u2))
     ]
     code, out, _ = run(capsys, "lattice", "--shape", shape, "--n", str(n))

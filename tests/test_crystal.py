@@ -75,12 +75,13 @@ def test_operators_match_cell_scans():
 def test_word_bfs_matches_tableau_bfs(parts, n):
     shape = Partition(parts, n)
     graph = generate_crystal(shape)
-    ref = generate_crystal_by_tableaux(shape)
-    assert graph.vertices == ref.vertices
-    assert graph.succ == ref.succ
-    assert graph.pred == ref.pred
-    assert list(graph.index.items()) == list(ref.index.items())
-    assert all(validate_tableau(shape, t.rows) == t for t in graph.vertices)
+    vertices, succ, pred = generate_crystal_by_tableaux(shape)
+    tableaux = [graph.tableau(v) for v in range(graph.num_vertices)]
+    assert tableaux == vertices
+    assert graph.succ == succ
+    assert graph.pred == pred
+    assert all(graph.vertex_id(t) == v for v, t in enumerate(tableaux))
+    assert all(validate_tableau(shape, t.rows) == t for t in tableaux)
 
 
 def test_bump_check_raises_what_validate_raises():
@@ -104,7 +105,7 @@ def test_bump_check_raises_what_validate_raises():
 def test_raising_inverts_lowering():
     for parts, n in SHAPES:
         graph = generate_crystal(Partition(parts, n))
-        for t in graph.vertices:
+        for t in map(graph.tableau, range(graph.num_vertices)):
             for i in range(1, n + 1):
                 img = lowering_F(t, i)
                 if img is not None:
@@ -116,7 +117,7 @@ def test_raising_inverts_lowering():
 
 def test_operators_shift_weight_by_one():
     graph = generate_crystal(Partition((2, 2), 3))
-    for t in graph.vertices:
+    for t in map(graph.tableau, range(graph.num_vertices)):
         for i in range(1, 4):
             img = lowering_F(t, i)
             if img is None:
@@ -130,7 +131,7 @@ def test_vertex_count_matches_oracles(parts, n):
     shape = Partition(parts, n)
     graph = generate_crystal(shape)
     assert graph.num_vertices == hook_content_count(shape)
-    assert {format_tableau(t) for t in graph.vertices} == {
+    assert {format_tableau(graph.tableau(v)) for v in range(graph.num_vertices)} == {
         format_tableau(t) for t in enumerate_ssyt(shape)
     }
 
@@ -138,7 +139,7 @@ def test_vertex_count_matches_oracles(parts, n):
 def test_figure_structure_two_one():
     graph = generate_crystal(Partition((2, 1), 2))
     assert graph.num_vertices == 8
-    assert format_tableau(graph.vertices[0]) == "1,1/2"
+    assert format_tableau(graph.tableau(0)) == "1,1/2"
     assert sorted(graph.edges()) == [
         (0, 1, 1), (0, 2, 2), (1, 3, 2), (2, 4, 1),
         (3, 5, 2), (4, 6, 1), (5, 7, 1), (6, 7, 2),

