@@ -15,7 +15,7 @@ from .crystal import (
     dual_crystal,
     generate_crystal,
 )
-from .poset import BowtieCertificate, ReachabilityIndex, find_bowtie, is_lattice
+from .poset import BowtieCertificate, find_bowtie, is_lattice
 from .tableaux import Partition, Tableau, dual_shape, validate_tableau
 
 
@@ -72,10 +72,6 @@ def predict_lattice(shape: Partition) -> Classification:
     return Classification(shape, False, None)
 
 
-def _tableau(shape: Partition, rows) -> Tableau:
-    return validate_tableau(shape, rows)
-
-
 def bowtie_A(shape: Partition) -> tuple[Tableau, Tableau, Tableau, Tableau]:
     """Explicit no-join quadruple for shapes (a, b, 2) with a > b >= 2."""
     parts, n = shape.parts, shape.n
@@ -83,10 +79,10 @@ def bowtie_A(shape: Partition) -> tuple[Tableau, Tableau, Tableau, Tableau]:
         raise HypothesisViolated(f"need (a,b,2) with a>b>=2 and n>=3, got {parts}, n={n}")
     a, b = parts[0], parts[1]
     tail = (4,) * (a - b - 1)
-    t1 = _tableau(shape, [(1,) * (b - 1) + (2, 2) + tail, (2,) * (b - 1) + (3,), (3, 4)])
-    t2 = _tableau(shape, [(1,) * b + (3,) + tail, (2,) * b, (3, 4)])
-    u1 = _tableau(shape, [(1,) * (b - 1) + (2, 3) + tail, (2,) * (b - 1) + (3,), (3, 4)])
-    u2 = _tableau(shape, [(1,) * (b - 1) + (2, 3) + tail, (2,) * (b - 1) + (3,), (4, 4)])
+    t1 = validate_tableau(shape, [(1,) * (b - 1) + (2, 2) + tail, (2,) * (b - 1) + (3,), (3, 4)])
+    t2 = validate_tableau(shape, [(1,) * b + (3,) + tail, (2,) * b, (3, 4)])
+    u1 = validate_tableau(shape, [(1,) * (b - 1) + (2, 3) + tail, (2,) * (b - 1) + (3,), (3, 4)])
+    u2 = validate_tableau(shape, [(1,) * (b - 1) + (2, 3) + tail, (2,) * (b - 1) + (3,), (4, 4)])
     return t1, t2, u1, u2
 
 
@@ -96,10 +92,10 @@ def bowtie_B(shape: Partition) -> tuple[Tableau, Tableau, Tableau, Tableau]:
     if len(parts) != 3 or parts[2] != 1 or parts[0] - 2 < parts[1] or n < 3:
         raise HypothesisViolated(f"need (a,b,1) with a-2>=b>=1 and n>=3, got {parts}, n={n}")
     a, b = parts[0], parts[1]
-    t1 = _tableau(shape, [(1, 1) + (3,) * (b - 1) + (4,) * (a - b - 1), (2,) + (4,) * (b - 1), (4,)])
-    t2 = _tableau(shape, [(1, 1) + (3,) * b + (4,) * (a - b - 2), (2,) + (4,) * (b - 1), (4,)])
-    u1 = _tableau(shape, [(1, 1) + (3,) * (b - 1) + (4,) * (a - b - 1), (3,) + (4,) * (b - 1), (4,)])
-    u2 = _tableau(shape, [(1,) + (3,) * b + (4,) * (a - b - 1), (2,) + (4,) * (b - 1), (4,)])
+    t1 = validate_tableau(shape, [(1, 1) + (3,) * (b - 1) + (4,) * (a - b - 1), (2,) + (4,) * (b - 1), (4,)])
+    t2 = validate_tableau(shape, [(1, 1) + (3,) * b + (4,) * (a - b - 2), (2,) + (4,) * (b - 1), (4,)])
+    u1 = validate_tableau(shape, [(1, 1) + (3,) * (b - 1) + (4,) * (a - b - 1), (3,) + (4,) * (b - 1), (4,)])
+    u2 = validate_tableau(shape, [(1,) + (3,) * b + (4,) * (a - b - 1), (2,) + (4,) * (b - 1), (4,)])
     return t1, t2, u1, u2
 
 
@@ -109,10 +105,10 @@ def bowtie_E(shape: Partition) -> tuple[Tableau, Tableau, Tableau, Tableau]:
     if len(parts) != 2 or parts[1] != 2 or n < 3:
         raise HypothesisViolated(f"need (a,2) with n>=3, got {parts}, n={n}")
     a = parts[0]
-    t1 = _tableau(shape, [(1,) * (a - 1) + (3,), (3, 4)])
-    t2 = _tableau(shape, [(1,) * (a - 1) + (2,), (3, 4)])
-    u1 = _tableau(shape, [(1,) * (a - 1) + (3,), (4, 4)])
-    u2 = _tableau(shape, [(1,) * (a - 2) + (2, 3), (3, 4)])
+    t1 = validate_tableau(shape, [(1,) * (a - 1) + (3,), (3, 4)])
+    t2 = validate_tableau(shape, [(1,) * (a - 1) + (2,), (3, 4)])
+    u1 = validate_tableau(shape, [(1,) * (a - 1) + (3,), (4, 4)])
+    u2 = validate_tableau(shape, [(1,) * (a - 2) + (2, 3), (3, 4)])
     return t1, t2, u1, u2
 
 
@@ -122,13 +118,13 @@ def nojoin_D(shape: Partition) -> tuple[Tableau, Tableau]:
         raise HypothesisViolated(f"rank must be 4, got {shape.n}")
     if shape.parts == (3, 3, 2, 1):
         return (
-            _tableau(shape, [(1, 2, 2), (3, 3, 4), (4, 5), (5,)]),
-            _tableau(shape, [(1, 2, 3), (3, 3, 4), (4, 5), (5,)]),
+            validate_tableau(shape, [(1, 2, 2), (3, 3, 4), (4, 5), (5,)]),
+            validate_tableau(shape, [(1, 2, 3), (3, 3, 4), (4, 5), (5,)]),
         )
     if shape.parts == (3, 2, 1, 1):
         return (
-            _tableau(shape, [(1, 1, 3), (2, 5), (4,), (5,)]),
-            _tableau(shape, [(1, 1, 4), (2, 5), (4,), (5,)]),
+            validate_tableau(shape, [(1, 1, 3), (2, 5), (4,), (5,)]),
+            validate_tableau(shape, [(1, 1, 4), (2, 5), (4,), (5,)]),
         )
     raise HypothesisViolated(f"no explicit pair for {shape.parts}")
 
@@ -255,30 +251,19 @@ class SweepReport:
         return [r for r in self.rows if r.skipped]
 
 
-def _partitions(max_cells: int, max_parts: int):
-    """All nonempty partitions with at most max_cells cells and max_parts parts."""
-    def rec(remaining, max_part, prefix):
+def sweep_pairs(max_n: int, max_cells: int):
+    """(parts, n) pairs covered by the classification sweep, deterministic
+    order: every nonempty partition with at most max_cells cells and max_n
+    parts, with each rank n from its length up to max_n."""
+    def partitions(remaining, max_part, prefix):
         for p in range(min(remaining, max_part), 0, -1):
             cur = prefix + (p,)
             yield cur
-            if len(cur) < max_parts:
-                yield from rec(remaining - p, p, cur)
+            if len(cur) < max_n:
+                yield from partitions(remaining - p, p, cur)
 
-    for total in range(1, max_cells + 1):
-        seen = set()
-        for parts in rec(total, total, ()):
-            if sum(parts) == total and parts not in seen:
-                seen.add(parts)
-                yield parts
-
-
-def sweep_pairs(max_n: int, max_cells: int):
-    """(parts, n) pairs covered by the classification sweep, deterministic order."""
-    out = []
-    for parts in sorted(set(_partitions(max_cells, max_n))):
-        for n in range(len(parts), max_n + 1):
-            out.append((parts, n))
-    return out
+    return [(parts, n) for parts in sorted(partitions(max_cells, max_cells, ()))
+            for n in range(len(parts), max_n + 1)]
 
 
 def _sweep_one(args) -> SweepRow:

@@ -15,13 +15,7 @@ import sys
 from typing import Optional
 
 from .classifier import classification_sweep, predict_lattice
-from .crystal import (
-    SizeLimitExceeded,
-    default_cap,
-    generate_crystal,
-    to_dot,
-    to_json,
-)
+from .crystal import SizeLimitExceeded, generate_crystal, to_dot, to_json
 from .key import all_keys, build_demazure_family, verify_key_properties, verify_pop_key_inequality
 from .perm import parse_permutation, verify_section3_lemmas
 from .pop import (
@@ -35,12 +29,7 @@ from .pop import (
     pop_permutation,
 )
 from .poset import ReachabilityIndex, find_bowtie, is_lattice, verify_bowtie
-from .tableaux import (
-    TableauError,
-    format_tableau,
-    parse_partition,
-    parse_tableau,
-)
+from .tableaux import TableauError, format_rows, parse_partition, parse_tableau
 
 
 class PropertyFailure(RuntimeError):
@@ -59,8 +48,7 @@ def _graph(args):
     shape = parse_partition(args.shape, args.n)
     if not shape.parts:
         raise TableauError("shape must be a nonzero partition")
-    cap = args.cap if args.cap is not None else default_cap()
-    return generate_crystal(shape, cap=cap)
+    return generate_crystal(shape, cap=args.cap)
 
 
 def cmd_gen(args) -> str:
@@ -77,7 +65,7 @@ def cmd_gen(args) -> str:
             writer.writerow([src, dst, color])
         return buf.getvalue()
     lines = [f"crystal {args.shape} n={graph.n}: {graph.num_vertices} vertices"]
-    lines += [f"  {v}: {format_tableau(graph.tableau(v))}" for v in range(graph.num_vertices)]
+    lines += [f"  {v}: {format_rows(graph.rows(v))}" for v in range(graph.num_vertices)]
     lines += [f"  {src} -> {dst} (F{c})" for src, dst, c in graph.edges()]
     return "\n".join(lines) + "\n"
 
@@ -89,14 +77,14 @@ def cmd_pop(args) -> str:
         if t.shape != graph.shape:
             raise TableauError(f"element has shape {t.shape.parts}, crystal has {graph.shape.parts}")
         rep = orbit(graph, graph.vertex_id(t))
-        lines = [format_tableau(graph.tableau(v)) for v in rep.trajectory]
+        lines = [format_rows(graph.rows(v)) for v in rep.trajectory]
         return "\n".join(lines) + f"\norbit length {rep.length}\n"
     if args.format == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf)
         writer.writerow(["id", "tableau", "orbit_length"])
         for v, size in enumerate(orbit_lengths(graph)):
-            writer.writerow([v, format_tableau(graph.tableau(v)), size])
+            writer.writerow([v, format_rows(graph.rows(v)), size])
         return buf.getvalue()
     size, witness = max_orbit_size(graph)
     if args.format == "json":
@@ -105,12 +93,12 @@ def cmd_pop(args) -> str:
             "n": graph.n,
             "max_orbit": size,
             "coxeter_number": graph.n + 1,
-            "witness": format_tableau(graph.tableau(witness)),
+            "witness": format_rows(graph.rows(witness)),
         }
         return json.dumps(payload, indent=2) + "\n"
     return (
         f"max orbit {size} (coxeter number {graph.n + 1}), "
-        f"witness {format_tableau(graph.tableau(witness))}\n"
+        f"witness {format_rows(graph.rows(witness))}\n"
     )
 
 
@@ -140,13 +128,12 @@ def cmd_lattice(args) -> str:
         if cert is None or not verify_bowtie(graph, cert, index):
             raise PropertyFailure("non-lattice without a verifiable bowtie")
         for name, v in (("t1", cert.t1), ("t2", cert.t2), ("u1", cert.u1), ("u2", cert.u2)):
-            lines.append(f"bowtie {name}: {format_tableau(graph.tableau(v))}")
+            lines.append(f"bowtie {name}: {format_rows(graph.rows(v))}")
     return "\n".join(lines) + "\n"
 
 
 def cmd_classify(args) -> str:
-    cap = args.cap if args.cap is not None else default_cap()
-    report = classification_sweep(args.max_n, args.max_cells, vertex_cap=cap, jobs=args.jobs)
+    report = classification_sweep(args.max_n, args.max_cells, vertex_cap=args.cap, jobs=args.jobs)
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(["lambda", "n", "predicted", "brute_force", "clause", "vertices", "millis"])
@@ -161,7 +148,7 @@ def cmd_classify(args) -> str:
     for row in report.skipped:
         text += f"# skipped over cap: {row.parts} n={row.n}\n"
     if report.disagreements:
-        sys.stdout.write(text)
+        _emit(text, args.out)
         bad = report.disagreements[0]
         raise PropertyFailure(f"classification disagrees at {bad.parts}, n={bad.n}")
     return text

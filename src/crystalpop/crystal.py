@@ -8,9 +8,9 @@ one for color a. E_i is F_{n+1-i} on the reversed word with letters a ->
 n+2-a. The crystal graph is the breadth-first closure of the highest-weight
 word under all F_i, ids in discovery order. An image differs from its source
 in one cell, so checking that cell against n+1 and its right and lower
-neighbours is validate_tableau. The graph keeps the reading words as its
-vertices; graph.tableau(v) rebuilds a tableau when an output needs one.
-to_json writes the json.dumps(indent=2) layout from fixed templates.
+neighbours is validate_tableau. The graph stores only the words; outputs
+format graph.rows(v), word v cut by tableaux.row_slices, and build no
+Tableau. to_json writes the json.dumps(indent=2) layout from fixed templates.
 """
 
 from __future__ import annotations
@@ -24,7 +24,8 @@ from typing import Optional
 from .perm import Permutation, parabolic_quotient, reduced_word
 from .tableaux import (
     ColumnViolation, EntryOutOfRange, Partition, RowViolation, Tableau, dual_shape,
-    format_tableau, highest_weight_tableau, hook_content_count, reading_cells, reading_word,
+    format_rows, highest_weight_tableau, hook_content_count, reading_cells, reading_word,
+    row_slices,
 )
 
 DEFAULT_VERTEX_CAP = 2_000_000
@@ -93,14 +94,15 @@ class CrystalGraph:
         return len(self.words)
 
     @cached_property
-    def _rows(self) -> list[slice]:
-        """The reading-word slice of each row, top row first (it is read last)."""
-        parts = self.shape.parts
-        ends = [self.shape.size - sum(parts[:k]) for k in range(len(parts) + 1)]
-        return [slice(lo, hi) for hi, lo in zip(ends, ends[1:])]
+    def _row_slices(self) -> list[slice]:
+        return row_slices(self.shape)
+
+    def rows(self, v: int) -> tuple[tuple[int, ...], ...]:
+        """The rows of vertex v's tableau, top row first, cut from its word."""
+        return tuple(map(self.words[v].__getitem__, self._row_slices))
 
     def tableau(self, v: int) -> Tableau:
-        return Tableau(self.shape, tuple(map(self.words[v].__getitem__, self._rows)))
+        return Tableau(self.shape, self.rows(v))
 
     def vertex_id(self, t: Tableau) -> int:
         return self.words.index(reading_word(t))
@@ -263,7 +265,7 @@ def to_json(graph: CrystalGraph) -> str:
     "color"}]} in the json.dumps(indent=2) layout."""
     def array(items: list[str]) -> str:
         return "[\n    " + ",\n    ".join(items) + "\n  ]" if items else "[]"
-    vertices = [_JSON_VERTEX % (v, json.dumps(format_tableau(graph.tableau(v))))
+    vertices = [_JSON_VERTEX % (v, json.dumps(format_rows(graph.rows(v))))
                 for v in range(graph.num_vertices)]
     edges = array([_JSON_EDGE % e for e in graph.edges()])
     return (f'{{\n  "lambda": {array([str(p) for p in graph.shape.parts])},\n  "n": {graph.n},'
@@ -278,7 +280,7 @@ _DOT_PALETTE = [
 def to_dot(graph: CrystalGraph) -> str:
     lines = ["digraph crystal {", "  rankdir=BT;"]
     for v in range(graph.num_vertices):
-        lines.append(f'  v{v} [label="{format_tableau(graph.tableau(v))}"];')
+        lines.append(f'  v{v} [label="{format_rows(graph.rows(v))}"];')
     for src, dst, color in graph.edges():
         pen = _DOT_PALETTE[(color - 1) % len(_DOT_PALETTE)]
         lines.append(f'  v{src} -> v{dst} [label="F{color}", color={pen}];')

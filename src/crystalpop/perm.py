@@ -97,6 +97,8 @@ def identity(m: int) -> Permutation:
 
 def parse_permutation(text: str) -> Permutation:
     text = text.strip()
+    if not text:
+        raise ValueError("empty permutation")
     if "," in text:
         return Permutation(tuple(int(tok) for tok in text.split(",")))
     return Permutation(tuple(int(ch) for ch in text))

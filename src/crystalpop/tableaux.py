@@ -7,7 +7,7 @@ column j (left to right). Entries of a tableau of rank n lie in [1, n+1].
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import prod
+from itertools import accumulate, chain
 
 
 class TableauError(ValueError):
@@ -114,7 +114,7 @@ class Tableau:
         return validate_tableau(self.shape, grid)
 
     def __str__(self):
-        return format_tableau(self)
+        return format_rows(self.rows)
 
 
 def validate_tableau(shape: Partition, grid) -> Tableau:
@@ -157,7 +157,14 @@ def reading_cells(shape: Partition) -> list[tuple[int, int]]:
 
 def reading_word(t: Tableau) -> tuple[int, ...]:
     """Entries read row by row from the bottom row up."""
-    return tuple(t.entry(i, j) for i, j in reading_cells(t.shape))
+    return tuple(chain.from_iterable(reversed(t.rows)))
+
+
+def row_slices(shape: Partition) -> list[slice]:
+    """The reading-word slice of each row, top row first (it is read last):
+    word[row_slices(shape)[i - 1]] is row i."""
+    ends = list(accumulate(reversed(shape.parts), initial=0))[::-1]
+    return [slice(lo, hi) for hi, lo in zip(ends, ends[1:])]
 
 
 def weight(t: Tableau) -> tuple[int, ...]:
@@ -169,9 +176,9 @@ def weight(t: Tableau) -> tuple[int, ...]:
     return tuple(counts)
 
 
-def format_tableau(t: Tableau) -> str:
-    """Canonical textual form: rows joined by '/', entries by ','."""
-    return "/".join(",".join(str(v) for v in row) for row in t.rows)
+def format_rows(rows) -> str:
+    """Canonical text of a tableau's rows: rows joined by '/', entries by ','."""
+    return "/".join(",".join(map(str, row)) for row in rows)
 
 
 def parse_tableau(text: str, n: int) -> Tableau:

@@ -15,7 +15,7 @@ from crystalpop.perm import Permutation, identity, left_descents, reduced_word
 from crystalpop.poset import BowtieCertificate, ReachabilityIndex
 from crystalpop.pop import MAX_POPPABLE_COLORS
 from crystalpop.tableaux import (
-    Partition, Tableau, format_tableau, highest_weight_tableau, reading_cells,
+    Partition, Tableau, highest_weight_tableau, reading_cells,
 )
 
 
@@ -123,7 +123,7 @@ def to_json_by_dumps(graph: CrystalGraph) -> str:
         "lambda": list(graph.shape.parts),
         "n": graph.n,
         "vertices": [
-            {"id": v, "rows": format_tableau(graph.tableau(v))}
+            {"id": v, "rows": str(graph.tableau(v))}
             for v in range(graph.num_vertices)
         ],
         "edges": [

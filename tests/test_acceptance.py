@@ -39,7 +39,6 @@ from crystalpop.pop import (
 from crystalpop.poset import ReachabilityIndex, join, verify_bowtie
 from crystalpop.tableaux import (
     Partition,
-    format_tableau,
     hook_content_count,
     parse_tableau,
 )
@@ -67,7 +66,7 @@ def test_criterion_01_operator_example():
     f1 = lowering_F(t, 1)
     ok = (
         f1 is not None
-        and format_tableau(f1) == "1,2,2,2,3/3,3"
+        and str(f1) == "1,2,2,2,3/3,3"
         and f1.entry(1, 2) == 2
         and lowering_F(t, 2) is None
     )

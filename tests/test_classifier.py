@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from crystalpop import classifier, crystal
@@ -169,6 +171,19 @@ def test_sweep_pairs_bounds():
     assert ((1,), 1) in pairs and ((2, 2), 3) in pairs
     assert all(sum(parts) <= 4 and len(parts) <= n <= 3 for parts, n in pairs)
     assert pairs == sorted(pairs)
+
+
+@pytest.mark.parametrize("max_n", range(6))
+def test_sweep_pairs_match_brute_force(max_n):
+    for max_cells in range(9):
+        want = sorted(
+            (parts, n)
+            for length in range(1, max_n + 1)
+            for parts in itertools.product(range(1, max_cells + 1), repeat=length)
+            if sum(parts) <= max_cells and list(parts) == sorted(parts, reverse=True)
+            for n in range(length, max_n + 1)
+        )
+        assert sweep_pairs(max_n, max_cells) == want
 
 
 def test_small_sweep_agrees():

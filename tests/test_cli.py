@@ -1,12 +1,16 @@
+import csv
+import dataclasses
 import hashlib
+import io
 import json
 
 import pytest
 
-from crystalpop import cli, pop
+from crystalpop import classifier, cli, pop
+from crystalpop.classifier import sweep_pairs
 from crystalpop.cli import main
 from crystalpop.crystal import generate_crystal
-from crystalpop.tableaux import Partition, format_tableau
+from crystalpop.tableaux import Partition, Tableau
 from oracles import find_bowtie_by_candidates
 
 
@@ -96,6 +100,30 @@ def test_gen_json_bytes_are_frozen(tmp_path, capsys, args, size, digest):
     assert target.read_bytes() == data
 
 
+@pytest.mark.parametrize("args", [
+    ("gen", "--shape", "3,2", "--n", "3", "--format", "json"),
+    ("gen", "--shape", "3,2", "--n", "3", "--format", "dot"),
+    ("gen", "--shape", "3,2", "--n", "3", "--format", "text"),
+    ("gen", "--shape", "3,2", "--n", "3", "--format", "csv"),
+    ("pop", "--shape", "3,2", "--n", "3", "--format", "json"),
+    ("pop", "--shape", "3,2", "--n", "3", "--format", "csv"),
+    ("pop", "--shape", "3,2", "--n", "3", "--format", "text"),
+    ("lattice", "--shape", "5,2", "--n", "3"),
+], ids=["gen_json", "gen_dot", "gen_text", "gen_csv", "pop_json", "pop_csv", "pop_text", "lattice"])
+def test_outputs_build_no_tableau_per_vertex(monkeypatch, capsys, args):
+    built = []
+    init = Tableau.__init__
+
+    def counting_init(self, *a, **kw):
+        built.append(1)
+        init(self, *a, **kw)
+
+    monkeypatch.setattr(Tableau, "__init__", counting_init)
+    code, out, _ = run(capsys, *args)
+    assert code == 0 and out
+    assert len(built) <= 1  # the highest-weight seed of the search
+
+
 def test_pop_max_orbit(capsys):
     code, out, _ = run(capsys, "pop", "--shape", "2,1", "--n", "2")
     assert code == 0
@@ -136,6 +164,13 @@ def test_perm_pop_orbit(capsys):
     assert lines[-1] == "orbit length 5"
 
 
+@pytest.mark.parametrize("element", ["", " "])
+def test_perm_pop_rejects_an_empty_element(capsys, element):
+    code, out, err = run(capsys, "perm-pop", "--element", element)
+    assert (code, out) == (2, "")
+    assert "invalid input" in err
+
+
 def test_perm_pop_identity_fixed(capsys):
     code, out, _ = run(capsys, "perm-pop", "--element", "123")
     assert code == 0
@@ -171,7 +206,7 @@ def test_lattice_prints_the_reference_certificate(capsys, shape, n):
     graph = generate_crystal(Partition(tuple(map(int, shape.split(","))), n))
     cert = find_bowtie_by_candidates(graph)
     want = [
-        f"bowtie {name}: {format_tableau(graph.tableau(v))}"
+        f"bowtie {name}: {graph.tableau(v)}"
         for name, v in (("t1", cert.t1), ("t2", cert.t2), ("u1", cert.u1), ("u2", cert.u2))
     ]
     code, out, _ = run(capsys, "lattice", "--shape", shape, "--n", str(n))
@@ -182,9 +217,31 @@ def test_lattice_prints_the_reference_certificate(capsys, shape, n):
 def test_classify_small_sweep(capsys):
     code, out, _ = run(capsys, "classify", "--max-n", "2", "--max-cells", "4")
     assert code == 0
-    lines = out.strip().splitlines()
+    rows = list(csv.reader(io.StringIO(out)))
+    assert rows[0] == ["lambda", "n", "predicted", "brute_force", "clause", "vertices", "millis"]
+    assert len(rows) - 1 == len(sweep_pairs(2, 4))
+    assert all(row[2] == row[3] for row in rows[1:])
+
+
+def test_classify_disagreement_still_writes_the_out_file(tmp_path, capsys, monkeypatch):
+    predict = classifier.predict_lattice
+
+    def flip_one_box(shape):
+        c = predict(shape)
+        if (shape.parts, shape.n) == ((1,), 1):
+            return dataclasses.replace(c, is_lattice_predicted=not c.is_lattice_predicted)
+        return c
+
+    monkeypatch.setattr(classifier, "predict_lattice", flip_one_box)
+    target = tmp_path / "sweep.csv"
+    code, out, err = run(capsys, "classify", "--max-n", "2", "--max-cells", "2",
+                         "--jobs", "1", "--out", str(target))
+    assert (code, out) == (1, "")
+    assert "classification disagrees at (1,), n=1" in err
+    lines = target.read_text().splitlines()
     assert lines[0] == "lambda,n,predicted,brute_force,clause,vertices,millis"
-    assert all("False" not in line.split(",")[2] or True for line in lines)
+    assert len(lines) == 1 + len(sweep_pairs(2, 2))
+    assert lines[1].startswith("1,1,False,True,")
 
 
 def test_classify_reports_skips(capsys):
@@ -236,3 +293,20 @@ def test_cap_flag_enforced(capsys):
     code, _, err = run(capsys, "gen", "--shape", "3,1", "--n", "3", "--cap", "10")
     assert code == 2
     assert "exceeds cap" in err
+
+
+def test_cap_env_var_applies_to_every_command(capsys, monkeypatch):
+    monkeypatch.setenv("CRYSTAL_POP_CAP", "10")
+    code, _, err = run(capsys, "gen", "--shape", "3,1", "--n", "3")
+    assert code == 2
+    assert "exceeds cap 10" in err
+    assert run(capsys, "gen", "--shape", "3,1", "--n", "3", "--cap", "100")[0] == 0
+    code, out, _ = run(capsys, "classify", "--max-n", "3", "--max-cells", "4")
+    assert code == 0
+    assert "# skipped over cap" in out
+    monkeypatch.setenv("CRYSTAL_POP_CAP", "abc")
+    for argv in (("gen", "--shape", "3,1", "--n", "3"),
+                 ("classify", "--max-n", "2", "--max-cells", "2")):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert "invalid input" in err

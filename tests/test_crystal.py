@@ -23,7 +23,6 @@ from crystalpop.tableaux import (
     Partition,
     Tableau,
     TableauError,
-    format_tableau,
     hook_content_count,
     parse_tableau,
     reading_cells,
@@ -49,7 +48,7 @@ SHAPES = [
 
 def test_lowering_example():
     t = parse_tableau("1,1,2,2,3/3,3", 3)
-    assert format_tableau(lowering_F(t, 1)) == "1,2,2,2,3/3,3"
+    assert str(lowering_F(t, 1)) == "1,2,2,2,3/3,3"
     assert lowering_F(t, 2) is None
 
 
@@ -131,15 +130,15 @@ def test_vertex_count_matches_oracles(parts, n):
     shape = Partition(parts, n)
     graph = generate_crystal(shape)
     assert graph.num_vertices == hook_content_count(shape)
-    assert {format_tableau(graph.tableau(v)) for v in range(graph.num_vertices)} == {
-        format_tableau(t) for t in enumerate_ssyt(shape)
+    assert {str(graph.tableau(v)) for v in range(graph.num_vertices)} == {
+        str(t) for t in enumerate_ssyt(shape)
     }
 
 
 def test_figure_structure_two_one():
     graph = generate_crystal(Partition((2, 1), 2))
     assert graph.num_vertices == 8
-    assert format_tableau(graph.tableau(0)) == "1,1/2"
+    assert str(graph.tableau(0)) == "1,1/2"
     assert sorted(graph.edges()) == [
         (0, 1, 1), (0, 2, 2), (1, 3, 2), (2, 4, 1),
         (3, 5, 2), (4, 6, 1), (5, 7, 1), (6, 7, 2),

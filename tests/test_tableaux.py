@@ -8,12 +8,12 @@ from crystalpop.tableaux import (
     RowViolation,
     ShapeMismatch,
     dual_shape,
-    format_tableau,
     highest_weight_tableau,
     hook_content_count,
     parse_partition,
     parse_tableau,
     reading_word,
+    row_slices,
     validate_tableau,
     weight,
 )
@@ -89,6 +89,13 @@ def test_reading_word_bottom_up():
     assert reading_word(t) == (3, 3, 1, 1, 2, 2, 3)
 
 
+@pytest.mark.parametrize("parts,n", [((), 2), ((1,), 1), ((3, 1), 3), ((2, 2, 1), 3)])
+def test_row_slices_cut_the_reading_word_into_rows(parts, n):
+    for t in enumerate_ssyt(Partition(parts, n)):
+        word = reading_word(t)
+        assert tuple(word[s] for s in row_slices(t.shape)) == t.rows
+
+
 def test_weight_counts():
     t = parse_tableau("1,1,2,2,3/3,3", 3)
     assert weight(t) == (2, 2, 3, 0)
@@ -96,7 +103,7 @@ def test_weight_counts():
 
 def test_format_parse_roundtrip():
     text = "1,1,2,2,3/3,3"
-    assert format_tableau(parse_tableau(text, 3)) == text
+    assert str(parse_tableau(text, 3)) == text
 
 
 def test_parse_tableau_rejects_garbage():
