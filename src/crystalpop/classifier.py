@@ -274,17 +274,13 @@ def _sweep_one(args) -> SweepRow:
     try:
         graph = generate_crystal(shape, cap=cap)
     except SizeLimitExceeded:
-        return SweepRow(
-            parts=parts, n=n, predicted=prediction.is_lattice_predicted,
-            clause=prediction.matched_clause, brute_force=None, vertices=None,
-            millis=(time.perf_counter() - start) * 1000, skipped=True,
-        )
-    brute = is_lattice(graph).is_lattice
+        brute = vertices = None
+    else:
+        brute, vertices = is_lattice(graph).is_lattice, graph.num_vertices
     return SweepRow(
         parts=parts, n=n, predicted=prediction.is_lattice_predicted,
-        clause=prediction.matched_clause, brute_force=brute,
-        vertices=graph.num_vertices,
-        millis=(time.perf_counter() - start) * 1000,
+        clause=prediction.matched_clause, brute_force=brute, vertices=vertices,
+        millis=(time.perf_counter() - start) * 1000, skipped=brute is None,
     )
 
 

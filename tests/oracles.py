@@ -12,7 +12,7 @@ from typing import Optional
 
 from crystalpop.crystal import CrystalGraph, IsomorphismFailure
 from crystalpop.perm import Permutation, identity, left_descents, reduced_word
-from crystalpop.poset import BowtieCertificate, ReachabilityIndex
+from crystalpop.poset import BowtieCertificate, LatticeResult, ReachabilityIndex
 from crystalpop.pop import MAX_POPPABLE_COLORS
 from crystalpop.tableaux import (
     Partition, Tableau, highest_weight_tableau, reading_cells,
@@ -177,6 +177,26 @@ def find_bowtie_by_candidates(graph: CrystalGraph,
                     t2 = (t2bits & -t2bits).bit_length() - 1
                     return BowtieCertificate(t1=t1, t2=t2, u1=u1, u2=u2)
     return None
+
+
+def is_lattice_by_pairs(graph: CrystalGraph,
+                        index: Optional[ReachabilityIndex] = None) -> LatticeResult:
+    """Check that every pair has a join (sufficient here: unique minimum and
+    maximum). Pairs are scanned in id order, so the witness is deterministic."""
+    if index is None:
+        index = ReachabilityIndex(graph)
+    size = graph.num_vertices
+    up = index.up
+    for u in range(size):
+        up_u = up[u]
+        for v in range(u + 1, size):
+            if up_u >> v & 1:
+                continue  # comparable pairs always have a join
+            common = up_u & up[v]
+            z = (common & -common).bit_length() - 1
+            if common != up[z]:
+                return LatticeResult(False, (u, v))
+    return LatticeResult(True)
 
 
 class NotPoppable(RuntimeError):

@@ -201,6 +201,12 @@ def test_lattice_negative_prints_certificate(capsys):
     assert out.count("bowtie") == 4
 
 
+def test_lattice_on_a_large_lattice(capsys):
+    # 6,188 vertices; the verdict checks pairs of covers, not all pairs.
+    code, out, _ = run(capsys, "lattice", "--shape", "12", "--n", "5")
+    assert (code, out) == (0, "shape 12 n=5: lattice\nclause: (k)\n")
+
+
 @pytest.mark.parametrize("shape,n", [("5,2", 3), ("4,4", 5)])
 def test_lattice_prints_the_reference_certificate(capsys, shape, n):
     graph = generate_crystal(Partition(tuple(map(int, shape.split(","))), n))

@@ -2,10 +2,12 @@ from types import SimpleNamespace
 
 import pytest
 
+from crystalpop import poset
 from crystalpop.classifier import sweep_pairs
-from crystalpop.crystal import generate_crystal
+from crystalpop.crystal import SizeLimitExceeded, generate_crystal
 from crystalpop.poset import (
     BowtieCertificate,
+    LatticeResult,
     ReachabilityIndex,
     find_bowtie,
     is_lattice,
@@ -18,6 +20,7 @@ from crystalpop.tableaux import Partition
 from oracles import (
     components_and_sources,
     find_bowtie_by_candidates,
+    is_lattice_by_pairs,
     levi_restrict,
     naive_join,
     naive_meet,
@@ -32,6 +35,19 @@ SHAPES = [
 
 def graphs():
     return [generate_crystal(Partition(parts, n)) for parts, n in SHAPES]
+
+
+def stub_poset(size, covers):
+    """Duck-typed graph on ids 0..size-1 with the given cover edges; rows
+    are padded with None to one width, as a crystal's are to n colors."""
+    succ = [[] for _ in range(size)]
+    pred = [[] for _ in range(size)]
+    for u, v in covers:
+        succ[u].append(v)
+        pred[v].append(u)
+    width = max(map(len, succ + pred))
+    pad = [row + [None] * (width - len(row)) for row in succ + pred]
+    return SimpleNamespace(num_vertices=size, succ=pad[:size], pred=pad[size:])
 
 
 def test_reachability_matches_dfs():
@@ -103,6 +119,72 @@ def test_lattice_witness_has_no_join():
     assert join(index, u, v) is None
 
 
+# 0 < t1, t2; t1 < c1 < u1; t1 < c2 < u2; t2 < d1 < u1; t2 < d2 < u2;
+# u1, u2 < top, with t1..top as ids 1..9.
+NO_BOWTIE = stub_poset(10, [
+    (0, 1), (0, 2), (1, 3), (1, 4), (2, 5), (2, 6),
+    (3, 7), (4, 8), (5, 7), (6, 8), (7, 9), (8, 9),
+])
+BOOLEAN_B3 = stub_poset(8, [
+    (0, 1), (0, 2), (0, 4), (1, 3), (1, 5), (2, 3), (2, 6), (4, 5), (4, 6),
+    (3, 7), (5, 7), (6, 7),
+])
+# The only joinless pair is (3, 5), two ranks up and covering 2; the covers
+# 1 and 2 of the minimum have the join 6.
+JOINLESS_AT_RANK_TWO = stub_poset(9, [
+    (0, 1), (0, 2), (1, 4), (2, 3), (2, 5), (3, 6), (3, 7), (4, 6),
+    (5, 6), (5, 7), (6, 8), (7, 8),
+])
+
+
+def test_non_lattice_without_a_bowtie():
+    assert is_lattice(NO_BOWTIE) == is_lattice_by_pairs(NO_BOWTIE) == LatticeResult(False, (1, 2))
+    assert find_bowtie(NO_BOWTIE) is None
+
+
+def test_boolean_lattice_is_a_lattice():
+    assert is_lattice(BOOLEAN_B3) == is_lattice_by_pairs(BOOLEAN_B3) == LatticeResult(True)
+
+
+def test_cover_check_fails_above_the_minimum():
+    graph = JOINLESS_AT_RANK_TWO
+    index = ReachabilityIndex(graph)
+    assert join(index, 1, 2) == 6
+    joinless = [(u, v) for u in range(9) for v in range(u + 1, 9)
+                if join(index, u, v) is None]
+    assert joinless == [(3, 5)]
+    assert is_lattice(graph) == is_lattice_by_pairs(graph) == LatticeResult(False, (3, 5))
+
+
+def test_cover_check_failure_without_a_joinless_pair_is_a_bug(monkeypatch):
+    monkeypatch.setattr(poset, "_first_joinless_pair", lambda up: None)
+    with pytest.raises(RuntimeError, match="covers 1, 2 have no join but the pair scan finds none"):
+        is_lattice(NO_BOWTIE)
+
+
+def check_against_pairwise_scan(pairs):
+    lattices = 0
+    for parts, n in pairs:
+        try:
+            graph = generate_crystal(Partition(parts, n), cap=20000)
+        except SizeLimitExceeded:
+            continue
+        index = ReachabilityIndex(graph)
+        result = is_lattice(graph, index)
+        assert result == is_lattice_by_pairs(graph, index), (parts, n)
+        lattices += result.is_lattice
+    return lattices
+
+
+def test_is_lattice_matches_pairwise_scan():
+    assert check_against_pairwise_scan(sweep_pairs(5, 7)) == 83
+
+
+@pytest.mark.slow
+def test_is_lattice_matches_pairwise_scan_to_eight_cells():
+    assert check_against_pairwise_scan(sweep_pairs(5, 8)) == 98
+
+
 def test_find_bowtie_agrees_with_is_lattice():
     for graph in graphs():
         index = ReachabilityIndex(graph)
@@ -127,13 +209,7 @@ def test_find_bowtie_matches_candidate_reference():
 def test_find_bowtie_takes_up_sets_of_every_possible_t2():
     # On the cover edge (0, 3) both 1 and 2 can be t2; u2 = 4 lies above 1
     # only and u2 = 5 above 2 only, so the first u2 needs both up-sets.
-    succ = [[3, 4, 5], [4, 3, None], [5, None, 3]] + [[None] * 3 for _ in range(3)]
-    pred = [[None] * 3 for _ in succ]
-    for v, row in enumerate(succ):
-        for i, w in enumerate(row):
-            if w is not None:
-                pred[w][i] = v
-    graph = SimpleNamespace(num_vertices=len(succ), succ=succ, pred=pred)
+    graph = stub_poset(6, [(0, 3), (0, 4), (0, 5), (1, 4), (1, 3), (2, 5), (2, 3)])
     cert = BowtieCertificate(t1=0, t2=1, u1=3, u2=4)
     assert find_bowtie(graph) == find_bowtie_by_candidates(graph) == cert
     assert verify_bowtie(graph, cert)
