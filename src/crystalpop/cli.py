@@ -146,7 +146,8 @@ def cmd_classify(args) -> str:
         ])
     text = buf.getvalue()
     for row in report.skipped:
-        text += f"# skipped over cap: {row.parts} n={row.n}\n"
+        # Same line ending as the csv.writer rows above.
+        text += f"# skipped over cap: {row.parts} n={row.n}\r\n"
     if report.disagreements:
         _emit(text, args.out)
         bad = report.disagreements[0]

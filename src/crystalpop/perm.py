@@ -16,13 +16,25 @@ The order tests read two invariants that each Permutation computes once:
   criterion (ibid., Thm. 2.1.5), u <= w in Bruhat order iff
   r_u[i, j] <= r_w[i, j] for all i, j. Each entry is stored in unary, so
   the entrywise comparison is one bitwise containment test as well.
+
+The exhaustive lemma suite turns both identities into set algebra over all
+of S_m. Sets of permutations are ints with one bit per permutation, and
+for each bit b of an invariant it keeps the set of permutations having b.
+The weak up-set of y is then the AND of those sets over the inversions of
+y, and the Bruhat lower set of y the complement of their OR over the rank
+bits y lacks, so each pair costs one bit of an operation on m!-bit ints.
+A table of m! up-sets takes m!^2/8 bytes (3.2 MB for S_7, 203 MB for S_8),
+so the suite stops at MAX_LEMMA_M.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from functools import cached_property
+
+MAX_LEMMA_M = 8
 
 
 @dataclass(frozen=True, order=True)
@@ -229,47 +241,142 @@ class LemmaReport:
         return not self.violations
 
 
+def _set_bits(v: int) -> list[int]:
+    """The positions of the set bits of v, from low to high."""
+    out = []
+    while v:
+        low = v & -v
+        out.append(low.bit_length() - 1)
+        v ^= low
+    return out
+
+
+def _bit_columns(values: list[int]) -> dict[int, str]:
+    """For each bit b set in some value, the string of '0'/'1' characters
+    whose i-th character is bit b of values[i]."""
+    width = max(values).bit_length()
+    if not width:
+        return {}
+    rows = [format(v, f"0{width}b") for v in values]
+    return {
+        width - 1 - k: "".join(col)
+        for k, col in enumerate(zip(*rows))
+        if "1" in col
+    }
+
+
+def _bitsets(columns: dict[int, str], order: list[int] | None = None) -> dict[int, int]:
+    """For each bit b, the set of i whose character columns[b][order[i]] is
+    '1' (order defaults to the identity), as an int with bit i for index i."""
+    if order is None:
+        return {b: int(col[::-1], 2) for b, col in columns.items()}
+    # With one index, take returns a one-character string, which joins to itself.
+    take = operator.itemgetter(*order)
+    return {b: int("".join(take(col))[::-1], 2) for b, col in columns.items()}
+
+
 def verify_section3_lemmas(m: int) -> LemmaReport:
     """Exhaustively check, over S_m, the quotient monotonicity of the weak
     order, Bruhat monotonicity of pop under commuting descents, the
     pop/quotient exchange inequality, and the sorting time of the maximal
     quotient elements (h-1 pops reach the identity, h-2 do not, and every
-    intermediate element has pairwise commuting descents)."""
+    intermediate element has pairwise commuting descents).
+
+    S_m is indexed in all_permutations order, and sets of permutations are
+    ints with bit i for index i. Both pair checks are containments of such
+    sets, built from one set per bit of a cached invariant:
+
+    - Weak order. With A_b the permutations whose inversion mask has bit b,
+      the up-set of y is U(y), the AND of A_b over the bits of mask(y)
+      (Prop. 3.1.3). With B_b the z whose representative rep(z) has bit b,
+      G_J(x), the AND of B_b over the bits of mask(x), is the set of z with
+      x <= rep(z). Quotient monotonicity for J is U(y) & ~G_J(rep(y)) == 0.
+    - Bruhat order. With D_b the permutations whose rank array has bit b,
+      the lower set L(y) is the complement of the OR of D_b over the bits
+      missing from the rank array of y (Thm. 2.1.5). With E_b the x whose
+      pop(x) has bit b, monotonicity of pop at y is L(y) & ~L_E(pop(y)) == 0,
+      where L_E(p), the x with pop(x) <= p, is built from E_b as L is from D_b.
+
+    Each pair (y, z) still counts as one check: checked adds the sizes of
+    the up-sets and lower sets. A failing set is decoded from its low bit up,
+    which is the pairwise scan's order, so counts and messages are those of
+    the pairwise scan.
+
+    The weak part makes 2^(m-1) m! containment tests of m!-bit sets where a
+    pairwise scan makes 2^(m-1) m!^2 order tests; most of its time goes to
+    the 2^(m-1) m! calls of min_coset_rep. The up-set table, and for J empty
+    the cache of G_J, take m!^2/8 bytes each (3.2 MB at m = 7, 203 MB at
+    m = 8), so m is limited to MAX_LEMMA_M."""
     if m < 1:
         raise ValueError(f"the lemma suite needs m >= 1, got {m}")
+    if m > MAX_LEMMA_M:
+        raise ValueError(
+            f"the lemma suite needs m <= {MAX_LEMMA_M}, got {m}: "
+            f"its up-set table takes m!^2/8 bytes"
+        )
     perms = list(all_permutations(m))
+    index = {w.one_line: i for i, w in enumerate(perms)}
+    everything = (1 << len(perms)) - 1
     gens = list(range(1, m))
     subsets = [
         frozenset(c)
         for r in range(m)
         for c in itertools.combinations(gens, r)
     ]
-    pop = {w: coxeter_pop(w) for w in perms}
+    pop = [index[coxeter_pop(w).one_line] for w in perms]
     violations = []
     checked = 0
 
-    weak_pairs = [
-        (y, z) for y in perms for z in perms if weak_leq(y, z)
-    ]
-    for j in subsets:
-        rep = {w: min_coset_rep(w, j) for w in perms}
-        for y, z in weak_pairs:
-            checked += 1
-            if not weak_leq(rep[y], rep[z]):
-                violations.append(f"quotient monotonicity fails: J={set(j)} y={y} z={z}")
-        for w in perms:
-            checked += 1
-            if not weak_leq(rep[pop[w]], pop[rep[w]]):
-                violations.append(f"pop/quotient exchange fails: J={set(j)} w={w}")
+    def having(cols: dict[int, int], packed: int) -> int:
+        """The intersection of cols[b] over the bits b of packed."""
+        out = everything
+        for b, col in cols.items():
+            if packed >> b & 1:
+                out &= col
+        return out
 
-    commuting = [y for y in perms if descents_commute(y)]
-    for y in commuting:
-        py = pop[y]
-        for x in perms:
-            if bruhat_leq(x, y):
-                checked += 1
-                if not bruhat_leq(pop[x], py):
-                    violations.append(f"Bruhat pop monotonicity fails: x={x} y={y}")
+    def lacking(cols: dict[int, int], packed: int) -> int:
+        """The union of cols[b] over the bits b missing from packed."""
+        out = 0
+        for b, col in cols.items():
+            if not packed >> b & 1:
+                out |= col
+        return out
+
+    masks = [w.inversion_mask for w in perms]
+    weak_columns = _bit_columns(masks)
+    mask_cols = _bitsets(weak_columns)
+    up = [having(mask_cols, mask) for mask in masks]
+    weak_pairs = sum(u.bit_count() for u in up)
+    for j in subsets:
+        rep = [index[min_coset_rep(w, j).one_line] for w in perms]
+        rep_mask_cols = _bitsets(weak_columns, rep)
+        above_rep = {}
+        checked += weak_pairs
+        for y, u in enumerate(up):
+            x = rep[y]
+            if x not in above_rep:
+                above_rep[x] = having(rep_mask_cols, masks[x])
+            for z in _set_bits(u & ~above_rep[x]):
+                violations.append(
+                    f"quotient monotonicity fails: J={set(j)} y={perms[y]} z={perms[z]}"
+                )
+        for w in range(len(perms)):
+            checked += 1
+            if masks[rep[pop[w]]] & ~masks[pop[rep[w]]]:
+                violations.append(f"pop/quotient exchange fails: J={set(j)} w={perms[w]}")
+
+    ranks = [w.bruhat_ranks for w in perms]
+    bruhat_columns = _bit_columns(ranks)
+    rank_cols = _bitsets(bruhat_columns)
+    pop_rank_cols = _bitsets(bruhat_columns, pop)
+    for y in range(len(perms)):
+        if not descents_commute(perms[y]):
+            continue
+        lower = everything & ~lacking(rank_cols, ranks[y])
+        checked += lower.bit_count()
+        for x in _set_bits(lower & lacking(pop_rank_cols, ranks[pop[y]])):
+            violations.append(f"Bruhat pop monotonicity fails: x={perms[x]} y={perms[y]}")
 
     full = frozenset(gens)
     for s in gens:

@@ -6,12 +6,17 @@ with no shared code paths with the library internals they check.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass
 from typing import Optional
 
 from crystalpop.crystal import CrystalGraph, IsomorphismFailure
-from crystalpop.perm import Permutation, identity, left_descents, reduced_word
+from crystalpop.perm import (
+    LemmaReport, Permutation, all_permutations, bruhat_leq, coxeter_pop,
+    descents_commute, identity, left_descents, length, longest_element,
+    min_coset_rep, reduced_word, weak_leq,
+)
 from crystalpop.poset import BowtieCertificate, LatticeResult, ReachabilityIndex
 from crystalpop.pop import MAX_POPPABLE_COLORS
 from crystalpop.tableaux import (
@@ -381,3 +386,63 @@ def min_coset_rep_by_descents(w: Permutation, gens) -> Permutation:
                 cur = left_mult_gen(cur, i)
                 changed = True
     return cur
+
+
+def verify_section3_lemmas_by_pairs(m: int) -> LemmaReport:
+    """The lemma suite by an all-pairs scan: the weak pairs are listed with
+    m!^2 weak_leq calls and every pair and coset representative is looked
+    up by Permutation."""
+    if m < 1:
+        raise ValueError(f"the lemma suite needs m >= 1, got {m}")
+    perms = list(all_permutations(m))
+    gens = list(range(1, m))
+    subsets = [
+        frozenset(c)
+        for r in range(m)
+        for c in itertools.combinations(gens, r)
+    ]
+    pop = {w: coxeter_pop(w) for w in perms}
+    violations = []
+    checked = 0
+
+    weak_pairs = [
+        (y, z) for y in perms for z in perms if weak_leq(y, z)
+    ]
+    for j in subsets:
+        rep = {w: min_coset_rep(w, j) for w in perms}
+        for y, z in weak_pairs:
+            checked += 1
+            if not weak_leq(rep[y], rep[z]):
+                violations.append(f"quotient monotonicity fails: J={set(j)} y={y} z={z}")
+        for w in perms:
+            checked += 1
+            if not weak_leq(rep[pop[w]], pop[rep[w]]):
+                violations.append(f"pop/quotient exchange fails: J={set(j)} w={w}")
+
+    commuting = [y for y in perms if descents_commute(y)]
+    for y in commuting:
+        py = pop[y]
+        for x in perms:
+            if bruhat_leq(x, y):
+                checked += 1
+                if not bruhat_leq(pop[x], py):
+                    violations.append(f"Bruhat pop monotonicity fails: x={x} y={y}")
+
+    full = frozenset(gens)
+    for s in gens:
+        j = full - {s}
+        w = min_coset_rep(longest_element(m), j)
+        trajectory = [w]
+        while length(trajectory[-1]) > 0:
+            trajectory.append(coxeter_pop(trajectory[-1]))
+        checked += 1
+        if len(trajectory) - 1 != m - 1:
+            violations.append(
+                f"sorting time of quotient-maximal element is {len(trajectory) - 1}, "
+                f"expected {m - 1} (s={s})"
+            )
+        for v in trajectory:
+            checked += 1
+            if not descents_commute(v):
+                violations.append(f"non-commuting descents along orbit of s={s}: {v}")
+    return LemmaReport(m=m, checked=checked, violations=violations)

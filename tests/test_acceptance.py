@@ -182,10 +182,9 @@ def test_criterion_10_weak_order_lemma_suite():
     report(10, "weak-order and pop lemmas on small symmetric groups", ok)
 
 
-@pytest.mark.slow
 def test_criterion_10s_weak_order_lemma_suite_s6():
     ok = verify_section3_lemmas(6).ok
-    report(10, "weak-order and pop lemmas on S_6 (slow tier)", ok)
+    report(10, "weak-order and pop lemmas on S_6", ok)
 
 
 def test_criterion_11_pop_variants_differ():

@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from crystalpop import classifier, cli, pop
+from crystalpop import classifier, cli, perm, pop
 from crystalpop.classifier import sweep_pairs
 from crystalpop.cli import main
 from crystalpop.crystal import generate_crystal
@@ -250,6 +250,19 @@ def test_classify_disagreement_still_writes_the_out_file(tmp_path, capsys, monke
     assert lines[1].startswith("1,1,False,True,")
 
 
+def test_classify_ends_every_line_with_crlf(tmp_path, capsys):
+    argv = ["classify", "--max-n", "3", "--max-cells", "3", "--cap", "10"]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    target = tmp_path / "sweep.csv"
+    assert run(capsys, *argv, "--out", str(target))[:2] == (0, "")
+    for text in (out, target.read_bytes().decode()):
+        assert "# skipped over cap" in text
+        lines = text.split("\n")
+        assert lines.pop() == ""
+        assert all(line.endswith("\r") for line in lines)
+
+
 def test_classify_reports_skips(capsys):
     code, out, _ = run(capsys, "classify", "--max-n", "3", "--max-cells", "4",
                        "--cap", "5")
@@ -276,6 +289,17 @@ def test_verify_lemma_suite_rejects_m_below_one(capsys):
         assert code == 2
         assert out == ""
         assert "invalid input" in err
+
+
+def test_verify_lemma_suite_rejects_m_past_the_limit(capsys, monkeypatch):
+    def no_permutations(m):
+        raise AssertionError("S_m was built")
+
+    monkeypatch.setattr(perm, "all_permutations", no_permutations)
+    code, out, err = run(capsys, "verify", "--m", str(perm.MAX_LEMMA_M + 1))
+    assert code == 2
+    assert out == ""
+    assert f"invalid input: the lemma suite needs m <= {perm.MAX_LEMMA_M}, got 9" in err
 
 
 def test_verify_needs_arguments(capsys):

@@ -3,6 +3,8 @@ import itertools
 import pytest
 from hypothesis import given, strategies as st
 
+import oracles
+from crystalpop import perm
 from crystalpop.perm import (
     Permutation,
     all_permutations,
@@ -28,6 +30,7 @@ from oracles import (
     inversion_count,
     left_mult_gen,
     min_coset_rep_by_descents,
+    verify_section3_lemmas_by_pairs,
     weak_leq_by_length,
     weak_order_pairs,
 )
@@ -179,17 +182,56 @@ def test_pop_strictly_below_in_weak_order(w):
 
 
 def test_lemma_suite_small():
-    for m in (1, 2, 3, 4):
+    for m, checked in ((1, 3), (2, 16), (3, 113), (4, 1532)):
         report = verify_section3_lemmas(m)
         assert report.ok, report.violations
+        assert report.checked == checked
 
 
 def test_lemma_suite_s5():
     report = verify_section3_lemmas(5)
     assert report.ok, report.violations
+    assert report.checked == 33889
 
 
-@pytest.mark.slow
 def test_lemma_suite_s6():
     report = verify_section3_lemmas(6)
     assert report.ok, report.violations
+    assert report.checked == 1070774
+
+
+@pytest.mark.slow
+def test_lemma_suite_s7():
+    report = verify_section3_lemmas(7)
+    assert report.ok, report.violations
+    assert report.checked == 44323353
+
+
+def test_lemma_suite_matches_pairwise_scan():
+    for m in range(1, 6):
+        report = verify_section3_lemmas(m)
+        expected = verify_section3_lemmas_by_pairs(m)
+        assert (report.checked, report.violations) == (expected.checked, expected.violations)
+
+
+def test_lemma_suite_failures_match_pairwise_scan(monkeypatch):
+    """Wrong coset representatives and a wrong pop make every kind of pair
+    check fail; both suites must list the same failures in the same order."""
+    true_rep, true_pop = perm.min_coset_rep, perm.coxeter_pop
+
+    def wrong_rep(w, gens):
+        return w if len(gens) == 1 and w.one_line[-1] == 1 else true_rep(w, gens)
+
+    def wrong_pop(w):
+        # Still lowers the length, so the sorting-time orbits end.
+        return identity(w.m) if w.one_line[0] == 3 else true_pop(w)
+
+    for module in (perm, oracles):
+        monkeypatch.setattr(module, "min_coset_rep", wrong_rep)
+        monkeypatch.setattr(module, "coxeter_pop", wrong_pop)
+    for m in (3, 4):
+        report = verify_section3_lemmas(m)
+        expected = verify_section3_lemmas_by_pairs(m)
+        assert (report.checked, report.violations) == (expected.checked, expected.violations)
+    for kind in ("quotient monotonicity", "pop/quotient exchange", "Bruhat pop monotonicity"):
+        assert any(v.startswith(kind) for v in report.violations), kind
