@@ -216,12 +216,6 @@ def bowtie_C_via_duality(shape: Partition, p: int) -> tuple[Tableau, Tableau, Ta
     )
 
 
-def locate(graph: CrystalGraph, quad) -> BowtieCertificate:
-    """Vertex-id certificate for a quadruple of tableaux."""
-    t1, t2, u1, u2 = (graph.vertex_id(x) for x in quad)
-    return BowtieCertificate(t1=t1, t2=t2, u1=u1, u2=u2)
-
-
 @dataclass
 class SweepRow:
     parts: tuple[int, ...]

@@ -16,7 +16,14 @@ from typing import Optional
 
 from .classifier import classification_sweep, predict_lattice
 from .crystal import SizeLimitExceeded, generate_crystal, to_dot, to_json
-from .key import all_keys, build_demazure_family, verify_key_properties, verify_pop_key_inequality
+from .key import (
+    InconsistentFamily,
+    NonUniqueMinimum,
+    all_keys,
+    build_demazure_family,
+    verify_key_properties,
+    verify_pop_key_inequality,
+)
 from .perm import parse_permutation, verify_section3_lemmas
 from .pop import (
     NonTermination,
@@ -38,8 +45,11 @@ class PropertyFailure(RuntimeError):
 
 def _emit(text: str, out: Optional[str]) -> None:
     if out:
-        with open(out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ValueError(f"cannot write {out}: {exc.strerror}") from exc
     else:
         sys.stdout.write(text)
 
@@ -172,11 +182,12 @@ def cmd_verify(args) -> str:
         lines.append("poppable: pass")
     else:
         failures.append("poppable: FAIL")
-    if pop_agreement_on_quotient(graph):
+    family = build_demazure_family(graph)
+    if pop_agreement_on_quotient(graph, family.extremal):
         lines.append("pop agreement on embedded quotient: pass")
     else:
         failures.append("pop agreement on embedded quotient: FAIL")
-    kappa = all_keys(graph, build_demazure_family(graph))
+    kappa = all_keys(graph, family)
     kp = verify_key_properties(graph, kappa)
     lines.append(f"key properties: {'pass' if kp.ok else 'FAIL'} ({kp.checked} checks)")
     if not kp.ok:
@@ -249,14 +260,13 @@ def main(argv: Optional[list[str]] = None) -> int:
         sys.stderr.write("verify needs either --shape/--n or --m\n")
         return 2
     try:
-        text = args.func(args)
-    except (PropertyFailure, NonTermination) as exc:
+        _emit(args.func(args), getattr(args, "out", None))
+    except (PropertyFailure, NonTermination, InconsistentFamily, NonUniqueMinimum) as exc:
         sys.stderr.write(f"property check failed: {exc}\n")
         return 1
     except (TableauError, SizeLimitExceeded, ValueError) as exc:
         sys.stderr.write(f"invalid input: {exc}\n")
         return 2
-    _emit(text, getattr(args, "out", None))
     return 0
 
 

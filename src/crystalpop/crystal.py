@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
 
-from .perm import Permutation, parabolic_quotient, reduced_word
 from .tableaux import (
     ColumnViolation, EntryOutOfRange, Partition, RowViolation, Tableau, dual_shape,
     format_rows, highest_weight_tableau, hook_content_count, reading_cells, reading_word,
@@ -230,30 +229,12 @@ def weyl_reflect(graph: CrystalGraph, v: int, i: int) -> int:
     return chain[len(chain) - 1 - below]
 
 
-def weyl_act(graph: CrystalGraph, v: int, word) -> int:
-    """Right action: apply the reflections left to right."""
-    for i in word:
-        v = weyl_reflect(graph, v, i)
-    return v
-
-
 def stabilizer_colors(shape: Partition) -> frozenset[int]:
     """Colors i with equal adjacent parts (zero-padded), generating the
     stabilizer of the weight."""
     return frozenset(
         i for i in range(1, shape.n + 1) if shape.part(i) == shape.part(i + 1)
     )
-
-
-def embed_parabolic_quotient(graph: CrystalGraph) -> dict[Permutation, int]:
-    """Map each minimal coset representative w (for the stabilizer of the
-    shape) to the vertex reached from the minimum by acting with a reduced
-    word of w."""
-    kset = stabilizer_colors(graph.shape)
-    out = {}
-    for w in parabolic_quotient(kset, graph.n + 1):
-        out[w] = weyl_act(graph, 0, reduced_word(w))
-    return out
 
 
 _JSON_VERTEX = '{\n      "id": %d,\n      "rows": %s\n    }'

@@ -2,10 +2,12 @@
 
 The carrier is the family of lowering-closure subsets: starting from the
 singleton containing the minimum, the subset for w is the closure of the
-subset for any lower cover w s_i under F_i. The key of a vertex is then the
-Bruhat-order minimum among the quotient elements whose subset contains it
-(the weak order does not suffice: the membership filter can have two
-weak-minimal elements, yet its Bruhat minimum is unique).
+subset for any lower cover w s_i under F_i. The same pass embeds the
+quotient: the vertex u_w is S_i(u_{w s_i}) for any such cover, S_i the
+crystal's Weyl-group reflection (Kashiwara, Duke 1993). The key of a vertex
+is then the Bruhat-order minimum among the quotient elements whose subset
+contains it (the weak order does not suffice: the membership filter can
+have two weak-minimal elements, yet its Bruhat minimum is unique).
 The defining properties of the key map (how it interacts with E_i/F_i and
 with descents) are checked wholesale by verify_key_properties; any
 violation there falsifies the construction rather than the caller.
@@ -15,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .crystal import CrystalGraph, stabilizer_colors
+from .crystal import CrystalGraph, stabilizer_colors, weyl_reflect
 from .perm import (
     Permutation,
     bruhat_leq,
@@ -40,10 +42,12 @@ class NonUniqueMinimum(RuntimeError):
 @dataclass
 class DemazureFamily:
     """Vertex bitsets indexed by the parabolic quotient, listed in weak-order
-    BFS layers (by length, then one-line order)."""
+    BFS layers (by length, then one-line order); extremal[w] is the vertex
+    u_w that embeds w in the crystal."""
 
     order: list[Permutation]
     members: dict[Permutation, int]
+    extremal: dict[Permutation, int]
 
 
 def _closure(graph: CrystalGraph, bits: int, i: int) -> int:
@@ -61,26 +65,30 @@ def _closure(graph: CrystalGraph, bits: int, i: int) -> int:
 
 def build_demazure_family(graph: CrystalGraph) -> DemazureFamily:
     """Build the closure family over the quotient by the stabilizer of the
-    shape. Every lower cover of an element is used and the results must
-    agree; a mismatch raises InconsistentFamily."""
+    shape, with the embedded quotient. Every lower cover of an element is
+    used and the subsets and reflected vertices must agree; a mismatch
+    raises InconsistentFamily."""
     kset = stabilizer_colors(graph.shape)
     order = parabolic_quotient(kset, graph.n + 1)
-    members: dict[Permutation, int] = {identity(graph.n + 1): 1 << 0}
+    e = identity(graph.n + 1)
+    members: dict[Permutation, int] = {e: 1 << 0}
+    extremal: dict[Permutation, int] = {e: 0}
     for w in order:
         if length(w) == 0:
             continue
         value = None
         for i in sorted(right_descents(w)):
             below = w.right_mult_gen(i)
-            closed = _closure(graph, members[below], i)
+            found = (_closure(graph, members[below], i),
+                     weyl_reflect(graph, extremal[below], i))
             if value is None:
-                value = closed
-            elif value != closed:
+                value = found
+            elif value != found:
                 raise InconsistentFamily(
                     f"cover paths disagree at {w} (color {i})"
                 )
-        members[w] = value  # type: ignore[assignment]
-    return DemazureFamily(order=order, members=members)
+        members[w], extremal[w] = value  # type: ignore[misc]
+    return DemazureFamily(order=order, members=members, extremal=extremal)
 
 
 def key_map(graph: CrystalGraph, family: DemazureFamily, v: int) -> Permutation:
@@ -139,10 +147,11 @@ def verify_key_properties(graph: CrystalGraph, kappa: list[Permutation]) -> KeyR
     """Check the four defining properties of the key map plus order
     preservation along every cover edge; kappa is all_keys(graph, family)."""
     e = identity(graph.n + 1)
+    descent_sets = {w: right_descents(w) for w in set(kappa)}
     violations = []
     checked = 0
     for v in range(graph.num_vertices):
-        descents = right_descents(kappa[v])
+        descents = descent_sets[kappa[v]]
         for i in range(1, graph.n + 1):
             has_up = graph.succ[v][i - 1] is not None
             has_down = graph.pred[v][i - 1] is not None
@@ -178,12 +187,13 @@ def verify_key_properties(graph: CrystalGraph, kappa: list[Permutation]) -> KeyR
 def verify_pop_key_inequality(graph: CrystalGraph, kappa: list[Permutation]) -> KeyReport:
     """key(pop(v)) is weakly below pop(key(v)), for every vertex; kappa is
     all_keys(graph, family)."""
+    popped = {w: coxeter_pop(w) for w in set(kappa)}
     violations = []
     checked = 0
     for v in range(graph.num_vertices):
         checked += 1
         lhs = kappa[pop_crystal(graph, v)]
-        rhs = coxeter_pop(kappa[v])
+        rhs = popped[kappa[v]]
         if not weak_leq(lhs, rhs):
             violations.append(f"pop/key inequality fails at vertex {v}")
     return KeyReport(checked=checked, violations=violations)

@@ -201,21 +201,6 @@ def parabolic_quotient(gens: frozenset[int] | set[int], m: int) -> list[Permutat
     return out
 
 
-def reduced_word(w: Permutation) -> tuple[int, ...]:
-    """A reduced word (i_1, ..., i_k) with w = s_{i_1} ... s_{i_k}."""
-    word = []
-    cur = w
-    while True:
-        desc = right_descents(cur)
-        if not desc:
-            break
-        i = min(desc)
-        cur = cur.right_mult_gen(i)
-        word.append(i)
-    word.reverse()
-    return tuple(word)
-
-
 def coxeter_pop(w: Permutation) -> Permutation:
     """Multiply on the right by the longest element of the parabolic
     generated by the right descent set (its own inverse)."""

@@ -8,7 +8,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .crystal import CrystalGraph, embed_parabolic_quotient
+from .crystal import CrystalGraph
 from .perm import Permutation, coxeter_pop
 from .poset import MeetUndefined, ReachabilityIndex, meet
 
@@ -143,10 +143,9 @@ def is_poppable(graph) -> bool:
     return True
 
 
-def pop_agreement_on_quotient(graph: CrystalGraph) -> bool:
+def pop_agreement_on_quotient(graph: CrystalGraph, embedding: dict[Permutation, int]) -> bool:
     """Crystal pop agrees with the Coxeter pop on the embedded parabolic
-    quotient."""
-    embedding = embed_parabolic_quotient(graph)
+    quotient; embedding is build_demazure_family(graph).extremal."""
     for w, v in embedding.items():
         if pop_crystal(graph, v) != embedding[coxeter_pop(w)]:
             return False

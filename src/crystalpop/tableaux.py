@@ -1,4 +1,4 @@
-"""Partitions, semistandard Young tableaux, reading words, and weights.
+"""Partitions, semistandard Young tableaux and reading words.
 
 Cells are addressed as (i, j) with 1-based row i (top to bottom) and
 column j (left to right). Entries of a tableau of rank n lie in [1, n+1].
@@ -165,15 +165,6 @@ def row_slices(shape: Partition) -> list[slice]:
     word[row_slices(shape)[i - 1]] is row i."""
     ends = list(accumulate(reversed(shape.parts), initial=0))[::-1]
     return [slice(lo, hi) for hi, lo in zip(ends, ends[1:])]
-
-
-def weight(t: Tableau) -> tuple[int, ...]:
-    """counts[k-1] = number of entries equal to k, for k in [1, n+1]."""
-    counts = [0] * (t.shape.n + 1)
-    for row in t.rows:
-        for val in row:
-            counts[val - 1] += 1
-    return tuple(counts)
 
 
 def format_rows(rows) -> str:

@@ -11,11 +11,11 @@ import json
 from dataclasses import dataclass
 from typing import Optional
 
-from crystalpop.crystal import CrystalGraph, IsomorphismFailure
+from crystalpop.crystal import CrystalGraph, IsomorphismFailure, stabilizer_colors, weyl_reflect
 from crystalpop.perm import (
     LemmaReport, Permutation, all_permutations, bruhat_leq, coxeter_pop,
     descents_commute, identity, left_descents, length, longest_element,
-    min_coset_rep, reduced_word, weak_leq,
+    min_coset_rep, parabolic_quotient, right_descents, weak_leq,
 )
 from crystalpop.poset import BowtieCertificate, LatticeResult, ReachabilityIndex
 from crystalpop.pop import MAX_POPPABLE_COLORS
@@ -50,6 +50,15 @@ def enumerate_ssyt(shape: Partition) -> list[Tableau]:
 
     fill(0)
     return out
+
+
+def weight(t: Tableau) -> tuple[int, ...]:
+    """counts[k-1] = number of entries equal to k, for k in [1, n+1]."""
+    counts = [0] * (t.shape.n + 1)
+    for row in t.rows:
+        for val in row:
+            counts[val - 1] += 1
+    return tuple(counts)
 
 
 def lowering_by_cells(t: Tableau, i: int) -> Optional[Tableau]:
@@ -139,6 +148,24 @@ def to_json_by_dumps(graph: CrystalGraph) -> str:
     return json.dumps(payload, indent=2)
 
 
+def weyl_act(graph: CrystalGraph, v: int, word) -> int:
+    """Right action: apply the reflections left to right."""
+    for i in word:
+        v = weyl_reflect(graph, v, i)
+    return v
+
+
+def embed_parabolic_quotient_by_words(graph: CrystalGraph) -> dict[Permutation, int]:
+    """Map each minimal coset representative w (for the stabilizer of the
+    shape) to the vertex reached from the minimum by acting with a reduced
+    word of w."""
+    kset = stabilizer_colors(graph.shape)
+    out = {}
+    for w in parabolic_quotient(kset, graph.n + 1):
+        out[w] = weyl_act(graph, 0, reduced_word(w))
+    return out
+
+
 def down_colors(graph: CrystalGraph, v: int) -> frozenset[int]:
     """Colors of the edges entering v (the vertex's descents)."""
     return frozenset(
@@ -158,6 +185,12 @@ def pop_crystal_by_color_sets(graph: CrystalGraph, v: int) -> int:
         i = min(avail)
         while graph.pred[cur][i - 1] is not None:
             cur = graph.pred[cur][i - 1]
+
+
+def locate(graph: CrystalGraph, quad) -> BowtieCertificate:
+    """Vertex-id certificate for a quadruple of tableaux."""
+    t1, t2, u1, u2 = (graph.vertex_id(x) for x in quad)
+    return BowtieCertificate(t1=t1, t2=t2, u1=u1, u2=u2)
 
 
 def find_bowtie_by_candidates(graph: CrystalGraph,
@@ -340,6 +373,21 @@ def bruhat_leq_by_rank_counts(u: Permutation, w: Permutation) -> bool:
             if cu > cw:
                 return False
     return True
+
+
+def reduced_word(w: Permutation) -> tuple[int, ...]:
+    """A reduced word (i_1, ..., i_k) with w = s_{i_1} ... s_{i_k}."""
+    word = []
+    cur = w
+    while True:
+        desc = right_descents(cur)
+        if not desc:
+            break
+        i = min(desc)
+        cur = cur.right_mult_gen(i)
+        word.append(i)
+    word.reverse()
+    return tuple(word)
 
 
 def bruhat_lower_interval(w: Permutation) -> set[Permutation]:

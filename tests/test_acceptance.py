@@ -7,16 +7,11 @@ from crystalpop.classifier import (
     bowtie_B,
     bowtie_E,
     classification_sweep,
-    locate,
     nojoin_D,
     predict_lattice,
     sweep_pairs,
 )
-from crystalpop.crystal import (
-    embed_parabolic_quotient,
-    generate_crystal,
-    lowering_F,
-)
+from crystalpop.crystal import generate_crystal, lowering_F
 from crystalpop.key import (
     all_keys,
     build_demazure_family,
@@ -42,7 +37,7 @@ from crystalpop.tableaux import (
     hook_content_count,
     parse_tableau,
 )
-from oracles import enumerate_ssyt
+from oracles import enumerate_ssyt, locate
 
 VERTEX_CAP = 100_000
 
@@ -79,7 +74,7 @@ def test_criterion_02_eight_vertex_crystal():
         (0, 1, 1), (0, 2, 2), (1, 3, 2), (2, 4, 1),
         (3, 5, 2), (4, 6, 1), (5, 7, 1), (6, 7, 2),
     ]
-    embedded = sorted(embed_parabolic_quotient(graph).values())
+    embedded = sorted(build_demazure_family(graph).extremal.values())
     ok = graph.num_vertices == 8 and edges_ok and embedded == [0, 1, 2, 5, 6, 7]
     report(2, "eight-vertex crystal and embedded six-element orbit", ok)
 

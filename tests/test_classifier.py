@@ -21,7 +21,6 @@ from crystalpop.classifier import (
     classification_sweep,
     eta_embed,
     iota_embed,
-    locate,
     nojoin_D,
     predict_lattice,
     sweep_pairs,
@@ -29,6 +28,7 @@ from crystalpop.classifier import (
 from crystalpop.crystal import generate_crystal
 from crystalpop.poset import ReachabilityIndex, is_lattice, join, verify_bowtie
 from crystalpop.tableaux import Partition, dual_shape, validate_tableau
+from oracles import locate
 
 
 @pytest.mark.parametrize(

@@ -3,13 +3,14 @@ import dataclasses
 import hashlib
 import io
 import json
+import sys
 
 import pytest
 
-from crystalpop import classifier, cli, perm, pop
+from crystalpop import classifier, cli, key, perm, pop
 from crystalpop.classifier import sweep_pairs
 from crystalpop.cli import main
-from crystalpop.crystal import generate_crystal
+from crystalpop.crystal import generate_crystal, weyl_reflect
 from crystalpop.tableaux import Partition, Tableau
 from oracles import find_bowtie_by_candidates
 
@@ -229,7 +230,8 @@ def test_classify_small_sweep(capsys):
     assert all(row[2] == row[3] for row in rows[1:])
 
 
-def test_classify_disagreement_still_writes_the_out_file(tmp_path, capsys, monkeypatch):
+def flip_one_box_prediction(monkeypatch):
+    """Make the closed form disagree with brute force at shape (1,), n=1."""
     predict = classifier.predict_lattice
 
     def flip_one_box(shape):
@@ -239,6 +241,10 @@ def test_classify_disagreement_still_writes_the_out_file(tmp_path, capsys, monke
         return c
 
     monkeypatch.setattr(classifier, "predict_lattice", flip_one_box)
+
+
+def test_classify_disagreement_still_writes_the_out_file(tmp_path, capsys, monkeypatch):
+    flip_one_box_prediction(monkeypatch)
     target = tmp_path / "sweep.csv"
     code, out, err = run(capsys, "classify", "--max-n", "2", "--max-cells", "2",
                          "--jobs", "1", "--out", str(target))
@@ -248,6 +254,22 @@ def test_classify_disagreement_still_writes_the_out_file(tmp_path, capsys, monke
     assert lines[0] == "lambda,n,predicted,brute_force,clause,vertices,millis"
     assert len(lines) == 1 + len(sweep_pairs(2, 2))
     assert lines[1].startswith("1,1,False,True,")
+
+
+@pytest.mark.parametrize("argv,disagree", [
+    (("gen", "--shape", "2,1", "--n", "2"), False),
+    (("classify", "--max-n", "2", "--max-cells", "2"), False),
+    (("classify", "--max-n", "2", "--max-cells", "2"), True),
+], ids=["gen", "classify", "classify_disagreement"])
+def test_out_path_that_cannot_be_opened_is_invalid_input(tmp_path, capsys, monkeypatch,
+                                                         argv, disagree):
+    if disagree:
+        flip_one_box_prediction(monkeypatch)
+    target = tmp_path / "missing" / "x.csv"
+    code, out, err = run(capsys, *argv, "--out", str(target))
+    assert (code, out) == (2, "")
+    assert err == f"invalid input: cannot write {target}: No such file or directory\n"
+    assert not target.parent.exists()
 
 
 def test_classify_ends_every_line_with_crlf(tmp_path, capsys):
@@ -275,6 +297,64 @@ def test_verify_crystal(capsys):
     assert code == 0
     assert "poppable: pass" in out
     assert "pop-key inequality: pass" in out
+
+
+# The verify_suite stdout frozen in perfbench/expected.json.
+@pytest.mark.parametrize("shape,stdout", [
+    ("4,2", "crystal 4,2 n=4: 420 vertices\npoppable: pass\n"
+            "pop agreement on embedded quotient: pass\n"
+            "key properties: pass (4012 checks)\npop-key inequality: pass (420 checks)\n"),
+    ("3,3,1", "crystal 3,3,1 n=4: 315 vertices\npoppable: pass\n"
+              "pop agreement on embedded quotient: pass\n"
+              "key properties: pass (2967 checks)\npop-key inequality: pass (315 checks)\n"),
+    ("3,2,1", "crystal 3,2,1 n=4: 280 vertices\npoppable: pass\n"
+              "pop agreement on embedded quotient: pass\n"
+              "key properties: pass (2552 checks)\npop-key inequality: pass (280 checks)\n"),
+])
+def test_verify_crystal_stdout_is_frozen(capsys, shape, stdout):
+    assert run(capsys, "verify", "--shape", shape, "--n", "4") == (0, stdout, "")
+
+
+def count_calls(monkeypatch, name: str) -> list:
+    """Count calls to crystalpop.perm.<name> from every crystalpop module."""
+    original = getattr(perm, name)
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    for module in list(sys.modules.values()):
+        if module.__name__.startswith("crystalpop") and getattr(module, name, None) is original:
+            monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_verify_crystal_walks_the_quotient_once(capsys, monkeypatch):
+    quotients = count_calls(monkeypatch, "parabolic_quotient")
+    pops = count_calls(monkeypatch, "coxeter_pop")
+    assert run(capsys, "verify", "--shape", "4,2", "--n", "4")[0] == 0
+    assert len(quotients) == 1
+    # |W^J| = 20: one pop per quotient element, one per distinct key.
+    assert len(pops) <= 40
+
+
+def test_verify_crystal_inconsistent_family_fails_the_property_check(capsys, monkeypatch):
+    def skewed(graph, v, i):
+        return weyl_reflect(graph, v, i) if i == 1 else v
+
+    monkeypatch.setattr(key, "weyl_reflect", skewed)
+    code, out, err = run(capsys, "verify", "--shape", "2,1", "--n", "2")
+    assert (code, out) == (1, "")
+    assert err == "property check failed: cover paths disagree at 321 (color 2)\n"
+
+
+def test_verify_crystal_without_a_unique_key_fails_the_property_check(capsys, monkeypatch):
+    monkeypatch.setattr(key, "bruhat_leq", lambda u, w: False)
+    code, out, err = run(capsys, "verify", "--shape", "2,1", "--n", "2")
+    assert (code, out) == (1, "")
+    assert err.startswith("property check failed: vertex ")
+    assert "are incomparable" in err
 
 
 def test_verify_lemma_suite(capsys):

@@ -9,7 +9,6 @@ from crystalpop.crystal import (
     SizeLimitExceeded,
     default_cap,
     dual_crystal,
-    embed_parabolic_quotient,
     generate_crystal,
     lowering_F,
     raising_E,
@@ -18,6 +17,7 @@ from crystalpop.crystal import (
     to_json,
     weyl_reflect,
 )
+from crystalpop.key import build_demazure_family
 from crystalpop.perm import length, parabolic_quotient
 from crystalpop.tableaux import (
     Partition,
@@ -28,7 +28,6 @@ from crystalpop.tableaux import (
     reading_cells,
     reading_word,
     validate_tableau,
-    weight,
 )
 from oracles import (
     enumerate_ssyt,
@@ -38,6 +37,7 @@ from oracles import (
     raising_by_cells,
     to_json_by_dumps,
     unique_sink,
+    weight,
 )
 
 SHAPES = [
@@ -214,7 +214,7 @@ def test_stabilizer_colors():
 def test_embedding_is_injective_and_order_preserving():
     for parts, n in SHAPES:
         graph = generate_crystal(Partition(parts, n))
-        embedding = embed_parabolic_quotient(graph)
+        embedding = build_demazure_family(graph).extremal
         kset = stabilizer_colors(graph.shape)
         assert set(embedding) == set(parabolic_quotient(kset, n + 1))
         assert len(set(embedding.values())) == len(embedding)
@@ -223,7 +223,7 @@ def test_embedding_is_injective_and_order_preserving():
 
 def test_embedded_orbit_two_one():
     graph = generate_crystal(Partition((2, 1), 2))
-    embedding = embed_parabolic_quotient(graph)
+    embedding = build_demazure_family(graph).extremal
     assert sorted(embedding.values()) == [0, 1, 2, 5, 6, 7]
 
 

@@ -1,5 +1,6 @@
-"""Every name a crystalpop module imports is used in that module. The
-package's __init__.py is skipped: its imports are re-exports."""
+"""Every name a crystalpop module imports is used in that module, and every
+top-level def or class has a user outside itself. The package's
+__init__.py is skipped: its imports are re-exports."""
 
 import ast
 from pathlib import Path
@@ -11,6 +12,7 @@ import crystalpop
 MODULES = sorted(
     p for p in Path(crystalpop.__file__).parent.glob("*.py") if p.name != "__init__.py"
 )
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
 def unused_imports(source: str) -> list[str]:
@@ -33,3 +35,57 @@ def test_the_check_finds_unused_names():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def _referenced(node) -> set[str]:
+    return {n.id for n in ast.walk(node) if isinstance(n, ast.Name)} | {
+        n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)
+    }
+
+
+def unreferenced_definitions(sources: dict[str, str], external: set[str]) -> list[str]:
+    """module.name for each top-level def or class in sources that no other
+    top-level statement of sources references and that is not in external."""
+    defined, used = [], set(external)
+    for module, source in sources.items():
+        for stmt in ast.parse(source).body:
+            refs = _referenced(stmt)
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                defined.append((module, stmt.name))
+                refs.discard(stmt.name)
+            used |= refs
+    return sorted(f"{module}.{name}" for module, name in defined if name not in used)
+
+
+def perfbench_names() -> set[str]:
+    """The crystalpop names perfbench imports or wraps as a Boundary."""
+    names = set()
+    for path in PERFBENCH.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.ImportFrom) and node.module
+                    and node.module.startswith("crystalpop")):
+                names.update(a.name for a in node.names)
+            elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id == "Boundary" and len(node.args) >= 2
+                    and isinstance(node.args[1], ast.Constant)):
+                names.add(node.args[1].value)
+    return names
+
+
+def test_the_check_finds_unreferenced_definitions():
+    sources = {
+        "a": "def used():\n    pass\n\ndef dead():\n    dead()\n\nclass Kept:\n    pass\n",
+        "b": "from a import used\n\ndef runner():\n    used()\n",
+    }
+    assert unreferenced_definitions(sources, {"Kept"}) == ["a.dead", "b.runner"]
+
+
+def test_perfbench_names_cover_imports_and_boundaries():
+    names = perfbench_names()
+    assert {"generate_crystal", "to_json", "build_demazure_family", "_sweep_one"} <= names
+
+
+def test_every_definition_has_a_user():
+    sources = {p.stem: p.read_text() for p in MODULES}
+    external = set(crystalpop.__all__) | perfbench_names()
+    assert unreferenced_definitions(sources, external) == []

@@ -1,10 +1,8 @@
 import pytest
 
-from crystalpop.crystal import (
-    embed_parabolic_quotient,
-    generate_crystal,
-    stabilizer_colors,
-)
+from crystalpop import key
+from crystalpop.classifier import sweep_pairs
+from crystalpop.crystal import generate_crystal, stabilizer_colors
 from crystalpop.key import (
     DemazureFamily,
     NonUniqueMinimum,
@@ -16,6 +14,7 @@ from crystalpop.key import (
 )
 from crystalpop.perm import identity, length, parabolic_quotient, parse_permutation, weak_leq
 from crystalpop.tableaux import Partition
+from oracles import embed_parabolic_quotient_by_words
 
 SHAPES = [
     ((1,), 1), ((2, 1), 2), ((1, 1), 3), ((2, 2), 3),
@@ -88,21 +87,28 @@ def test_incomparable_members_have_no_key():
     graph = generate_crystal(Partition((1,), 1))
     u, w = parse_permutation("213"), parse_permutation("132")
     # vertex 0 lies in two members of equal length, hence Bruhat-incomparable
-    family = DemazureFamily(order=[u, w], members={u: 0b11, w: 0b01})
+    family = DemazureFamily(order=[u, w], members={u: 0b11, w: 0b01}, extremal={})
     with pytest.raises(NonUniqueMinimum):
         key_map(graph, family, 0)
     with pytest.raises(NonUniqueMinimum):
         all_keys(graph, family)
     assert key_map(graph, family, 1) == u
-    family = DemazureFamily(order=[u], members={u: 0b01})
+    family = DemazureFamily(order=[u], members={u: 0b01}, extremal={})
     with pytest.raises(NonUniqueMinimum):
         all_keys(graph, family)
+
+
+def test_extremal_matches_reduced_word_embedding():
+    for parts, n in sweep_pairs(4, 6):
+        graph, family = built(parts, n)
+        assert family.extremal == embed_parabolic_quotient_by_words(graph), (parts, n)
+        assert list(family.extremal) == family.order
 
 
 def test_key_fixes_embedded_quotient():
     for parts, n in SHAPES:
         graph, family = built(parts, n)
-        for w, v in embed_parabolic_quotient(graph).items():
+        for w, v in family.extremal.items():
             assert key_map(graph, family, v) == w
 
 
@@ -127,6 +133,16 @@ def test_pop_key_inequality():
         graph, family = built(parts, n)
         report = verify_pop_key_inequality(graph, all_keys(graph, family))
         assert report.ok, report.violations
+
+
+def test_pop_key_inequality_reads_the_coxeter_pop(monkeypatch):
+    # With pop(key(v)) replaced by the identity, every vertex whose pop has a
+    # nontrivial key fails; the keys themselves would pass.
+    graph, family = built((2, 1), 2)
+    monkeypatch.setattr(key, "coxeter_pop", lambda w: identity(w.m))
+    report = verify_pop_key_inequality(graph, all_keys(graph, family))
+    assert report.checked == 8
+    assert report.violations == [f"pop/key inequality fails at vertex {v}" for v in (3, 4, 5, 6)]
 
 
 def test_key_middle_vertices_two_one():

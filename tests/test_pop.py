@@ -4,6 +4,7 @@ import pytest
 
 from crystalpop.classifier import sweep_pairs
 from crystalpop.crystal import generate_crystal
+from crystalpop.key import build_demazure_family
 from crystalpop.perm import all_permutations, coxeter_pop, identity, parse_permutation
 from crystalpop import pop
 from crystalpop.pop import (
@@ -173,4 +174,4 @@ def test_two_sources_in_one_component_are_not_poppable():
 def test_pop_agreement_on_quotient():
     for parts, n in SHAPES:
         graph = generate_crystal(Partition(parts, n))
-        assert pop_agreement_on_quotient(graph)
+        assert pop_agreement_on_quotient(graph, build_demazure_family(graph).extremal)

@@ -15,9 +15,8 @@ from crystalpop.tableaux import (
     reading_word,
     row_slices,
     validate_tableau,
-    weight,
 )
-from oracles import enumerate_ssyt
+from oracles import enumerate_ssyt, weight
 
 
 def test_partition_basics():
