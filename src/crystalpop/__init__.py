@@ -21,7 +21,7 @@ from .crystal import (
     lowering_F,
     raising_E,
 )
-from .key import build_demazure_family, key_map
+from .key import all_keys, build_demazure_family
 from .perm import Permutation, coxeter_pop, parse_permutation
 from .pop import max_orbit_size, orbit, pop_crystal, pop_permutation, semilattice_pop
 from .poset import BowtieCertificate, ReachabilityIndex, find_bowtie, is_lattice, join, meet
@@ -39,6 +39,7 @@ __all__ = [
     "ReachabilityIndex",
     "SizeLimitExceeded",
     "Tableau",
+    "all_keys",
     "bowtie_A",
     "bowtie_B",
     "bowtie_C_via_duality",
@@ -51,7 +52,6 @@ __all__ = [
     "generate_crystal",
     "is_lattice",
     "join",
-    "key_map",
     "lowering_F",
     "max_orbit_size",
     "meet",

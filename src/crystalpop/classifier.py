@@ -15,7 +15,7 @@ from .crystal import (
     dual_crystal,
     generate_crystal,
 )
-from .poset import BowtieCertificate, find_bowtie, is_lattice
+from .poset import find_bowtie, is_lattice
 from .tableaux import Partition, Tableau, dual_shape, validate_tableau
 
 
@@ -39,7 +39,6 @@ class Classification:
     shape: Partition
     is_lattice_predicted: bool
     matched_clause: Optional[str]
-    certificate: Optional[BowtieCertificate] = None
 
 
 def predict_lattice(shape: Partition) -> Classification:
@@ -284,6 +283,8 @@ def classification_sweep(max_n: int, max_cells: int,
     """Compare the closed-form prediction against brute force for every
     shape/rank pair within the bounds; oversized crystals are listed as
     skipped rather than silently dropped."""
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
     tasks = [(parts, n, vertex_cap) for parts, n in sweep_pairs(max_n, max_cells)]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:

@@ -54,6 +54,15 @@ def _emit(text: str, out: Optional[str]) -> None:
         sys.stdout.write(text)
 
 
+def _csv(header: list[str], rows) -> str:
+    """The header and rows as csv.writer text, with its CRLF line endings."""
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
+
+
 def _graph(args):
     shape = parse_partition(args.shape, args.n)
     if not shape.parts:
@@ -68,12 +77,7 @@ def cmd_gen(args) -> str:
     if args.format == "json":
         return to_json(graph)
     if args.format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["src", "dst", "color"])
-        for src, dst, color in graph.edges():
-            writer.writerow([src, dst, color])
-        return buf.getvalue()
+        return _csv(["src", "dst", "color"], graph.edges())
     lines = [f"crystal {args.shape} n={graph.n}: {graph.num_vertices} vertices"]
     lines += [f"  {v}: {format_rows(graph.rows(v))}" for v in range(graph.num_vertices)]
     lines += [f"  {src} -> {dst} (F{c})" for src, dst, c in graph.edges()]
@@ -90,12 +94,10 @@ def cmd_pop(args) -> str:
         lines = [format_rows(graph.rows(v)) for v in rep.trajectory]
         return "\n".join(lines) + f"\norbit length {rep.length}\n"
     if args.format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["id", "tableau", "orbit_length"])
-        for v, size in enumerate(orbit_lengths(graph)):
-            writer.writerow([v, format_rows(graph.rows(v)), size])
-        return buf.getvalue()
+        return _csv(["id", "tableau", "orbit_length"], (
+            (v, format_rows(graph.rows(v)), size)
+            for v, size in enumerate(orbit_lengths(graph))
+        ))
     size, witness = max_orbit_size(graph)
     if args.format == "json":
         payload = {
@@ -144,17 +146,13 @@ def cmd_lattice(args) -> str:
 
 def cmd_classify(args) -> str:
     report = classification_sweep(args.max_n, args.max_cells, vertex_cap=args.cap, jobs=args.jobs)
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(["lambda", "n", "predicted", "brute_force", "clause", "vertices", "millis"])
-    for row in report.rows:
-        writer.writerow([
-            ",".join(map(str, row.parts)), row.n, row.predicted,
-            "skipped" if row.skipped else row.brute_force,
-            row.clause or "", row.vertices if row.vertices is not None else "",
-            f"{row.millis:.1f}",
-        ])
-    text = buf.getvalue()
+    text = _csv(["lambda", "n", "predicted", "brute_force", "clause", "vertices", "millis"], (
+        (",".join(map(str, row.parts)), row.n, row.predicted,
+         "skipped" if row.skipped else row.brute_force,
+         row.clause or "", row.vertices if row.vertices is not None else "",
+         f"{row.millis:.1f}")
+        for row in report.rows
+    ))
     for row in report.skipped:
         # Same line ending as the csv.writer rows above.
         text += f"# skipped over cap: {row.parts} n={row.n}\r\n"

@@ -91,20 +91,8 @@ def build_demazure_family(graph: CrystalGraph) -> DemazureFamily:
     return DemazureFamily(order=order, members=members, extremal=extremal)
 
 
-def key_map(graph: CrystalGraph, family: DemazureFamily, v: int) -> Permutation:
-    """Bruhat-order minimum of the quotient elements whose subset contains v."""
-    candidates = [w for w in family.order if family.members[w] >> v & 1]
-    if not candidates:
-        raise NonUniqueMinimum(f"vertex {v} belongs to no family member")
-    best = candidates[0]  # family.order is sorted by length
-    for w in candidates[1:]:
-        if not bruhat_leq(best, w):
-            raise NonUniqueMinimum(f"vertex {v}: {best} and {w} are incomparable")
-    return best
-
-
 def all_keys(graph: CrystalGraph, family: DemazureFamily) -> list[Permutation]:
-    """key_map of every vertex, from one pass over family.order. The first
+    """The key of every vertex, from one pass over family.order. The first
     member containing a vertex is its candidate key (the order is by
     length); every later member containing it must lie Bruhat-above that
     candidate. Vertices are grouped by candidate, so each pair of members

@@ -1,5 +1,5 @@
 """Symmetric-group machinery: weak and Bruhat orders, descents, parabolic
-quotients, and longest elements.
+quotients, the longest element and the Coxeter pop.
 
 A permutation of [m] is stored in one-line notation. Generators are named
 by their index: i stands for the adjacent transposition swapping i and i+1,
@@ -48,19 +48,6 @@ class Permutation:
     @property
     def m(self) -> int:
         return len(self.one_line)
-
-    def __call__(self, i: int) -> int:
-        return self.one_line[i - 1]
-
-    def __mul__(self, other: "Permutation") -> "Permutation":
-        """Composition (self * other)(i) = self(other(i))."""
-        return Permutation(tuple(self.one_line[j - 1] for j in other.one_line))
-
-    def inverse(self) -> "Permutation":
-        inv = [0] * self.m
-        for pos, val in enumerate(self.one_line, start=1):
-            inv[val - 1] = pos
-        return Permutation(tuple(inv))
 
     def right_mult_gen(self, i: int) -> "Permutation":
         """self * s_i: swap the entries in positions i and i+1."""
@@ -156,23 +143,6 @@ def longest_element(m: int) -> Permutation:
     return Permutation(tuple(range(m, 0, -1)))
 
 
-def longest_parabolic(gens: frozenset[int] | set[int], m: int) -> Permutation:
-    """Longest element of the parabolic subgroup generated by the given
-    adjacent transpositions: reverse each maximal window of consecutive
-    generators."""
-    line = list(range(1, m + 1))
-    i = 1
-    while i < m:
-        if i in gens:
-            start = i
-            while i in gens:
-                i += 1
-            line[start - 1 : i] = reversed(line[start - 1 : i])
-        else:
-            i += 1
-    return Permutation(tuple(line))
-
-
 def min_coset_rep(w: Permutation, gens: frozenset[int] | set[int]) -> Permutation:
     """Minimum-length representative of the left coset W_J w. W_J acts on
     values and permutes each block {i, ..., k+1}, for a maximal run i..k of
@@ -202,9 +172,19 @@ def parabolic_quotient(gens: frozenset[int] | set[int], m: int) -> list[Permutat
 
 
 def coxeter_pop(w: Permutation) -> Permutation:
-    """Multiply on the right by the longest element of the parabolic
-    generated by the right descent set (its own inverse)."""
-    return w * longest_parabolic(right_descents(w), w.m)
+    """w * w0(DesR(w)), with w0(J) the longest element of the parabolic
+    subgroup generated by J. A maximal run i..k of consecutive right
+    descents is a maximal descending run w(i) > ... > w(k+1), and the right
+    factor w0(J) reverses positions i..k+1, so the product is: reverse each
+    maximal descending run."""
+    line = w.one_line
+    out = []
+    start = 0
+    for k in range(1, len(line) + 1):
+        if k == len(line) or line[k - 1] < line[k]:
+            out.extend(reversed(line[start:k]))
+            start = k
+    return Permutation(tuple(out))
 
 
 def descents_commute(w: Permutation) -> bool:

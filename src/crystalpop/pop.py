@@ -24,7 +24,6 @@ class OrbitReport:
     """Forward orbit of a vertex: the trajectory up to and including the
     first fixed point. length is the orbit size |O|."""
 
-    start: int
     trajectory: tuple[int, ...]
 
     @property
@@ -65,7 +64,7 @@ def forward_orbit(start, step) -> tuple:
 
 
 def orbit(graph: CrystalGraph, v: int) -> OrbitReport:
-    return OrbitReport(start=v, trajectory=forward_orbit(v, lambda w: pop_crystal(graph, w)))
+    return OrbitReport(trajectory=forward_orbit(v, lambda w: pop_crystal(graph, w)))
 
 
 def orbit_lengths(graph: CrystalGraph) -> list[int]:
@@ -87,16 +86,9 @@ def max_orbit_size(graph: CrystalGraph) -> tuple[int, int]:
     return best, lengths.index(best)
 
 
-def pop_permutation(w: Permutation) -> Permutation:
-    """Reverse each maximal descending run."""
-    line = list(w.one_line)
-    out = []
-    start = 0
-    for k in range(1, len(line) + 1):
-        if k == len(line) or line[k - 1] < line[k]:
-            out.extend(reversed(line[start:k]))
-            start = k
-    return Permutation(tuple(out))
+# Pop-stack sorting of a permutation is the type-A Coxeter pop: both reverse
+# each maximal descending run.
+pop_permutation = coxeter_pop
 
 
 def semilattice_pop(graph: CrystalGraph, v: int,

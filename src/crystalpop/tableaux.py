@@ -64,10 +64,6 @@ class Partition:
     def __len__(self):
         return len(self.parts)
 
-    @property
-    def size(self) -> int:
-        return sum(self.parts)
-
     def part(self, i: int) -> int:
         """The i-th part (1-based), zero beyond the last row."""
         return self.parts[i - 1] if 1 <= i <= len(self.parts) else 0
@@ -103,9 +99,6 @@ class Tableau:
 
     shape: Partition
     rows: tuple[tuple[int, ...], ...]
-
-    def entry(self, i: int, j: int) -> int:
-        return self.rows[i - 1][j - 1]
 
     def with_entry(self, i: int, j: int, value: int) -> "Tableau":
         """Copy with one cell replaced; revalidates the filling."""

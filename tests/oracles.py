@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from crystalpop.crystal import CrystalGraph, IsomorphismFailure, stabilizer_colors, weyl_reflect
+from crystalpop.key import DemazureFamily, NonUniqueMinimum
 from crystalpop.perm import (
     LemmaReport, Permutation, all_permutations, bruhat_leq, coxeter_pop,
     descents_commute, identity, left_descents, length, longest_element,
@@ -67,7 +68,7 @@ def lowering_by_cells(t: Tableau, i: int) -> Optional[Tableau]:
     depth = 0
     target = None
     for cell in reading_cells(t.shape):
-        letter = t.entry(*cell)
+        letter = t.rows[cell[0] - 1][cell[1] - 1]
         if letter == i + 1:
             depth += 1
         elif letter == i:
@@ -84,7 +85,7 @@ def raising_by_cells(t: Tableau, i: int) -> Optional[Tableau]:
     """E_i with a stack of open i+1 cells: drop the leftmost unmatched i+1."""
     stack = []
     for cell in reading_cells(t.shape):
-        letter = t.entry(*cell)
+        letter = t.rows[cell[0] - 1][cell[1] - 1]
         if letter == i + 1:
             stack.append(cell)
         elif letter == i and stack:
@@ -420,6 +421,32 @@ def left_mult_gen(w: Permutation, i: int) -> Permutation:
     a, b = line.index(i), line.index(i + 1)
     line[a], line[b] = line[b], line[a]
     return Permutation(tuple(line))
+
+
+def coxeter_pop_by_longest_parabolic(w: Permutation) -> Permutation:
+    """The Coxeter pop as defined, w * w0(DesR(w)). The longest element
+    w0(J) of the parabolic subgroup generated by J is reached by climbing
+    from the identity along a generator of J that is not yet a right
+    descent, until every generator of J is one; the product composes
+    one-line tuples, (u * v)(i) = u(v(i))."""
+    gens = right_descents(w)
+    w0 = identity(w.m)
+    while climb := sorted(gens - right_descents(w0)):
+        w0 = w0.right_mult_gen(climb[0])
+    return Permutation(tuple(w.one_line[j - 1] for j in w0.one_line))
+
+
+def key_map_by_filter(family: DemazureFamily, v: int) -> Permutation:
+    """Bruhat-order minimum of the quotient elements whose subset contains v,
+    one vertex at a time."""
+    candidates = [w for w in family.order if family.members[w] >> v & 1]
+    if not candidates:
+        raise NonUniqueMinimum(f"vertex {v} belongs to no family member")
+    best = candidates[0]  # family.order is sorted by length
+    for w in candidates[1:]:
+        if not bruhat_leq(best, w):
+            raise NonUniqueMinimum(f"vertex {v}: {best} and {w} are incomparable")
+    return best
 
 
 def min_coset_rep_by_descents(w: Permutation, gens) -> Permutation:

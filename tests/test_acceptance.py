@@ -20,7 +20,6 @@ from crystalpop.key import (
 )
 from crystalpop.perm import (
     all_permutations,
-    coxeter_pop,
     verify_section3_lemmas,
 )
 from crystalpop.pop import (
@@ -37,7 +36,7 @@ from crystalpop.tableaux import (
     hook_content_count,
     parse_tableau,
 )
-from oracles import enumerate_ssyt, locate
+from oracles import coxeter_pop_by_longest_parabolic, enumerate_ssyt, locate
 
 VERTEX_CAP = 100_000
 
@@ -62,7 +61,7 @@ def test_criterion_01_operator_example():
     ok = (
         f1 is not None
         and str(f1) == "1,2,2,2,3/3,3"
-        and f1.entry(1, 2) == 2
+        and f1.rows[0][1] == 2
         and lowering_F(t, 2) is None
     )
     report(1, "lowering operators on the worked example", ok)
@@ -91,7 +90,7 @@ def test_criterion_03_permutation_pop():
         ok &= best == m
     for m in range(1, 8):
         for w in all_permutations(m):
-            ok &= pop_permutation(w) == coxeter_pop(w)
+            ok &= pop_permutation(w) == coxeter_pop_by_longest_parabolic(w)
     report(3, "pop-stack orbits on permutations", ok)
 
 

@@ -292,6 +292,13 @@ def test_classify_reports_skips(capsys):
     assert "# skipped over cap" in out
 
 
+@pytest.mark.parametrize("jobs", ["0", "-1"])
+def test_classify_needs_at_least_one_job(capsys, jobs):
+    code, out, err = run(capsys, "classify", "--max-n", "2", "--max-cells", "2", "--jobs", jobs)
+    assert (code, out) == (2, "")
+    assert err == f"invalid input: jobs must be at least 1, got {jobs}\n"
+
+
 def test_verify_crystal(capsys):
     code, out, _ = run(capsys, "verify", "--shape", "2,1", "--n", "2")
     assert code == 0

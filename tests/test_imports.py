@@ -1,8 +1,10 @@
-"""Every name a crystalpop module imports is used in that module, and every
-top-level def or class has a user outside itself. The package's
-__init__.py is skipped: its imports are re-exports."""
+"""Every name a crystalpop module imports is used in that module, every
+top-level def or class has a user outside itself, and so has every method
+or property of a class. The package's __init__.py is skipped: its imports
+are re-exports."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -89,3 +91,49 @@ def test_every_definition_has_a_user():
     sources = {p.stem: p.read_text() for p in MODULES}
     external = set(crystalpop.__all__) | perfbench_names()
     assert unreferenced_definitions(sources, external) == []
+
+
+def _attributes(node) -> Counter:
+    return Counter(n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute))
+
+
+def unreferenced_members(sources: dict[str, str], external: list[str]) -> list[str]:
+    """module.Class.name for each non-dunder method or property of a class in
+    sources whose name no attribute reference (x.name) reads, in sources or
+    in the external sources, outside the member's own body."""
+    members, used = [], Counter()
+    for source in external:
+        used += _attributes(ast.parse(source))
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        used += _attributes(tree)
+        for cls in ast.walk(tree):
+            if isinstance(cls, ast.ClassDef):
+                members += [
+                    (f"{module}.{cls.name}.{stmt.name}", stmt.name, _attributes(stmt)[stmt.name])
+                    for stmt in cls.body
+                    if isinstance(stmt, ast.FunctionDef) and not stmt.name.startswith("__")
+                ]
+    return sorted(label for label, name, own in members if used[name] == own)
+
+
+def test_the_check_finds_unreferenced_members():
+    sources = {
+        "a": (
+            "class Shape:\n"
+            "    def __len__(self):\n        return 0\n"
+            "    def used(self):\n        return self.helper()\n"
+            "    def helper(self):\n        return 1\n"
+            "    @property\n    def area(self):\n        return 0\n"
+            "    def dead(self):\n        return self.dead()\n"
+        ),
+        "b": "from a import Shape\n\ndef run(s):\n    return s.used()\n",
+    }
+    assert unreferenced_members(sources, []) == ["a.Shape.area", "a.Shape.dead"]
+    assert unreferenced_members(sources, ["print(s.area)\n"]) == ["a.Shape.dead"]
+
+
+def test_every_member_has_a_user():
+    sources = {p.stem: p.read_text() for p in MODULES}
+    perfbench = [p.read_text() for p in PERFBENCH.glob("*.py")]
+    assert unreferenced_members(sources, perfbench) == []

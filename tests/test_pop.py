@@ -23,6 +23,7 @@ from crystalpop.pop import (
 from crystalpop.poset import MeetUndefined, ReachabilityIndex
 from crystalpop.tableaux import Partition
 from oracles import (
+    coxeter_pop_by_longest_parabolic,
     down_colors,
     is_poppable_by_components,
     pop_crystal_by_color_sets,
@@ -115,9 +116,10 @@ def test_pop_permutation_example():
 
 
 def test_pop_permutation_equals_coxeter_pop():
-    for m in range(1, 6):
+    assert pop_permutation is coxeter_pop
+    for m in range(1, 8):
         for w in all_permutations(m):
-            assert pop_permutation(w) == coxeter_pop(w)
+            assert coxeter_pop(w) == coxeter_pop_by_longest_parabolic(w), w
 
 
 def test_semilattice_pop_two_one():

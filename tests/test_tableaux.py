@@ -21,7 +21,6 @@ from oracles import enumerate_ssyt, weight
 
 def test_partition_basics():
     p = Partition((3, 1), 3)
-    assert p.size == 4
     assert len(p) == 2
     assert p.part(1) == 3 and p.part(2) == 1 and p.part(3) == 0 and p.part(99) == 0
     assert str(p) == "3,1"
@@ -60,7 +59,7 @@ def test_dual_shape_involution():
 def test_validate_tableau_accepts_and_rejects():
     shape = Partition((2, 1), 2)
     t = validate_tableau(shape, [(1, 2), (2,)])
-    assert t.entry(1, 2) == 2
+    assert t.rows[0][1] == 2
     with pytest.raises(RowViolation):
         validate_tableau(shape, [(2, 1), (3,)])
     with pytest.raises(ColumnViolation):
