@@ -286,8 +286,8 @@ def classification_sweep(max_n: int, max_cells: int,
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     tasks = [(parts, n, vertex_cap) for parts, n in sweep_pairs(max_n, max_cells)]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    if (workers := min(jobs, len(tasks))) > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_sweep_one, tasks))
     else:
         rows = [_sweep_one(t) for t in tasks]

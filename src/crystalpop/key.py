@@ -23,7 +23,6 @@ from .perm import (
     bruhat_leq,
     coxeter_pop,
     identity,
-    length,
     parabolic_quotient,
     right_descents,
     weak_leq,
@@ -41,11 +40,10 @@ class NonUniqueMinimum(RuntimeError):
 
 @dataclass
 class DemazureFamily:
-    """Vertex bitsets indexed by the parabolic quotient, listed in weak-order
-    BFS layers (by length, then one-line order); extremal[w] is the vertex
-    u_w that embeds w in the crystal."""
+    """Vertex bitsets indexed by the parabolic quotient; members and extremal
+    both list it in weak-order BFS layers (by length, then one-line order),
+    and extremal[w] is the vertex u_w that embeds w in the crystal."""
 
-    order: list[Permutation]
     members: dict[Permutation, int]
     extremal: dict[Permutation, int]
 
@@ -73,9 +71,7 @@ def build_demazure_family(graph: CrystalGraph) -> DemazureFamily:
     e = identity(graph.n + 1)
     members: dict[Permutation, int] = {e: 1 << 0}
     extremal: dict[Permutation, int] = {e: 0}
-    for w in order:
-        if length(w) == 0:
-            continue
+    for w in order[1:]:
         value = None
         for i in sorted(right_descents(w)):
             below = w.right_mult_gen(i)
@@ -88,20 +84,19 @@ def build_demazure_family(graph: CrystalGraph) -> DemazureFamily:
                     f"cover paths disagree at {w} (color {i})"
                 )
         members[w], extremal[w] = value  # type: ignore[misc]
-    return DemazureFamily(order=order, members=members, extremal=extremal)
+    return DemazureFamily(members=members, extremal=extremal)
 
 
 def all_keys(graph: CrystalGraph, family: DemazureFamily) -> list[Permutation]:
-    """The key of every vertex, from one pass over family.order. The first
-    member containing a vertex is its candidate key (the order is by
+    """The key of every vertex, from one pass over family.members. The first
+    member containing a vertex is its candidate key (members are listed by
     length); every later member containing it must lie Bruhat-above that
     candidate. Vertices are grouped by candidate, so each pair of members
     is compared at most once."""
     keys: list[Permutation] = [None] * graph.num_vertices  # type: ignore[list-item]
     groups: list[tuple[Permutation, int]] = []  # (key, bitset of its vertices)
     assigned = 0
-    for w in family.order:
-        bits = family.members[w]
+    for w, bits in family.members.items():
         for best, group in groups:
             shared = bits & group
             if shared and not bruhat_leq(best, w):

@@ -11,7 +11,7 @@ The order tests read two invariants that each Permutation computes once:
   before a. The length is its popcount, and the right weak order is
   containment of these inversion sets: u <= w iff Inv(u) is a subset of
   Inv(w) (Bjorner and Brenti, *Combinatorics of Coxeter Groups*,
-  Prop. 3.1.3). The left descents are the pairs (i, i+1) in the set.
+  Prop. 3.1.3).
 - The Bruhat rank array r[i, j] = #{a <= i : w(a) >= j}. By the tableau
   criterion (ibid., Thm. 2.1.5), u <= w in Bruhat order iff
   r_u[i, j] <= r_w[i, j] for all i, j. Each entry is stored in unary, so
@@ -119,12 +119,6 @@ def right_descents(w: Permutation) -> frozenset[int]:
     return frozenset(i for i in range(1, len(line)) if line[i - 1] > line[i])
 
 
-def left_descents(w: Permutation) -> frozenset[int]:
-    """The i such that i+1 stands before i: the inverted pairs (i, i+1)."""
-    mask, m = w.inversion_mask, w.m
-    return frozenset(i for i in range(1, m) if mask >> ((i - 1) * m + i) & 1)
-
-
 def weak_leq(u: Permutation, w: Permutation) -> bool:
     """Right weak order: u <= w iff Inv(u) is contained in Inv(w)."""
     if len(u.one_line) != len(w.one_line):
@@ -164,11 +158,21 @@ def min_coset_rep(w: Permutation, gens: frozenset[int] | set[int]) -> Permutatio
 
 def parabolic_quotient(gens: frozenset[int] | set[int], m: int) -> list[Permutation]:
     """All w in S_m with left descents avoiding the generator set, listed in
-    BFS layers of the right weak order (by length, then one-line order)."""
-    gens = frozenset(gens)
-    out = [w for w in all_permutations(m) if not (left_descents(w) & gens)]
-    out.sort(key=lambda w: (length(w), w.one_line))
-    return out
+    BFS layers of the right weak order (by length, then one-line order),
+    climbed from the identity: w * s_i swaps an ascent a = w(i) < w(i+1) = b
+    and adds the left descent a iff b = a+1. Left descents only grow going
+    up, so the quotient is a lower set and the climb reaches all of it.
+    Generators outside [1, m-1] are ignored."""
+    layers = [[tuple(range(1, m + 1))]]
+    while layers[-1]:
+        above = set()
+        for line in layers[-1]:
+            for i in range(1, m):
+                a, b = line[i - 1], line[i]
+                if a < b and not (b == a + 1 and a in gens):
+                    above.add(line[:i - 1] + (b, a) + line[i + 1:])
+        layers.append(sorted(above))
+    return [Permutation(line) for layer in layers for line in layer]
 
 
 def coxeter_pop(w: Permutation) -> Permutation:
@@ -348,12 +352,13 @@ def verify_section3_lemmas(m: int) -> LemmaReport:
         j = full - {s}
         w = min_coset_rep(longest_element(m), j)
         trajectory = [w]
-        while length(trajectory[-1]) > 0:
+        while length(trajectory[-1]) > 0 and len(trajectory) <= m:
             trajectory.append(coxeter_pop(trajectory[-1]))
         checked += 1
-        if len(trajectory) - 1 != m - 1:
+        steps = len(trajectory) - 1 if length(trajectory[-1]) == 0 else f"over {m}"
+        if steps != m - 1:
             violations.append(
-                f"sorting time of quotient-maximal element is {len(trajectory) - 1}, "
+                f"sorting time of quotient-maximal element is {steps}, "
                 f"expected {m - 1} (s={s})"
             )
         for v in trajectory:

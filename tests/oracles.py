@@ -15,8 +15,8 @@ from crystalpop.crystal import CrystalGraph, IsomorphismFailure, stabilizer_colo
 from crystalpop.key import DemazureFamily, NonUniqueMinimum
 from crystalpop.perm import (
     LemmaReport, Permutation, all_permutations, bruhat_leq, coxeter_pop,
-    descents_commute, identity, left_descents, length, longest_element,
-    min_coset_rep, parabolic_quotient, right_descents, weak_leq,
+    descents_commute, identity, length, longest_element,
+    min_coset_rep, right_descents, weak_leq,
 )
 from crystalpop.poset import BowtieCertificate, LatticeResult, ReachabilityIndex
 from crystalpop.pop import MAX_POPPABLE_COLORS
@@ -162,7 +162,7 @@ def embed_parabolic_quotient_by_words(graph: CrystalGraph) -> dict[Permutation, 
     word of w."""
     kset = stabilizer_colors(graph.shape)
     out = {}
-    for w in parabolic_quotient(kset, graph.n + 1):
+    for w in parabolic_quotient_by_filter(kset, graph.n + 1):
         out[w] = weyl_act(graph, 0, reduced_word(w))
     return out
 
@@ -415,6 +415,21 @@ def weak_order_pairs(perms) -> set[tuple[Permutation, Permutation]]:
     return {(u, w) for w, us in below.items() for u in us}
 
 
+def left_descents(w: Permutation) -> frozenset[int]:
+    """The i such that i+1 stands before i: the inverted pairs (i, i+1)."""
+    mask, m = w.inversion_mask, w.m
+    return frozenset(i for i in range(1, m) if mask >> ((i - 1) * m + i) & 1)
+
+
+def parabolic_quotient_by_filter(gens, m: int) -> list[Permutation]:
+    """All w in S_m with left descents avoiding the generator set, by
+    filtering all of S_m, sorted by length, then one-line order."""
+    gens = frozenset(gens)
+    out = [w for w in all_permutations(m) if not (left_descents(w) & gens)]
+    out.sort(key=lambda w: (length(w), w.one_line))
+    return out
+
+
 def left_mult_gen(w: Permutation, i: int) -> Permutation:
     """s_i * w: swap the values i and i+1."""
     line = list(w.one_line)
@@ -439,10 +454,10 @@ def coxeter_pop_by_longest_parabolic(w: Permutation) -> Permutation:
 def key_map_by_filter(family: DemazureFamily, v: int) -> Permutation:
     """Bruhat-order minimum of the quotient elements whose subset contains v,
     one vertex at a time."""
-    candidates = [w for w in family.order if family.members[w] >> v & 1]
+    candidates = [w for w, bits in family.members.items() if bits >> v & 1]
     if not candidates:
         raise NonUniqueMinimum(f"vertex {v} belongs to no family member")
-    best = candidates[0]  # family.order is sorted by length
+    best = candidates[0]  # family.members is listed by length
     for w in candidates[1:]:
         if not bruhat_leq(best, w):
             raise NonUniqueMinimum(f"vertex {v}: {best} and {w} are incomparable")
@@ -508,12 +523,13 @@ def verify_section3_lemmas_by_pairs(m: int) -> LemmaReport:
         j = full - {s}
         w = min_coset_rep(longest_element(m), j)
         trajectory = [w]
-        while length(trajectory[-1]) > 0:
+        while length(trajectory[-1]) > 0 and len(trajectory) <= m:
             trajectory.append(coxeter_pop(trajectory[-1]))
         checked += 1
-        if len(trajectory) - 1 != m - 1:
+        steps = len(trajectory) - 1 if length(trajectory[-1]) == 0 else f"over {m}"
+        if steps != m - 1:
             violations.append(
-                f"sorting time of quotient-maximal element is {len(trajectory) - 1}, "
+                f"sorting time of quotient-maximal element is {steps}, "
                 f"expected {m - 1} (s={s})"
             )
         for v in trajectory:

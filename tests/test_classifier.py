@@ -211,6 +211,30 @@ def test_sweep_parallel_matches_serial():
     assert strip(serial.rows) == strip(parallel.rows)
 
 
+def test_sweep_forks_no_more_workers_than_shapes(monkeypatch):
+    requested = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            requested.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(classifier, "ProcessPoolExecutor", InProcessPool)
+    wide = classification_sweep(2, 2, jobs=64)
+    assert requested == [len(sweep_pairs(2, 2))] == [5]
+    serial = classification_sweep(2, 2, jobs=1)
+    assert requested == [5]
+    assert [r.parts for r in wide.rows] == [r.parts for r in serial.rows]
+
+
 def test_sign_flip_staircase():
     assert predict_lattice(Partition((3, 2, 1), 3)).is_lattice_predicted
     assert not predict_lattice(Partition((3, 2, 1), 4)).is_lattice_predicted

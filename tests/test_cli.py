@@ -339,11 +339,26 @@ def count_calls(monkeypatch, name: str) -> list:
 
 def test_verify_crystal_walks_the_quotient_once(capsys, monkeypatch):
     quotients = count_calls(monkeypatch, "parabolic_quotient")
+    permutations = count_calls(monkeypatch, "all_permutations")
     pops = count_calls(monkeypatch, "coxeter_pop")
     assert run(capsys, "verify", "--shape", "4,2", "--n", "4")[0] == 0
     assert len(quotients) == 1
+    assert permutations == []
     # |W^J| = 20: one pop per quotient element, one per distinct key.
     assert len(pops) <= 40
+
+
+def test_verify_crystal_at_high_rank_builds_only_the_quotient(capsys, monkeypatch):
+    def no_permutations(m):
+        raise AssertionError("S_m was built")
+
+    monkeypatch.setattr(perm, "all_permutations", no_permutations)
+    # The one-box crystal is a chain of n+1 vertices: (n+1)^2 + 2n key checks.
+    assert run(capsys, "verify", "--shape", "1", "--n", "11") == (0, (
+        "crystal 1 n=11: 12 vertices\npoppable: pass\n"
+        "pop agreement on embedded quotient: pass\n"
+        "key properties: pass (166 checks)\npop-key inequality: pass (12 checks)\n"
+    ), "")
 
 
 def test_verify_crystal_inconsistent_family_fails_the_property_check(capsys, monkeypatch):

@@ -18,7 +18,7 @@ from crystalpop.crystal import (
     weyl_reflect,
 )
 from crystalpop.key import build_demazure_family
-from crystalpop.perm import length, parabolic_quotient
+from crystalpop.perm import length
 from crystalpop.tableaux import (
     Partition,
     Tableau,
@@ -34,6 +34,7 @@ from oracles import (
     generate_crystal_by_tableaux,
     levi_restrict,
     lowering_by_cells,
+    parabolic_quotient_by_filter,
     raising_by_cells,
     to_json_by_dumps,
     unique_sink,
@@ -216,7 +217,7 @@ def test_embedding_is_injective_and_order_preserving():
         graph = generate_crystal(Partition(parts, n))
         embedding = build_demazure_family(graph).extremal
         kset = stabilizer_colors(graph.shape)
-        assert set(embedding) == set(parabolic_quotient(kset, n + 1))
+        assert set(embedding) == set(parabolic_quotient_by_filter(kset, n + 1))
         assert len(set(embedding.values())) == len(embedding)
         assert embedding[min(embedding, key=length)] == 0
 

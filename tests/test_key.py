@@ -11,9 +11,13 @@ from crystalpop.key import (
     verify_key_properties,
     verify_pop_key_inequality,
 )
-from crystalpop.perm import identity, length, parabolic_quotient, parse_permutation, weak_leq
+from crystalpop.perm import identity, length, parse_permutation, weak_leq
 from crystalpop.tableaux import Partition
-from oracles import embed_parabolic_quotient_by_words, key_map_by_filter
+from oracles import (
+    embed_parabolic_quotient_by_words,
+    key_map_by_filter,
+    parabolic_quotient_by_filter,
+)
 
 SHAPES = [
     ((1,), 1), ((2, 1), 2), ((1, 1), 3), ((2, 2), 3),
@@ -28,7 +32,7 @@ def built(parts, n):
 
 def test_family_boundary_sets():
     graph, family = built((2, 1), 2)
-    order = family.order
+    order = list(family.members)
     assert order[0] == identity(3)
     assert family.members[order[0]] == 1 << 0
     top = max(order, key=length)
@@ -38,8 +42,8 @@ def test_family_boundary_sets():
 def test_family_monotone_in_weak_order():
     for parts, n in SHAPES:
         _, family = built(parts, n)
-        for u in family.order:
-            for w in family.order:
+        for u in family.members:
+            for w in family.members:
                 if weak_leq(u, w):
                     assert family.members[u] & ~family.members[w] == 0
 
@@ -86,10 +90,10 @@ def test_incomparable_members_have_no_key():
     graph = generate_crystal(Partition((1,), 1))
     u, w = parse_permutation("213"), parse_permutation("132")
     # vertex 0 lies in two members of equal length, hence Bruhat-incomparable
-    family = DemazureFamily(order=[u, w], members={u: 0b11, w: 0b01}, extremal={})
+    family = DemazureFamily(members={u: 0b11, w: 0b01}, extremal={})
     with pytest.raises(NonUniqueMinimum):
         all_keys(graph, family)
-    family = DemazureFamily(order=[u], members={u: 0b01}, extremal={})
+    family = DemazureFamily(members={u: 0b01}, extremal={})
     with pytest.raises(NonUniqueMinimum):
         all_keys(graph, family)
 
@@ -98,7 +102,8 @@ def test_extremal_matches_reduced_word_embedding():
     for parts, n in sweep_pairs(4, 6):
         graph, family = built(parts, n)
         assert family.extremal == embed_parabolic_quotient_by_words(graph), (parts, n)
-        assert list(family.extremal) == family.order
+        quotient = parabolic_quotient_by_filter(stabilizer_colors(graph.shape), n + 1)
+        assert list(family.members) == list(family.extremal) == quotient, (parts, n)
 
 
 def test_key_fixes_embedded_quotient():
@@ -112,7 +117,7 @@ def test_key_fixes_embedded_quotient():
 def test_key_lands_in_quotient():
     for parts, n in SHAPES:
         graph, family = built(parts, n)
-        quotient = set(parabolic_quotient(stabilizer_colors(graph.shape), n + 1))
+        quotient = set(parabolic_quotient_by_filter(stabilizer_colors(graph.shape), n + 1))
         assert set(all_keys(graph, family)) <= quotient
 
 

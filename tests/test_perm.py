@@ -12,7 +12,6 @@ from crystalpop.perm import (
     coxeter_pop,
     descents_commute,
     identity,
-    left_descents,
     length,
     longest_element,
     min_coset_rep,
@@ -26,8 +25,10 @@ from oracles import (
     bruhat_leq_by_rank_counts,
     bruhat_lower_interval,
     inversion_count,
+    left_descents,
     left_mult_gen,
     min_coset_rep_by_descents,
+    parabolic_quotient_by_filter,
     verify_section3_lemmas_by_pairs,
     weak_leq_by_length,
     weak_order_pairs,
@@ -136,6 +137,35 @@ def test_parabolic_quotient_counts():
     assert lengths == sorted(lengths)
 
 
+def generator_subsets(m):
+    return [frozenset(c) for r in range(m) for c in itertools.combinations(range(1, m), r)]
+
+
+def test_parabolic_quotient_climb_matches_filter():
+    for m in range(1, 7):
+        for j in generator_subsets(m):
+            assert parabolic_quotient(j, m) == parabolic_quotient_by_filter(j, m), (m, j)
+    # generators outside [1, m-1] are ignored
+    assert parabolic_quotient({0, 2, 4, 9}, 4) == parabolic_quotient_by_filter({2}, 4)
+
+
+@pytest.mark.slow
+def test_parabolic_quotient_climb_matches_filter_s7():
+    for j in generator_subsets(7):
+        assert parabolic_quotient(j, 7) == parabolic_quotient_by_filter(j, 7), j
+
+
+def test_parabolic_quotient_builds_only_the_quotient(monkeypatch):
+    def no_permutations(m):
+        raise AssertionError("S_m was built")
+
+    monkeypatch.setattr(perm, "all_permutations", no_permutations)
+    q = parabolic_quotient(frozenset(range(2, 12)), 12)
+    # one minimal representative per coset of S_1 x S_11: where 1 is sent
+    assert len(q) == 12
+    assert [w.one_line.index(1) for w in q] == list(range(12))
+
+
 def test_reduced_word_reconstructs():
     for w in all_permutations(4):
         word = oracles.reduced_word(w)
@@ -222,3 +252,26 @@ def test_lemma_suite_failures_match_pairwise_scan(monkeypatch):
         assert (report.checked, report.violations) == (expected.checked, expected.violations)
     for kind in ("quotient monotonicity", "pop/quotient exchange", "Bruhat pop monotonicity"):
         assert any(v.startswith(kind) for v in report.violations), kind
+
+
+def test_lemma_suite_reports_a_pop_that_does_not_sort(monkeypatch):
+    """A pop that leaves the last descending run as it is fixes w0 and other
+    non-identity permutations; both suites stop the sorting-time walk after
+    m pops and report it instead of looping."""
+    true_pop = perm.coxeter_pop
+
+    def stuck_pop(w):
+        line = w.one_line
+        k = len(line) - 1
+        while k > 0 and line[k - 1] > line[k]:
+            k -= 1
+        return Permutation(true_pop(w).one_line[:k] + line[k:])
+
+    assert stuck_pop(longest_element(4)) == longest_element(4)
+    for module in (perm, oracles):
+        monkeypatch.setattr(module, "coxeter_pop", stuck_pop)
+    report = verify_section3_lemmas(4)
+    expected = verify_section3_lemmas_by_pairs(4)
+    assert not report.ok and not expected.ok
+    assert (report.checked, report.violations) == (expected.checked, expected.violations)
+    assert "sorting time of quotient-maximal element is over 4, expected 3 (s=3)" in report.violations
