@@ -79,7 +79,7 @@ def cmd_gen(args) -> str:
     if args.format == "csv":
         return _csv(["src", "dst", "color"], graph.edges())
     lines = [f"crystal {args.shape} n={graph.n}: {graph.num_vertices} vertices"]
-    lines += [f"  {v}: {format_rows(graph.rows(v))}" for v in range(graph.num_vertices)]
+    lines += [f"  {v}: {text}" for v, text in enumerate(graph.texts())]
     lines += [f"  {src} -> {dst} (F{c})" for src, dst, c in graph.edges()]
     return "\n".join(lines) + "\n"
 
@@ -95,8 +95,8 @@ def cmd_pop(args) -> str:
         return "\n".join(lines) + f"\norbit length {rep.length}\n"
     if args.format == "csv":
         return _csv(["id", "tableau", "orbit_length"], (
-            (v, format_rows(graph.rows(v)), size)
-            for v, size in enumerate(orbit_lengths(graph))
+            (v, text, size)
+            for v, (text, size) in enumerate(zip(graph.texts(), orbit_lengths(graph)))
         ))
     size, witness = max_orbit_size(graph)
     if args.format == "json":

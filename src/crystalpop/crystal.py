@@ -8,14 +8,15 @@ one for color a. E_i is F_{n+1-i} on the reversed word with letters a ->
 n+2-a. The crystal graph is the breadth-first closure of the highest-weight
 word under all F_i, ids in discovery order. An image differs from its source
 in one cell, so checking that cell against n+1 and its right and lower
-neighbours is validate_tableau. The graph stores only the words; outputs
-format graph.rows(v), word v cut by tableaux.row_slices, and build no
-Tableau. to_json writes the json.dumps(indent=2) layout from fixed templates.
+neighbours is validate_tableau. The graph stores only the words and builds
+no Tableau for an output. Full outputs read graph.texts(), which formats
+each distinct row once (one memo per tableau row); outputs for one
+vertex format graph.rows(v), word v cut by tableaux.row_slices. to_json
+writes the json.dumps(indent=2) layout from fixed templates.
 """
 
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import dataclass
 from functools import cached_property
@@ -23,8 +24,7 @@ from typing import Optional
 
 from .tableaux import (
     ColumnViolation, EntryOutOfRange, Partition, RowViolation, Tableau, dual_shape,
-    format_rows, highest_weight_tableau, hook_content_count, reading_cells, reading_word,
-    row_slices,
+    highest_weight_tableau, hook_content_count, reading_cells, reading_word, row_slices,
 )
 
 DEFAULT_VERTEX_CAP = 2_000_000
@@ -99,6 +99,22 @@ class CrystalGraph:
     def rows(self, v: int) -> tuple[tuple[int, ...], ...]:
         """The rows of vertex v's tableau, top row first, cut from its word."""
         return tuple(map(self.words[v].__getitem__, self._row_slices))
+
+    def texts(self) -> list[str]:
+        """format_rows(self.rows(v)) for every v, a row slice at a time: each
+        distinct row of a slice is formatted once. Each row is dropped as
+        soon as it is looked up, so no slice's V rows are alive at once."""
+        columns = []
+        for cut in self._row_slices:
+            memo: dict[tuple[int, ...], str] = {}
+            column = []
+            for word in self.words:
+                row = word[cut]
+                if row not in memo:
+                    memo[row] = ",".join(map(str, row))
+                column.append(memo[row])
+            columns.append(column)
+        return list(map("/".join, zip(*columns))) if columns else [""] * self.num_vertices
 
     def tableau(self, v: int) -> Tableau:
         return Tableau(self.shape, self.rows(v))
@@ -237,20 +253,25 @@ def stabilizer_colors(shape: Partition) -> frozenset[int]:
     )
 
 
-_JSON_VERTEX = '{\n      "id": %d,\n      "rows": %s\n    }'
-_JSON_EDGE = '{\n      "src": %d,\n      "dst": %d,\n      "color": %d\n    }'
+_JSON_VERTEX = '{\n      "id": %d,\n      "rows": "%s"\n    }'
+_JSON_EDGE_HEAD = '{\n      "src": %d,\n      "dst": '
+_JSON_EDGE_TAIL = ',\n      "color": %d\n    }'
 
 
 def to_json(graph: CrystalGraph) -> str:
     """{"lambda", "n", "vertices": [{"id", "rows"}], "edges": [{"src", "dst",
-    "color"}]} in the json.dumps(indent=2) layout."""
+    "color"}]} in the json.dumps(indent=2) layout. A vertex text holds only
+    digits, ',' and '/', so it is written between quotes as it is."""
     def array(items: list[str]) -> str:
         return "[\n    " + ",\n    ".join(items) + "\n  ]" if items else "[]"
-    vertices = [_JSON_VERTEX % (v, json.dumps(format_rows(graph.rows(v))))
-                for v in range(graph.num_vertices)]
-    edges = array([_JSON_EDGE % e for e in graph.edges()])
+    vertices = [_JSON_VERTEX % pair for pair in enumerate(graph.texts())]
+    tails = [_JSON_EDGE_TAIL % c for c in range(1, graph.n + 1)]
+    edges = []
+    for v, row in enumerate(graph.succ):
+        head = _JSON_EDGE_HEAD % v
+        edges += [head + str(w) + tail for w, tail in zip(row, tails) if w is not None]
     return (f'{{\n  "lambda": {array([str(p) for p in graph.shape.parts])},\n  "n": {graph.n},'
-            f'\n  "vertices": {array(vertices)},\n  "edges": {edges}\n}}')
+            f'\n  "vertices": {array(vertices)},\n  "edges": {array(edges)}\n}}')
 
 
 _DOT_PALETTE = [
@@ -260,8 +281,7 @@ _DOT_PALETTE = [
 
 def to_dot(graph: CrystalGraph) -> str:
     lines = ["digraph crystal {", "  rankdir=BT;"]
-    for v in range(graph.num_vertices):
-        lines.append(f'  v{v} [label="{format_rows(graph.rows(v))}"];')
+    lines += [f'  v{v} [label="{text}"];' for v, text in enumerate(graph.texts())]
     for src, dst, color in graph.edges():
         pen = _DOT_PALETTE[(color - 1) % len(_DOT_PALETTE)]
         lines.append(f'  v{src} -> v{dst} [label="F{color}", color={pen}];')

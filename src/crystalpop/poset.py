@@ -85,16 +85,16 @@ def join(index: ReachabilityIndex, u: int, v: int) -> Optional[int]:
 
 def meet(index: ReachabilityIndex, ids) -> Optional[int]:
     """Greatest lower bound of a nonempty set of vertices."""
-    ids = list(ids)
-    if not ids:
+    down = index.down
+    common = None
+    for v in ids:
+        common = down[v] if common is None else common & down[v]
+    if common is None:
         raise ValueError("meet of an empty set")
-    common = index.down[ids[0]]
-    for v in ids[1:]:
-        common &= index.down[v]
     if not common:
         return None
     z = common.bit_length() - 1
-    return z if common == index.down[z] else None
+    return z if common == down[z] else None
 
 
 @dataclass(frozen=True)

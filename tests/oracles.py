@@ -21,7 +21,7 @@ from crystalpop.perm import (
 from crystalpop.poset import BowtieCertificate, LatticeResult, ReachabilityIndex
 from crystalpop.pop import MAX_POPPABLE_COLORS
 from crystalpop.tableaux import (
-    Partition, Tableau, highest_weight_tableau, reading_cells,
+    Partition, Tableau, format_rows, highest_weight_tableau, reading_cells,
 )
 
 
@@ -147,6 +147,19 @@ def to_json_by_dumps(graph: CrystalGraph) -> str:
         ],
     }
     return json.dumps(payload, indent=2)
+
+
+def to_dot_by_format_rows(graph: CrystalGraph) -> str:
+    """The dot export with each vertex label formatted from its own rows."""
+    palette = ["red", "blue", "green3", "orange", "purple", "brown", "cyan3", "magenta"]
+    lines = ["digraph crystal {", "  rankdir=BT;"]
+    for v in range(graph.num_vertices):
+        lines.append(f'  v{v} [label="{format_rows(graph.rows(v))}"];')
+    for src, dst, color in graph.edges():
+        pen = palette[(color - 1) % len(palette)]
+        lines.append(f'  v{src} -> v{dst} [label="F{color}", color={pen}];')
+    lines.append("}")
+    return "\n".join(lines) + "\n"
 
 
 def weyl_act(graph: CrystalGraph, v: int, word) -> int:

@@ -64,6 +64,14 @@ FROZEN_OUTPUTS = [
         "891193a6afb432e19aad1332b50f3ed19aa4872deddb5add733ddca30cb22beb", id="gen_json",
     ),
     pytest.param(
+        ("gen", "--shape", "5,3,1", "--n", "4", "--format", "json"), 566_779,
+        "326efe072554475275956f3ca36a47aa26f3ceb9d2299105565d17744e71e932", id="gen_json_n4",
+    ),
+    pytest.param(
+        ("gen", "--shape", "5,3,1", "--n", "4", "--format", "csv"), 73_926,
+        "66f0ffde8763be22536806d363fba2f12c65f2f267fad461872fe864eead6b68", id="gen_csv",
+    ),
+    pytest.param(
         ("gen", "--shape", "5,3,1", "--n", "4", "--format", "dot"), 350_566,
         "fa2f2d17e77526297eff90ee1a3601820e2859fdc33a9ea741637b08e5a72f78", id="gen_dot",
     ),
@@ -78,6 +86,10 @@ FROZEN_OUTPUTS = [
     pytest.param(
         ("pop", "--shape", "5,3,1", "--n", "4", "--format", "json"), 127,
         "130fe34d26f2b16cde19dc8cd42f7537d592b8dbbdd249a23181129efd57322e", id="pop_json",
+    ),
+    pytest.param(
+        ("pop", "--shape", "5,3,1", "--n", "4", "--format", "text"), 58,
+        "263b5db3b55ece4608c6a3b70fb192b95a0abfcc79cb3074b5b523d1ff2ac50b", id="pop_text",
     ),
     pytest.param(
         ("pop", "--shape", "5,3,1", "--n", "4", "--element", "1,1,2,4,5/2,3,5/4"), 105,

@@ -23,6 +23,7 @@ from crystalpop.tableaux import (
     Partition,
     Tableau,
     TableauError,
+    format_rows,
     hook_content_count,
     parse_tableau,
     reading_cells,
@@ -36,6 +37,7 @@ from oracles import (
     lowering_by_cells,
     parabolic_quotient_by_filter,
     raising_by_cells,
+    to_dot_by_format_rows,
     to_json_by_dumps,
     unique_sink,
     weight,
@@ -244,6 +246,21 @@ def test_json_export_matches_dumps_reference():
         assert to_json(graph) == to_json_by_dumps(graph), (parts, n)
     empty = to_json(generate_crystal(Partition((), 1)))
     assert '"lambda": []' in empty and '"edges": []' in empty
+
+
+def test_texts_match_format_rows():
+    for parts, n in sweep_pairs(4, 7) + [((), 1), ((2, 1), 9)]:
+        graph = generate_crystal(Partition(parts, n))
+        texts = graph.texts()
+        assert texts == [format_rows(graph.rows(v)) for v in range(graph.num_vertices)], (parts, n)
+        assert graph.texts() is not texts
+    assert generate_crystal(Partition((), 1)).texts() == [""]
+
+
+def test_dot_export_matches_format_rows_reference():
+    for parts, n in sweep_pairs(4, 7) + [((2, 1), 9)]:
+        graph = generate_crystal(Partition(parts, n))
+        assert to_dot(graph) == to_dot_by_format_rows(graph), (parts, n)
 
 
 def test_dot_export_deterministic():
