@@ -5,7 +5,6 @@ sweep."""
 from __future__ import annotations
 
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
@@ -287,6 +286,8 @@ def classification_sweep(max_n: int, max_cells: int,
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     tasks = [(parts, n, vertex_cap) for parts, n in sweep_pairs(max_n, max_cells)]
     if (workers := min(jobs, len(tasks))) > 1:
+        # Imported here: the pool's modules cost every start-up that never forks.
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_sweep_one, tasks))
     else:

@@ -186,14 +186,11 @@ def cmd_verify(args) -> str:
     else:
         failures.append("pop agreement on embedded quotient: FAIL")
     kappa = all_keys(graph, family)
-    kp = verify_key_properties(graph, kappa)
-    lines.append(f"key properties: {'pass' if kp.ok else 'FAIL'} ({kp.checked} checks)")
-    if not kp.ok:
-        failures.extend(kp.violations)
-    ki = verify_pop_key_inequality(graph, kappa)
-    lines.append(f"pop-key inequality: {'pass' if ki.ok else 'FAIL'} ({ki.checked} checks)")
-    if not ki.ok:
-        failures.extend(ki.violations)
+    for label, check in (("key properties", verify_key_properties),
+                         ("pop-key inequality", verify_pop_key_inequality)):
+        report = check(graph, kappa)
+        lines.append(f"{label}: {'pass' if report.ok else 'FAIL'} ({report.checked} checks)")
+        failures.extend(report.violations)
     if failures:
         raise PropertyFailure("\n".join(lines + failures))
     return "\n".join(lines) + "\n"

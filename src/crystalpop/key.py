@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 from .crystal import CrystalGraph, stabilizer_colors, weyl_reflect
 from .perm import (
+    CheckReport,
     Permutation,
     bruhat_leq,
     coxeter_pop,
@@ -116,17 +117,7 @@ def all_keys(graph: CrystalGraph, family: DemazureFamily) -> list[Permutation]:
     return keys
 
 
-@dataclass
-class KeyReport:
-    checked: int
-    violations: list[str]
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
-def verify_key_properties(graph: CrystalGraph, kappa: list[Permutation]) -> KeyReport:
+def verify_key_properties(graph: CrystalGraph, kappa: list[Permutation]) -> CheckReport:
     """Check the four defining properties of the key map plus order
     preservation along every cover edge; kappa is all_keys(graph, family)."""
     e = identity(graph.n + 1)
@@ -164,10 +155,10 @@ def verify_key_properties(graph: CrystalGraph, kappa: list[Permutation]) -> KeyR
         checked += 1
         if not weak_leq(kappa[src], kappa[dst]):
             violations.append(f"order preservation fails on edge {src} -> {dst}")
-    return KeyReport(checked=checked, violations=violations)
+    return CheckReport(checked=checked, violations=violations)
 
 
-def verify_pop_key_inequality(graph: CrystalGraph, kappa: list[Permutation]) -> KeyReport:
+def verify_pop_key_inequality(graph: CrystalGraph, kappa: list[Permutation]) -> CheckReport:
     """key(pop(v)) is weakly below pop(key(v)), for every vertex; kappa is
     all_keys(graph, family)."""
     popped = {w: coxeter_pop(w) for w in set(kappa)}
@@ -179,4 +170,4 @@ def verify_pop_key_inequality(graph: CrystalGraph, kappa: list[Permutation]) -> 
         rhs = popped[kappa[v]]
         if not weak_leq(lhs, rhs):
             violations.append(f"pop/key inequality fails at vertex {v}")
-    return KeyReport(checked=checked, violations=violations)
+    return CheckReport(checked=checked, violations=violations)

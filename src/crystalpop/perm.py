@@ -198,10 +198,9 @@ def descents_commute(w: Permutation) -> bool:
 
 
 @dataclass
-class LemmaReport:
-    """Outcome of the exhaustive weak/Bruhat order compatibility checks."""
+class CheckReport:
+    """Outcome of a property suite: how many checks ran and what failed."""
 
-    m: int
     checked: int
     violations: list[str]
 
@@ -244,7 +243,7 @@ def _bitsets(columns: dict[int, str], order: list[int] | None = None) -> dict[in
     return {b: int("".join(take(col))[::-1], 2) for b, col in columns.items()}
 
 
-def verify_section3_lemmas(m: int) -> LemmaReport:
+def verify_section3_lemmas(m: int) -> CheckReport:
     """Exhaustively check, over S_m, the quotient monotonicity of the weak
     order, Bruhat monotonicity of pop under commuting descents, the
     pop/quotient exchange inequality, and the sorting time of the maximal
@@ -365,4 +364,4 @@ def verify_section3_lemmas(m: int) -> LemmaReport:
             checked += 1
             if not descents_commute(v):
                 violations.append(f"non-commuting descents along orbit of s={s}: {v}")
-    return LemmaReport(m=m, checked=checked, violations=violations)
+    return CheckReport(checked=checked, violations=violations)

@@ -6,12 +6,15 @@ the order relation u < v holds) and the edges are exactly the covers. Up-sets
 and down-sets are Python integers used as bitsets, so join/meet existence is a
 couple of word operations per pair. A finite poset with a minimum and a
 maximum is a lattice once any two covers of one element have a join, so
-`is_lattice` checks O(V·n²) such pairs, not all O(V²).
+`is_lattice` checks O(V·n²) such pairs, not all O(V²). Down-sets are built on
+first read (by `meet` or `find_bowtie`), so a lattice verdict holds only
+up-sets.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 from typing import Optional
 
@@ -34,7 +37,8 @@ class BowtieCertificate:
 
 
 class ReachabilityIndex:
-    """Per-vertex ancestor/descendant bitsets over the crystal DAG."""
+    """Per-vertex ancestor/descendant bitsets over the crystal DAG; the
+    descendant (down) bitsets are built on first read."""
 
     def __init__(self, graph: CrystalGraph):
         size = graph.num_vertices
@@ -45,15 +49,19 @@ class ReachabilityIndex:
                 if w is not None:
                     bits |= up[w]
             up[v] = bits
-        down = [0] * size
-        for v in range(size):
+        self.up = up
+        self._pred = graph.pred
+
+    @cached_property
+    def down(self) -> list[int]:
+        down = [0] * len(self._pred)
+        for v, row in enumerate(self._pred):
             bits = 1 << v
-            for w in graph.pred[v]:
+            for w in row:
                 if w is not None:
                     bits |= down[w]
             down[v] = bits
-        self.up = up
-        self.down = down
+        return down
 
     def leq(self, u: int, v: int) -> bool:
         return bool(self.up[u] >> v & 1)

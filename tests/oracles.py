@@ -14,7 +14,7 @@ from typing import Optional
 from crystalpop.crystal import CrystalGraph, IsomorphismFailure, stabilizer_colors, weyl_reflect
 from crystalpop.key import DemazureFamily, NonUniqueMinimum
 from crystalpop.perm import (
-    LemmaReport, Permutation, all_permutations, bruhat_leq, coxeter_pop,
+    CheckReport, Permutation, all_permutations, bruhat_leq, coxeter_pop,
     descents_commute, identity, length, longest_element,
     min_coset_rep, right_descents, weak_leq,
 )
@@ -491,7 +491,7 @@ def min_coset_rep_by_descents(w: Permutation, gens) -> Permutation:
     return cur
 
 
-def verify_section3_lemmas_by_pairs(m: int) -> LemmaReport:
+def verify_section3_lemmas_by_pairs(m: int) -> CheckReport:
     """The lemma suite by an all-pairs scan: the weak pairs are listed with
     m!^2 weak_leq calls and every pair and coset representative is looked
     up by Permutation."""
@@ -549,4 +549,4 @@ def verify_section3_lemmas_by_pairs(m: int) -> LemmaReport:
             checked += 1
             if not descents_commute(v):
                 violations.append(f"non-commuting descents along orbit of s={s}: {v}")
-    return LemmaReport(m=m, checked=checked, violations=violations)
+    return CheckReport(checked=checked, violations=violations)

@@ -227,7 +227,7 @@ def test_sweep_forks_no_more_workers_than_shapes(monkeypatch):
         def map(self, fn, tasks):
             return map(fn, tasks)
 
-    monkeypatch.setattr(classifier, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", InProcessPool)
     wide = classification_sweep(2, 2, jobs=64)
     assert requested == [len(sweep_pairs(2, 2))] == [5]
     serial = classification_sweep(2, 2, jobs=1)

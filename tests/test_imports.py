@@ -1,9 +1,11 @@
 """Every name a crystalpop module imports is used in that module, every
 top-level def or class has a user outside itself, and so has every method
 or property of a class. The package's __init__.py is skipped: its imports
-are re-exports."""
+are re-exports. Importing the CLI loads no process-pool module."""
 
 import ast
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -137,3 +139,21 @@ def test_every_member_has_a_user():
     sources = {p.stem: p.read_text() for p in MODULES}
     perfbench = [p.read_text() for p in PERFBENCH.glob("*.py")]
     assert unreferenced_members(sources, perfbench) == []
+
+
+def test_cli_import_loads_no_process_pool():
+    """A run without --jobs above 1 never forks, so importing the CLI must
+    not load the pool's modules; sys.modules is compared before and after
+    so that the interpreter's own start-up imports do not count."""
+    probe = (
+        "import sys\n"
+        "sys.path.insert(0, sys.argv[1])\n"
+        "before = set(sys.modules)\n"
+        "import crystalpop.cli\n"
+        "print(sorted(m for m in set(sys.modules) - before\n"
+        "             if m.split('.')[0] in ('concurrent', 'multiprocessing')))\n"
+    )
+    src = str(Path(crystalpop.__file__).resolve().parent.parent)
+    out = subprocess.run([sys.executable, "-c", probe, src], check=True,
+                         capture_output=True, text=True).stdout
+    assert out == "[]\n"

@@ -50,6 +50,18 @@ def stub_poset(size, covers):
     return SimpleNamespace(num_vertices=size, succ=pad[:size], pred=pad[size:])
 
 
+def searched_bits(adj, start):
+    """Bitset of the vertices a depth-first search along adj reaches from
+    start, start included."""
+    seen, stack = {start}, [start]
+    while stack:
+        for w in adj[stack.pop()]:
+            if w is not None and w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return sum(1 << w for w in seen)
+
+
 def test_reachability_matches_dfs():
     for graph in graphs():
         index = ReachabilityIndex(graph)
@@ -57,6 +69,7 @@ def test_reachability_matches_dfs():
         for u in range(graph.num_vertices):
             for v in range(graph.num_vertices):
                 assert index.leq(u, v) == (v in reach[u])
+            assert index.down[u] == searched_bits(graph.pred, u)
 
 
 def test_join_matches_naive():
@@ -213,6 +226,24 @@ def test_find_bowtie_takes_up_sets_of_every_possible_t2():
     cert = BowtieCertificate(t1=0, t2=1, u1=3, u2=4)
     assert find_bowtie(graph) == find_bowtie_by_candidates(graph) == cert
     assert verify_bowtie(graph, cert)
+
+
+def test_lattice_and_bowtie_checks_leave_down_sets_unbuilt():
+    stubs = [NO_BOWTIE, BOOLEAN_B3, JOINLESS_AT_RANK_TWO,
+             stub_poset(6, [(0, 3), (0, 4), (0, 5), (1, 4), (1, 3), (2, 5), (2, 3)])]
+    for graph in graphs() + stubs:
+        index = ReachabilityIndex(graph)
+        expected = find_bowtie_by_candidates(graph)
+        is_lattice(graph, index)
+        if expected is not None:
+            assert verify_bowtie(graph, expected, index)
+        assert "down" not in vars(index)
+        assert find_bowtie(graph, index) == expected
+        reach = reachable_sets(graph)
+        size = graph.num_vertices
+        for u in range(0, size, 3):
+            for v in range(u, size, 3):
+                assert meet(index, [u, v]) == naive_meet(reach, size, [u, v])
 
 
 def test_verify_bowtie_rejects_bad_certificate():
