@@ -6,11 +6,18 @@ to i+1 (Bump-Schilling, Crystal Bases, Ch. 2-3); one pass finds that letter
 for every color, since a letter a opens a bracket for color a-1 and closes
 one for color a. E_i is F_{n+1-i} on the reversed word with letters a ->
 n+2-a. The crystal graph is the breadth-first closure of the highest-weight
-word under all F_i, ids in discovery order. An image differs from its source
-in one cell, so checking that cell against n+1 and its right and lower
-neighbours is validate_tableau. The graph stores only the words and builds
-no Tableau for an output. Full outputs read graph.texts(), which formats
-each distinct row once (one memo per tableau row); outputs for one
+word under all F_i, ids in discovery order, each word keyed by its code:
+letter a at position p adds a << s*p, s the bit length of n+1, so F_i at p
+adds 1 << s*p. The word ends with the top row, weakly increasing, so its
+i's precede its i+1's: if the lower rows leave d brackets of color i open,
+the top row has an unmatched i exactly when it holds more than d i's, and
+F_i bumps its last i; otherwise F_i bumps the lower rows' own target. So
+the search memoizes the lower rows' signature by the code's low bits and
+the top row's letter blocks by its high bits. An image differs from its
+source in one cell, so checking that cell against n+1 and its right and
+lower neighbours is validate_tableau. The graph stores only the words and
+builds no Tableau for an output. Full outputs read graph.texts(), which
+formats each distinct row once (one memo per tableau row); outputs for one
 vertex format graph.rows(v), word v cut by tableaux.row_slices. to_json
 writes the json.dumps(indent=2) layout from fixed templates.
 """
@@ -18,8 +25,10 @@ writes the json.dumps(indent=2) layout from fixed templates.
 from __future__ import annotations
 
 import os
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import repeat
 from typing import Optional
 
 from .tableaux import (
@@ -43,9 +52,10 @@ def default_cap() -> int:
     return int(os.environ.get(CAP_ENV_VAR, DEFAULT_VERTEX_CAP))
 
 
-def _lowering_targets(word, n: int) -> list[Optional[int]]:
-    """targets[i] is the position of the letter F_i bumps in a reading word,
-    or None if F_i is zero, for all colors i in [1, n+1] at once."""
+def _brackets(word, n: int) -> tuple[list[int], list[Optional[int]]]:
+    """The signature rule for all colors i in [1, n+1] at once: targets[i]
+    is the position of the letter F_i bumps in a reading word, or None if
+    F_i is zero, and depth[i] counts the i+1's left unmatched."""
     depth = [0] * (n + 2)
     targets: list[Optional[int]] = [None] * (n + 2)
     for p, a in enumerate(word):
@@ -54,13 +64,13 @@ def _lowering_targets(word, n: int) -> list[Optional[int]]:
             depth[a] -= 1
         else:
             targets[a] = p
-    return targets
+    return depth, targets
 
 
 def lowering_F(t: Tableau, i: int) -> Optional[Tableau]:
     """F_i: bump the rightmost unmatched i to i+1, or None if F_i(t) = 0."""
     n = t.shape.n
-    p = _lowering_targets(reading_word(t), n)[i] if 1 <= i <= n + 1 else None
+    p = _brackets(reading_word(t), n)[1][i] if 1 <= i <= n + 1 else None
     return None if p is None else t.with_entry(*reading_cells(t.shape)[p], i + 1)
 
 
@@ -68,7 +78,7 @@ def raising_E(t: Tableau, i: int) -> Optional[Tableau]:
     """E_i: drop the leftmost unmatched i+1 to i, or None if E_i(t) = 0."""
     n = t.shape.n
     mirrored = [n + 2 - a for a in reversed(reading_word(t))]
-    p = _lowering_targets(mirrored, n)[n + 1 - i] if 0 <= i <= n else None
+    p = _brackets(mirrored, n)[1][n + 1 - i] if 0 <= i <= n else None
     return None if p is None else t.with_entry(*reading_cells(t.shape)[-1 - p], i)
 
 
@@ -132,18 +142,22 @@ class CrystalGraph:
 
 def _check_bump(cells, p: int, value: int, word, right, below, top: int) -> None:
     """validate_tableau, with the same errors, for a semistandard word whose
-    letter p grows to value: only that cell can break a condition."""
+    letter p grows to value: only that cell can break a condition. Missing
+    neighbours index the sentinel top + 1 that ends the word."""
     (i, j), r, b = cells[p], right[p], below[p]
     if value > top:
         raise EntryOutOfRange((i, j), f"{value} not in [1, {top}]")
-    if r is not None and word[r] < value:
+    if word[r] < value:
         raise RowViolation((i, j + 1), f"{value} > {word[r]}")
-    if b is not None and word[b] <= value:
+    if word[b] <= value:
         raise ColumnViolation((i + 1, j), f"{value} >= {word[b]}")
 
 
 def generate_crystal(shape: Partition, cap: Optional[int] = None) -> CrystalGraph:
-    """Breadth-first closure of the highest-weight tableau under all F_i."""
+    """Breadth-first closure of the highest-weight tableau under all F_i, on
+    the codes and with the two memos of the module docstring. F_i adds 1 to
+    the letter sum, so the images of one level are the next level: ids
+    holds the codes of the level being found, level those being read."""
     if cap is None:
         cap = default_cap()
     n = shape.n
@@ -151,34 +165,54 @@ def generate_crystal(shape: Partition, cap: Optional[int] = None) -> CrystalGrap
     if hook_content_count(shape) > cap:
         raise SizeLimitExceeded(over_cap)
     cells = reading_cells(shape)
+    end = len(cells)
     position = {cell: p for p, cell in enumerate(cells)}
-    right = [position.get((i, j + 1)) for i, j in cells]
-    below = [position.get((i + 1, j)) for i, j in cells]
+    right = [position.get((i, j + 1), end) for i, j in cells]
+    below = [position.get((i + 1, j), end) for i, j in cells]
+    width = (n + 1).bit_length()
+    shift = [1 << width * p for p in range(end)]
+    low = end - shape.part(1)
+    cut = width * low
+    mask = (1 << cut) - 1
     words = [reading_word(highest_weight_tableau(shape))]
-    ids = {words[0]: 0}
+    level = {sum(a << width * p for p, a in enumerate(words[0])): 0}
+    lower: dict[int, tuple] = {}  # lower rows: (i, depth[i], targets[i]), i = 1..n
+    upper: dict[int, tuple] = {}  # top row: (starts, stops) of the blocks of 1..n
     succ: list[list[Optional[int]]] = [[None] * n]
     pred: list[list[Optional[int]]] = [[None] * n]
-    head = 0
-    while head < len(words):
-        word = words[head]
-        targets = _lowering_targets(word, n)
-        for i in range(1, n + 1):
-            p = targets[i]
-            if p is None:
-                continue
-            _check_bump(cells, p, i + 1, word, right, below, n + 1)
-            img = word[:p] + (i + 1,) + word[p + 1:]
-            if (w := ids.get(img)) is None:
-                if len(words) >= cap:
-                    raise SizeLimitExceeded(over_cap)
-                w = len(words)
-                ids[img] = w
-                words.append(img)
-                succ.append([None] * n)
-                pred.append([None] * n)
-            succ[head][i - 1] = w
-            pred[w][i - 1] = head
-        head += 1
+    colors, letters, sentinel = range(1, n + 1), range(n + 1), (n + 2,)
+    while level:
+        ids: dict[int, int] = {}
+        for code, head in level.items():
+            word = words[head]
+            if (memo := lower.get(code & mask)) is None:
+                depth, targets = _brackets(word[:low], n)
+                memo = lower[code & mask] = tuple(zip(colors, depth[1:-1], targets[1:-1]))
+            if (top := upper.get(code >> cut)) is None:
+                ends = tuple(map(bisect_right, repeat(word), letters, repeat(low)))
+                top = upper[code >> cut] = (ends[:-1], ends[1:])
+            padded, row = word + sentinel, succ[head]
+            for (i, d, p), start, stop in zip(memo, top[0], top[1]):
+                if stop - start > d:
+                    p = stop - 1
+                elif p is None:
+                    continue
+                if padded[right[p]] <= i or padded[below[p]] <= i + 1:
+                    _check_bump(cells, p, i + 1, padded, right, below, n + 1)
+                img = code + shift[p]
+                if (w := ids.get(img)) is None:
+                    w = len(words)
+                    if w >= cap:
+                        raise SizeLimitExceeded(over_cap)
+                    ids[img] = w
+                    image = list(word)
+                    image[p] = i + 1
+                    words.append(tuple(image))
+                    succ.append([None] * n)
+                    pred.append([None] * n)
+                row[i - 1] = w
+                pred[w][i - 1] = head
+        level = ids
     return CrystalGraph(shape=shape, words=words, succ=succ, pred=pred)
 
 

@@ -11,7 +11,10 @@ import json
 from dataclasses import dataclass
 from typing import Optional
 
-from crystalpop.crystal import CrystalGraph, IsomorphismFailure, stabilizer_colors, weyl_reflect
+from crystalpop.crystal import (
+    CrystalGraph, IsomorphismFailure, SizeLimitExceeded, default_cap, stabilizer_colors,
+    weyl_reflect,
+)
 from crystalpop.key import DemazureFamily, NonUniqueMinimum
 from crystalpop.perm import (
     CheckReport, Permutation, all_permutations, bruhat_leq, coxeter_pop,
@@ -21,7 +24,8 @@ from crystalpop.perm import (
 from crystalpop.poset import BowtieCertificate, LatticeResult, ReachabilityIndex
 from crystalpop.pop import MAX_POPPABLE_COLORS
 from crystalpop.tableaux import (
-    Partition, Tableau, format_rows, highest_weight_tableau, reading_cells,
+    ColumnViolation, EntryOutOfRange, Partition, RowViolation, Tableau, format_rows,
+    highest_weight_tableau, hook_content_count, reading_cells, reading_word,
 )
 
 
@@ -122,6 +126,74 @@ def generate_crystal_by_tableaux(shape: Partition):
             pred[w][i - 1] = head
         head += 1
     return vertices, succ, pred
+
+
+def _lowering_targets(word, n: int) -> list[Optional[int]]:
+    """targets[i] is the position of the letter F_i bumps in a reading word,
+    or None if F_i is zero, for all colors i in [1, n+1] at once."""
+    depth = [0] * (n + 2)
+    targets: list[Optional[int]] = [None] * (n + 2)
+    for p, a in enumerate(word):
+        depth[a - 1] += 1
+        if depth[a]:
+            depth[a] -= 1
+        else:
+            targets[a] = p
+    return targets
+
+
+def _check_bump(cells, p: int, value: int, word, right, below, top: int) -> None:
+    """validate_tableau, with the same errors, for a semistandard word whose
+    letter p grows to value: only that cell can break a condition."""
+    (i, j), r, b = cells[p], right[p], below[p]
+    if value > top:
+        raise EntryOutOfRange((i, j), f"{value} not in [1, {top}]")
+    if r is not None and word[r] < value:
+        raise RowViolation((i, j + 1), f"{value} > {word[r]}")
+    if b is not None and word[b] <= value:
+        raise ColumnViolation((i + 1, j), f"{value} >= {word[b]}")
+
+
+def generate_crystal_by_words(shape: Partition, cap: Optional[int] = None) -> CrystalGraph:
+    """Breadth-first closure of the highest-weight tableau under all F_i, on
+    reading-word tuples: a full bracket scan of each word, and each image
+    built as a tuple and looked up by its hash."""
+    if cap is None:
+        cap = default_cap()
+    n = shape.n
+    over_cap = f"crystal for {shape.parts} at n={n} exceeds cap {cap}"
+    if hook_content_count(shape) > cap:
+        raise SizeLimitExceeded(over_cap)
+    cells = reading_cells(shape)
+    position = {cell: p for p, cell in enumerate(cells)}
+    right = [position.get((i, j + 1)) for i, j in cells]
+    below = [position.get((i + 1, j)) for i, j in cells]
+    words = [reading_word(highest_weight_tableau(shape))]
+    ids = {words[0]: 0}
+    succ: list[list[Optional[int]]] = [[None] * n]
+    pred: list[list[Optional[int]]] = [[None] * n]
+    head = 0
+    while head < len(words):
+        word = words[head]
+        targets = _lowering_targets(word, n)
+        for i in range(1, n + 1):
+            p = targets[i]
+            if p is None:
+                continue
+            _check_bump(cells, p, i + 1, word, right, below, n + 1)
+            img = word[:p] + (i + 1,) + word[p + 1:]
+            if (w := ids.get(img)) is None:
+                if len(words) >= cap:
+                    raise SizeLimitExceeded(over_cap)
+                w = len(words)
+                ids[img] = w
+                words.append(img)
+                succ.append([None] * n)
+                pred.append([None] * n)
+            succ[head][i - 1] = w
+            pred[w][i - 1] = head
+        head += 1
+    return CrystalGraph(shape=shape, words=words, succ=succ, pred=pred)
 
 
 def unique_sink(graph: CrystalGraph) -> int:

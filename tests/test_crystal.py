@@ -20,6 +20,7 @@ from crystalpop.crystal import (
 from crystalpop.key import build_demazure_family
 from crystalpop.perm import length
 from crystalpop.tableaux import (
+    ColumnViolation,
     Partition,
     Tableau,
     TableauError,
@@ -30,9 +31,11 @@ from crystalpop.tableaux import (
     reading_word,
     validate_tableau,
 )
+import oracles
 from oracles import (
     enumerate_ssyt,
     generate_crystal_by_tableaux,
+    generate_crystal_by_words,
     levi_restrict,
     lowering_by_cells,
     parabolic_quotient_by_filter,
@@ -71,8 +74,14 @@ def test_operators_match_cell_scans():
                 assert _outcome(raising_E, t, i) == _outcome(raising_by_cells, t, i)
 
 
+# sweep_pairs(4, 7) holds one row ((7,) n=3: no lower rows), one column
+# ((1, 1, 1, 1) n=4: a top row of one cell) and (2,) n=1 and (2, 1) n=3,
+# whose letters take 2 and 3 bits; the empty shape and (2, 1) at n=7 and
+# n=8 (4-bit letters, n+1 a power of two and one past it) are added.
 @pytest.mark.parametrize(
-    "parts,n", sweep_pairs(4, 7) + [((5, 3, 1), 4)], ids=lambda x: str(x)
+    "parts,n",
+    sweep_pairs(4, 7) + [((5, 3, 1), 4), ((), 1), ((2, 1), 7), ((2, 1), 8)],
+    ids=lambda x: str(x),
 )
 def test_word_bfs_matches_tableau_bfs(parts, n):
     shape = Partition(parts, n)
@@ -86,15 +95,27 @@ def test_word_bfs_matches_tableau_bfs(parts, n):
     assert all(validate_tableau(shape, t.rows) == t for t in tableaux)
 
 
+@pytest.mark.parametrize(
+    "parts,n", [((5, 3, 1), 5), ((4, 4), 5), ((6, 4, 2), 4), ((12,), 5)], ids=lambda x: str(x)
+)
+def test_code_bfs_matches_word_bfs(parts, n):
+    shape = Partition(parts, n)
+    graph = generate_crystal(shape)
+    reference = generate_crystal_by_words(shape)
+    assert graph.words == reference.words
+    assert graph.succ == reference.succ
+    assert graph.pred == reference.pred
+
+
 def test_bump_check_raises_what_validate_raises():
     for parts, n in SHAPES:
         shape = Partition(parts, n)
         cells = reading_cells(shape)
         position = {cell: p for p, cell in enumerate(cells)}
-        right = [position.get((i, j + 1)) for i, j in cells]
-        below = [position.get((i + 1, j)) for i, j in cells]
+        right = [position.get((i, j + 1), len(cells)) for i, j in cells]
+        below = [position.get((i + 1, j), len(cells)) for i, j in cells]
         for t in enumerate_ssyt(shape):
-            word = reading_word(t)
+            word = reading_word(t) + (n + 2,)
             for p, cell in enumerate(cells):
                 for value in range(word[p] + 1, n + 3):
                     want = _outcome(t.with_entry, *cell, value)
@@ -102,6 +123,22 @@ def test_bump_check_raises_what_validate_raises():
                         crystal._check_bump, cells, p, value, word, right, below, n + 1
                     )
                     assert got == (None if isinstance(want, Tableau) else want)
+
+
+def test_bump_check_guards_a_start_that_breaks_a_column(monkeypatch):
+    # Column 1 of the start holds 2 over 2. F_2 bumps (1, 2) and then (1, 1)
+    # to 3, and only the second bump leaves a column of 3 over 2.
+    shape = Partition((2, 1), 2)
+    start = Tableau(shape, ((2, 2), (2,)))
+    with pytest.raises(ColumnViolation) as want:
+        validate_tableau(shape, ((3, 3), (2,)))
+    for module in (crystal, oracles):
+        monkeypatch.setattr(module, "highest_weight_tableau", lambda s: start)
+    for generate in (generate_crystal, generate_crystal_by_words):
+        with pytest.raises(ColumnViolation) as got:
+            generate(shape)
+        assert str(got.value) == str(want.value) == "column violation at (2, 1): 3 >= 2"
+        assert got.value.cell == (2, 1)
 
 
 def test_raising_inverts_lowering():
@@ -168,8 +205,8 @@ def test_cap_checked_before_generation(monkeypatch):
     def no_search(*args):
         raise AssertionError("the search started")
 
-    monkeypatch.setattr(crystal, "_lowering_targets", no_search)
-    monkeypatch.setattr(crystal, "highest_weight_tableau", no_search)
+    for step in ("reading_cells", "highest_weight_tableau", "_brackets"):
+        monkeypatch.setattr(crystal, step, no_search)
     shape = Partition((6, 4, 2), 5)
     assert hook_content_count(shape) == 62_370
     with pytest.raises(SizeLimitExceeded, match=r"crystal for \(6, 4, 2\) at n=5 exceeds cap 1000"):
@@ -178,6 +215,16 @@ def test_cap_checked_before_generation(monkeypatch):
     assert generate_crystal(Partition((3, 1), 3), cap=45).num_vertices == 45
     with pytest.raises(SizeLimitExceeded):
         generate_crystal(Partition((3, 1), 3), cap=44)
+
+
+def test_cap_raises_mid_search(monkeypatch):
+    shape = Partition((5, 3, 1), 4)
+    size = hook_content_count(shape)
+    monkeypatch.setattr(crystal, "hook_content_count", lambda s: 0)
+    assert generate_crystal(shape, cap=size).num_vertices == size
+    message = rf"crystal for \(5, 3, 1\) at n=4 exceeds cap {size - 1}$"
+    with pytest.raises(SizeLimitExceeded, match=message):
+        generate_crystal(shape, cap=size - 1)
 
 
 def test_levi_restrict_filters_colors():
