@@ -117,15 +117,31 @@ def all_keys(graph: CrystalGraph, family: DemazureFamily) -> list[Permutation]:
     return keys
 
 
+def _weak_failures(pairs: set[tuple[int, int]], left: list[Permutation],
+                   right: list[Permutation]) -> set[tuple[int, int]]:
+    """The pairs (a, b) with left[a] not weakly below right[b]."""
+    return {(a, b) for a, b in pairs if not weak_leq(left[a], right[b])}
+
+
+def _numbered(kappa: list[Permutation]) -> tuple[list[Permutation], list[int]]:
+    """The distinct keys in first-seen order, and each vertex's position
+    among them."""
+    ids: dict[Permutation, int] = {}
+    numbers = [ids.setdefault(w, len(ids)) for w in kappa]
+    return list(ids), numbers
+
+
 def verify_key_properties(graph: CrystalGraph, kappa: list[Permutation]) -> CheckReport:
     """Check the four defining properties of the key map plus order
-    preservation along every cover edge; kappa is all_keys(graph, family)."""
+    preservation along every cover edge; kappa is all_keys(graph, family).
+    Each distinct pair (kappa(src), kappa(dst)) is compared once."""
     e = identity(graph.n + 1)
-    descent_sets = {w: right_descents(w) for w in set(kappa)}
+    keys, number = _numbered(kappa)
+    descent_sets = [right_descents(w) for w in keys]
     violations = []
     checked = 0
     for v in range(graph.num_vertices):
-        descents = descent_sets[kappa[v]]
+        descents = descent_sets[number[v]]
         for i in range(1, graph.n + 1):
             has_up = graph.succ[v][i - 1] is not None
             has_down = graph.pred[v][i - 1] is not None
@@ -151,23 +167,25 @@ def verify_key_properties(graph: CrystalGraph, kappa: list[Permutation]) -> Chec
         checked += 1
         if kappa[v] == e and v != 0:
             violations.append(f"identity key at non-minimal vertex {v}")
+    failing = _weak_failures(
+        {(number[src], number[dst]) for src, dst, _ in graph.edges()}, keys, keys
+    )
     for src, dst, _ in graph.edges():
         checked += 1
-        if not weak_leq(kappa[src], kappa[dst]):
+        if (number[src], number[dst]) in failing:
             violations.append(f"order preservation fails on edge {src} -> {dst}")
     return CheckReport(checked=checked, violations=violations)
 
 
 def verify_pop_key_inequality(graph: CrystalGraph, kappa: list[Permutation]) -> CheckReport:
     """key(pop(v)) is weakly below pop(key(v)), for every vertex; kappa is
-    all_keys(graph, family)."""
-    popped = {w: coxeter_pop(w) for w in set(kappa)}
-    violations = []
-    checked = 0
-    for v in range(graph.num_vertices):
-        checked += 1
-        lhs = kappa[pop_crystal(graph, v)]
-        rhs = popped[kappa[v]]
-        if not weak_leq(lhs, rhs):
-            violations.append(f"pop/key inequality fails at vertex {v}")
-    return CheckReport(checked=checked, violations=violations)
+    all_keys(graph, family). Each distinct pair of sides is compared once."""
+    keys, number = _numbered(kappa)
+    popped = [coxeter_pop(w) for w in keys]
+    below = [number[pop_crystal(graph, v)] for v in range(graph.num_vertices)]
+    failing = _weak_failures(set(zip(below, number)), keys, popped)
+    violations = [
+        f"pop/key inequality fails at vertex {v}"
+        for v, pair in enumerate(zip(below, number)) if pair in failing
+    ]
+    return CheckReport(checked=len(below), violations=violations)

@@ -17,14 +17,17 @@ The order tests read two invariants that each Permutation computes once:
   r_u[i, j] <= r_w[i, j] for all i, j. Each entry is stored in unary, so
   the entrywise comparison is one bitwise containment test as well.
 
-The exhaustive lemma suite turns both identities into set algebra over all
-of S_m. Sets of permutations are ints with one bit per permutation, and
-for each bit b of an invariant it keeps the set of permutations having b.
-The weak up-set of y is then the AND of those sets over the inversions of
-y, and the Bruhat lower set of y the complement of their OR over the rank
-bits y lacks, so each pair costs one bit of an operation on m!-bit ints.
-A table of m! up-sets takes m!^2/8 bytes (3.2 MB for S_7, 203 MB for S_8),
-so the suite stops at MAX_LEMMA_M.
+The exhaustive lemma suite works on one-line tuples indexed in
+lexicographic order. Weak-order monotonicity is tested on covers only (a
+map preserves the order iff it preserves every cover), with the coset
+representatives of each generator subset gathered from those of its
+parent subset. Sets of permutations are ints with one bit per permutation,
+and for each bit b of an invariant the suite keeps the set of permutations
+having b: the weak up-set of y is the AND of those sets over the
+inversions of y, and the Bruhat lower set of y the complement of their OR
+over the rank bits y lacks. Up-sets are built one at a time and dropped,
+so no m!^2/8-byte table is kept; the cover tests grow as 2^(m-2) (m-1) m!,
+and the suite stops at MAX_LEMMA_M, the largest size measured.
 """
 
 from __future__ import annotations
@@ -137,23 +140,28 @@ def longest_element(m: int) -> Permutation:
     return Permutation(tuple(range(m, 0, -1)))
 
 
-def min_coset_rep(w: Permutation, gens: frozenset[int] | set[int]) -> Permutation:
-    """Minimum-length representative of the left coset W_J w. W_J acts on
-    values and permutes each block {i, ..., k+1}, for a maximal run i..k of
-    generators in J, freely: the representative writes each block's values
-    in increasing order of position. Generators outside [1, m-1] are ignored."""
-    m = w.m
+def min_coset_line(line: tuple[int, ...], gens: frozenset[int] | set[int]) -> tuple[int, ...]:
+    """min_coset_rep on a one-line tuple, with no Permutation built."""
+    m = len(line)
     block = list(range(m + 1))  # block[a] = the smallest value in a's block
     for i in sorted(gens):
         if 0 < i < m:
             block[i + 1] = block[i]
     nxt = list(range(m + 1))  # nxt[b] = the next value block b hands out
-    line = []
-    for a in w.one_line:
+    out = []
+    for a in line:
         b = block[a]
-        line.append(nxt[b])
+        out.append(nxt[b])
         nxt[b] += 1
-    return Permutation(tuple(line))
+    return tuple(out)
+
+
+def min_coset_rep(w: Permutation, gens: frozenset[int] | set[int]) -> Permutation:
+    """Minimum-length representative of the left coset W_J w. W_J acts on
+    values and permutes each block {i, ..., k+1}, for a maximal run i..k of
+    generators in J, freely: the representative writes each block's values
+    in increasing order of position. Generators outside [1, m-1] are ignored."""
+    return Permutation(min_coset_line(w.one_line, gens))
 
 
 def parabolic_quotient(gens: frozenset[int] | set[int], m: int) -> list[Permutation]:
@@ -243,6 +251,62 @@ def _bitsets(columns: dict[int, str], order: list[int] | None = None) -> dict[in
     return {b: int("".join(take(col))[::-1], 2) for b, col in columns.items()}
 
 
+def _having(cols: dict[int, int], packed: int, everything: int) -> int:
+    """The intersection of cols[b] over the bits b of packed."""
+    out = everything
+    for b, col in cols.items():
+        if packed >> b & 1:
+            out &= col
+    return out
+
+
+def _lacking(cols: dict[int, int], packed: int) -> int:
+    """The union of cols[b] over the bits b missing from packed."""
+    out = 0
+    for b, col in cols.items():
+        if not packed >> b & 1:
+            out |= col
+    return out
+
+
+def weak_covers(lines: list[tuple[int, ...]],
+                index: dict[tuple[int, ...], int]) -> tuple[list[int], list[int]]:
+    """The covers y < y*s_i of the right weak order, one for each ascent
+    y(i) < y(i+1) (Bjorner and Brenti, Ch. 3), over all of S_m given as
+    one-line tuples with their index: the list of y and the list of y*s_i,
+    in order of y, then i."""
+    lower, upper = [], []
+    for y, line in enumerate(lines):
+        for i in range(1, len(line)):
+            if line[i - 1] < line[i]:
+                lower.append(y)
+                upper.append(index[line[:i - 1] + (line[i], line[i - 1]) + line[i + 1:]])
+    return lower, upper
+
+
+def coset_rep_tables(lines: list[tuple[int, ...]], index: dict[tuple[int, ...], int]):
+    """Yield (J, rep) for each generator subset J of S_m, by size, then in
+    lexicographic order, where rep[w] is the index of
+    min_coset_line(lines[w], J) and lines is all of S_m with its index.
+
+    For J' = J - {max J}, W_J' w lies in W_J w, so rep_J = rep_J o rep_J':
+    the rewrite runs only on the distinct values of the table for J', and
+    the rest is a gather. Only the previous size's tables are kept, and of
+    those only the ones a larger J extends (max J' < m-1)."""
+    m = len(lines[0])
+    level = {(): range(len(lines))}  # the parent of the empty set
+    for r in range(m):
+        below, level = level, {}
+        for c in itertools.combinations(range(1, m), r):
+            parent = below[c[:-1]]
+            j = frozenset(c)
+            image = {x: index[min_coset_line(lines[x], j)] for x in set(parent)}
+            rep = list(map(image.__getitem__, parent))
+            if not c or c[-1] < m - 1:
+                level[c] = rep
+            yield j, rep
+
+
 def verify_section3_lemmas(m: int) -> CheckReport:
     """Exhaustively check, over S_m, the quotient monotonicity of the weak
     order, Bruhat monotonicity of pop under commuting descents, the
@@ -251,103 +315,104 @@ def verify_section3_lemmas(m: int) -> CheckReport:
     intermediate element has pairwise commuting descents).
 
     S_m is indexed in all_permutations order, and sets of permutations are
-    ints with bit i for index i. Both pair checks are containments of such
-    sets, built from one set per bit of a cached invariant:
+    ints with bit i for index i.
 
-    - Weak order. With A_b the permutations whose inversion mask has bit b,
-      the up-set of y is U(y), the AND of A_b over the bits of mask(y)
-      (Prop. 3.1.3). With B_b the z whose representative rep(z) has bit b,
-      G_J(x), the AND of B_b over the bits of mask(x), is the set of z with
-      x <= rep(z). Quotient monotonicity for J is U(y) & ~G_J(rep(y)) == 0.
+    - Quotient monotonicity. A map between posets preserves the order iff
+      it preserves every cover, so for each J the suite tests
+      Inv(rep(y)) within Inv(rep(y*s_i)) over every right-weak cover (all of
+      S_m, not only the quotient, and nothing assumes rep is a true coset
+      representative). Only when a cover fails does it scan every y for
+      that J: with A_b the permutations whose inversion mask has bit b, the
+      up-set U(y) is the AND of A_b over the bits of mask(y) (Prop. 3.1.3);
+      with B_b the z whose rep(z) has bit b, G_J(x), the AND of B_b over
+      the bits of mask(x), is the set of z with x <= rep(z), and the
+      failures at y are U(y) & ~G_J(rep(y)).
     - Bruhat order. With D_b the permutations whose rank array has bit b,
       the lower set L(y) is the complement of the OR of D_b over the bits
       missing from the rank array of y (Thm. 2.1.5). With E_b the x whose
       pop(x) has bit b, monotonicity of pop at y is L(y) & ~L_E(pop(y)) == 0,
       where L_E(p), the x with pop(x) <= p, is built from E_b as L is from D_b.
 
-    Each pair (y, z) still counts as one check: checked adds the sizes of
-    the up-sets and lower sets. A failing set is decoded from its low bit up,
-    which is the pairwise scan's order, so counts and messages are those of
-    the pairwise scan.
+    Each pair (y, z) still counts as one check: checked adds the number of
+    weak pairs per J and the sizes of the lower sets. A failing set is
+    decoded from its low bit up, which is the pairwise scan's order, so
+    counts and messages are those of the pairwise scan.
 
-    The weak part makes 2^(m-1) m! containment tests of m!-bit sets where a
-    pairwise scan makes 2^(m-1) m!^2 order tests; most of its time goes to
-    the 2^(m-1) m! calls of min_coset_rep. The up-set table, and for J empty
-    the cache of G_J, take m!^2/8 bytes each (3.2 MB at m = 7, 203 MB at
-    m = 8), so m is limited to MAX_LEMMA_M."""
+    The weak part makes (m-1)/2 m! cover tests per J where a pairwise scan
+    makes m!^2 order tests, and the coset representatives of all 2^(m-1)
+    subsets come from coset_rep_tables. Up-sets are built one at a time, so
+    no table of m!-bit sets is kept outside a failing J's scan; m is
+    limited to MAX_LEMMA_M, the largest size measured."""
     if m < 1:
         raise ValueError(f"the lemma suite needs m >= 1, got {m}")
     if m > MAX_LEMMA_M:
         raise ValueError(
-            f"the lemma suite needs m <= {MAX_LEMMA_M}, got {m}: "
-            f"its up-set table takes m!^2/8 bytes"
+            f"the lemma suite needs m <= {MAX_LEMMA_M}, got {m}: it makes "
+            f"2^(m-2) (m-1) m! weak-cover tests, and m = {MAX_LEMMA_M} is the "
+            f"largest size measured"
         )
-    perms = list(all_permutations(m))
-    index = {w.one_line: i for i, w in enumerate(perms)}
-    everything = (1 << len(perms)) - 1
-    gens = list(range(1, m))
-    subsets = [
-        frozenset(c)
-        for r in range(m)
-        for c in itertools.combinations(gens, r)
-    ]
-    pop = [index[coxeter_pop(w).one_line] for w in perms]
+    lines, popped, masks, ranks, commuting = [], [], [], [], []
+    for w in all_permutations(m):
+        lines.append(w.one_line)
+        popped.append(coxeter_pop(w).one_line)
+        masks.append(w.inversion_mask)
+        ranks.append(w.bruhat_ranks)
+        commuting.append(descents_commute(w))
+    index = {line: i for i, line in enumerate(lines)}
+    pop = list(map(index.__getitem__, popped))
+    everything = (1 << len(lines)) - 1
+    outside = [~mask for mask in masks]
     violations = []
     checked = 0
 
-    def having(cols: dict[int, int], packed: int) -> int:
-        """The intersection of cols[b] over the bits b of packed."""
-        out = everything
-        for b, col in cols.items():
-            if packed >> b & 1:
-                out &= col
-        return out
-
-    def lacking(cols: dict[int, int], packed: int) -> int:
-        """The union of cols[b] over the bits b missing from packed."""
-        out = 0
-        for b, col in cols.items():
-            if not packed >> b & 1:
-                out |= col
-        return out
-
-    masks = [w.inversion_mask for w in perms]
     weak_columns = _bit_columns(masks)
     mask_cols = _bitsets(weak_columns)
-    up = [having(mask_cols, mask) for mask in masks]
-    weak_pairs = sum(u.bit_count() for u in up)
-    for j in subsets:
-        rep = [index[min_coset_rep(w, j).one_line] for w in perms]
-        rep_mask_cols = _bitsets(weak_columns, rep)
-        above_rep = {}
+    # one up-set at a time, each dropped once counted
+    weak_pairs = sum(_having(mask_cols, mask, everything).bit_count() for mask in masks)
+    lower, upper = weak_covers(lines, index)
+    for j, rep in coset_rep_tables(lines, index):
         checked += weak_pairs
-        for y, u in enumerate(up):
-            x = rep[y]
-            if x not in above_rep:
-                above_rep[x] = having(rep_mask_cols, masks[x])
-            for z in _set_bits(u & ~above_rep[x]):
-                violations.append(
-                    f"quotient monotonicity fails: J={set(j)} y={perms[y]} z={perms[z]}"
-                )
-        for w in range(len(perms)):
-            checked += 1
-            if masks[rep[pop[w]]] & ~masks[pop[rep[w]]]:
-                violations.append(f"pop/quotient exchange fails: J={set(j)} w={perms[w]}")
+        held = list(map(masks.__getitem__, rep))  # Inv(rep(y))
+        missed = list(map(outside.__getitem__, rep))  # ~Inv(rep(y))
+        if any(map(operator.and_, map(held.__getitem__, lower), map(missed.__getitem__, upper))):
+            rep_mask_cols = _bitsets(weak_columns, rep)
+            above_rep = {}
+            for y, mask in enumerate(masks):
+                x = rep[y]
+                if x not in above_rep:
+                    above_rep[x] = _having(rep_mask_cols, masks[x], everything)
+                for z in _set_bits(_having(mask_cols, mask, everything) & ~above_rep[x]):
+                    violations.append(
+                        f"quotient monotonicity fails: J={set(j)} "
+                        f"y={Permutation(lines[y])} z={Permutation(lines[z])}"
+                    )
+        # Inv(rep(pop(w))) within Inv(pop(rep(w))), for each w
+        exchange = list(map(operator.and_, map(held.__getitem__, pop),
+                            map(outside.__getitem__, map(pop.__getitem__, rep))))
+        checked += len(exchange)
+        if any(exchange):
+            for w, bad in enumerate(exchange):
+                if bad:
+                    violations.append(
+                        f"pop/quotient exchange fails: J={set(j)} w={Permutation(lines[w])}"
+                    )
 
-    ranks = [w.bruhat_ranks for w in perms]
     bruhat_columns = _bit_columns(ranks)
     rank_cols = _bitsets(bruhat_columns)
     pop_rank_cols = _bitsets(bruhat_columns, pop)
-    for y in range(len(perms)):
-        if not descents_commute(perms[y]):
+    for y, rank in enumerate(ranks):
+        if not commuting[y]:
             continue
-        lower = everything & ~lacking(rank_cols, ranks[y])
-        checked += lower.bit_count()
-        for x in _set_bits(lower & lacking(pop_rank_cols, ranks[pop[y]])):
-            violations.append(f"Bruhat pop monotonicity fails: x={perms[x]} y={perms[y]}")
+        lower_set = everything & ~_lacking(rank_cols, rank)
+        checked += lower_set.bit_count()
+        for x in _set_bits(lower_set & _lacking(pop_rank_cols, ranks[pop[y]])):
+            violations.append(
+                f"Bruhat pop monotonicity fails: "
+                f"x={Permutation(lines[x])} y={Permutation(lines[y])}"
+            )
 
-    full = frozenset(gens)
-    for s in gens:
+    full = frozenset(range(1, m))
+    for s in range(1, m):
         j = full - {s}
         w = min_coset_rep(longest_element(m), j)
         trajectory = [w]

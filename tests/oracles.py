@@ -22,7 +22,7 @@ from crystalpop.perm import (
     min_coset_rep, right_descents, weak_leq,
 )
 from crystalpop.poset import BowtieCertificate, LatticeResult, ReachabilityIndex
-from crystalpop.pop import MAX_POPPABLE_COLORS
+from crystalpop.pop import MAX_POPPABLE_COLORS, pop_crystal
 from crystalpop.tableaux import (
     ColumnViolation, EntryOutOfRange, Partition, RowViolation, Tableau, format_rows,
     highest_weight_tableau, hook_content_count, reading_cells, reading_word,
@@ -547,6 +547,58 @@ def key_map_by_filter(family: DemazureFamily, v: int) -> Permutation:
         if not bruhat_leq(best, w):
             raise NonUniqueMinimum(f"vertex {v}: {best} and {w} are incomparable")
     return best
+
+
+def verify_key_properties_by_edges(graph: CrystalGraph, kappa: list[Permutation]) -> CheckReport:
+    """The key-property suite with one weak_leq call per edge."""
+    e = identity(graph.n + 1)
+    descent_sets = {w: right_descents(w) for w in set(kappa)}
+    violations = []
+    checked = 0
+    for v in range(graph.num_vertices):
+        descents = descent_sets[kappa[v]]
+        for i in range(1, graph.n + 1):
+            has_up = graph.succ[v][i - 1] is not None
+            has_down = graph.pred[v][i - 1] is not None
+            if has_up:
+                w = graph.succ[v][i - 1]
+                checked += 1
+                if has_down:
+                    if kappa[w] != kappa[v]:
+                        violations.append(
+                            f"interior of an {i}-chain moved the key at vertex {v}"
+                        )
+                else:
+                    if kappa[w] not in (kappa[v], kappa[v].right_mult_gen(i)):
+                        violations.append(
+                            f"bottom of an {i}-chain: key of F_{i}({v}) is neither "
+                            f"kappa(v) nor kappa(v)s_{i}"
+                        )
+            checked += 1
+            if i in descents and not has_down:
+                violations.append(
+                    f"descent {i} of the key of vertex {v} without an incoming edge"
+                )
+        checked += 1
+        if kappa[v] == e and v != 0:
+            violations.append(f"identity key at non-minimal vertex {v}")
+    for src, dst, _ in graph.edges():
+        checked += 1
+        if not weak_leq(kappa[src], kappa[dst]):
+            violations.append(f"order preservation fails on edge {src} -> {dst}")
+    return CheckReport(checked=checked, violations=violations)
+
+
+def verify_pop_key_inequality_by_vertices(graph: CrystalGraph,
+                                          kappa: list[Permutation]) -> CheckReport:
+    """The pop/key inequality with one weak_leq call per vertex."""
+    violations = []
+    checked = 0
+    for v in range(graph.num_vertices):
+        checked += 1
+        if not weak_leq(kappa[pop_crystal(graph, v)], coxeter_pop(kappa[v])):
+            violations.append(f"pop/key inequality fails at vertex {v}")
+    return CheckReport(checked=checked, violations=violations)
 
 
 def min_coset_rep_by_descents(w: Permutation, gens) -> Permutation:

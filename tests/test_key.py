@@ -17,6 +17,8 @@ from oracles import (
     embed_parabolic_quotient_by_words,
     key_map_by_filter,
     parabolic_quotient_by_filter,
+    verify_key_properties_by_edges,
+    verify_pop_key_inequality_by_vertices,
 )
 
 SHAPES = [
@@ -134,6 +136,28 @@ def test_pop_key_inequality():
         graph, family = built(parts, n)
         report = verify_pop_key_inequality(graph, all_keys(graph, family))
         assert report.ok, report.violations
+
+
+def test_key_checks_match_per_edge_and_per_vertex_forms():
+    """Testing each distinct key pair once reports what one test per edge
+    or vertex reports, also for corrupted keys (every third vertex takes
+    the key of its mirror id), which fail every kind of check."""
+    messages = set()
+    for parts, n in SHAPES + [((3, 2, 1), 3), ((4, 2), 3)]:
+        graph, family = built(parts, n)
+        kappa = all_keys(graph, family)
+        corrupted = [
+            kappa[-1 - v] if v % 3 == 1 else w for v, w in enumerate(kappa)
+        ]
+        for keys in (kappa, corrupted):
+            for check, oracle in ((verify_key_properties, verify_key_properties_by_edges),
+                                  (verify_pop_key_inequality,
+                                   verify_pop_key_inequality_by_vertices)):
+                report, expected = check(graph, keys), oracle(graph, keys)
+                assert (report.checked, report.violations) == (
+                    expected.checked, expected.violations), (parts, n, check.__name__)
+                messages.update(v.split(" fails")[0] for v in report.violations)
+    assert {"order preservation", "pop/key inequality"} <= messages
 
 
 def test_pop_key_inequality_reads_the_coxeter_pop(monkeypatch):

@@ -9,6 +9,7 @@ from crystalpop.perm import (
     Permutation,
     all_permutations,
     bruhat_leq,
+    coset_rep_tables,
     coxeter_pop,
     descents_commute,
     identity,
@@ -19,6 +20,7 @@ from crystalpop.perm import (
     parse_permutation,
     right_descents,
     verify_section3_lemmas,
+    weak_covers,
     weak_leq,
 )
 from oracles import (
@@ -217,7 +219,6 @@ def test_lemma_suite_s6():
     assert report.checked == 1070774
 
 
-@pytest.mark.slow
 def test_lemma_suite_s7():
     report = verify_section3_lemmas(7)
     assert report.ok, report.violations
@@ -231,27 +232,108 @@ def test_lemma_suite_matches_pairwise_scan():
         assert (report.checked, report.violations) == (expected.checked, expected.violations)
 
 
+def all_of(m):
+    lines = list(itertools.permutations(range(1, m + 1)))
+    return lines, {line: i for i, line in enumerate(lines)}
+
+
+def test_coset_rep_tables_and_covers_match_direct_forms():
+    lines, index = all_of(6)
+    perms = list(all_permutations(6))
+    assert [w.one_line for w in perms] == lines
+    tables = list(coset_rep_tables(lines, index))
+    assert [j for j, _ in tables] == generator_subsets(6)
+    for j, rep in tables:
+        assert rep == [index[min_coset_rep(w, j).one_line] for w in perms], j
+    covers = [
+        (y, z)
+        for y, u in enumerate(perms)
+        for z, w in enumerate(perms)
+        if length(w) == length(u) + 1 and weak_leq(u, w)
+    ]
+    assert sorted(zip(*weak_covers(lines, index))) == covers
+
+
+def use_reps(monkeypatch, line_rep):
+    """Make both suites take their coset representatives from line_rep: the
+    bitset suite through perm.min_coset_line, the pairwise scan through its
+    min_coset_rep."""
+    monkeypatch.setattr(perm, "min_coset_line", line_rep)
+    monkeypatch.setattr(
+        oracles, "min_coset_rep", lambda w, gens: Permutation(line_rep(w.one_line, gens))
+    )
+
+
+def assert_suites_agree(m):
+    report = verify_section3_lemmas(m)
+    expected = verify_section3_lemmas_by_pairs(m)
+    assert (report.checked, report.violations) == (expected.checked, expected.violations)
+    return report
+
+
 def test_lemma_suite_failures_match_pairwise_scan(monkeypatch):
     """Wrong coset representatives and a wrong pop make every kind of pair
     check fail; both suites must list the same failures in the same order."""
-    true_rep, true_pop = perm.min_coset_rep, perm.coxeter_pop
+    true_line, true_pop = perm.min_coset_line, perm.coxeter_pop
 
-    def wrong_rep(w, gens):
-        return w if len(gens) == 1 and w.one_line[-1] == 1 else true_rep(w, gens)
+    def wrong_rep(line, gens):
+        return line if len(gens) == 1 and line[-1] == 1 else true_line(line, gens)
 
     def wrong_pop(w):
         # Still lowers the length, so the sorting-time orbits end.
         return identity(w.m) if w.one_line[0] == 3 else true_pop(w)
 
+    use_reps(monkeypatch, wrong_rep)
     for module in (perm, oracles):
-        monkeypatch.setattr(module, "min_coset_rep", wrong_rep)
         monkeypatch.setattr(module, "coxeter_pop", wrong_pop)
     for m in (3, 4):
-        report = verify_section3_lemmas(m)
-        expected = verify_section3_lemmas_by_pairs(m)
-        assert (report.checked, report.violations) == (expected.checked, expected.violations)
+        report = assert_suites_agree(m)
     for kind in ("quotient monotonicity", "pop/quotient exchange", "Bruhat pop monotonicity"):
         assert any(v.startswith(kind) for v in report.violations), kind
+
+
+def test_lemma_suite_in_coset_wrong_reps_match_pairwise_scan(monkeypatch):
+    """For J = {1, 2} each coset whose minimal representative starts with 1
+    gets s_1 times it: an element of the right coset, but not the minimal
+    one. The larger J built on J = {1, 2} must still get their true
+    representatives."""
+    true_line = perm.min_coset_line
+
+    def in_coset_rep(line, gens):
+        rep = true_line(line, gens)
+        if set(gens) != {1, 2} or rep[0] != 1:
+            return rep
+        return tuple({1: 2, 2: 1}.get(a, a) for a in rep)
+
+    use_reps(monkeypatch, in_coset_rep)
+    for m in (4, 5):
+        report = assert_suites_agree(m)
+        assert any(v.startswith("quotient monotonicity fails: J={1, 2} ")
+                   for v in report.violations)
+        assert not any("J={1, 2, 3}" in v for v in report.violations)
+
+
+def test_lemma_suite_scans_a_subset_with_one_broken_cover(monkeypatch):
+    """A representative that breaks exactly one weak cover for J = {3} on
+    S_4 sends the suite to its per-y scan for that J, which lists the same
+    failing pairs as the pairwise scan."""
+    true_line = perm.min_coset_line
+
+    def one_wrong(line, gens):
+        if set(gens) == {3} and line == (1, 2, 4, 3):
+            return (1, 3, 2, 4)
+        return true_line(line, gens)
+
+    use_reps(monkeypatch, one_wrong)
+    lines, index = all_of(4)
+    rep = dict(coset_rep_tables(lines, index))[frozenset({3})]
+    broken = [
+        (y, z) for y, z in zip(*weak_covers(lines, index))
+        if not weak_leq(Permutation(lines[rep[y]]), Permutation(lines[rep[z]]))
+    ]
+    assert broken == [(index[(1, 2, 4, 3)], index[(2, 1, 4, 3)])]
+    report = assert_suites_agree(4)
+    assert "quotient monotonicity fails: J={3} y=1243 z=2143" in report.violations
 
 
 def test_lemma_suite_reports_a_pop_that_does_not_sort(monkeypatch):
