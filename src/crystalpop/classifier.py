@@ -4,6 +4,7 @@ sweep."""
 
 from __future__ import annotations
 
+import os
 import time
 from dataclasses import dataclass
 from typing import Optional
@@ -281,11 +282,11 @@ def classification_sweep(max_n: int, max_cells: int,
                          jobs: int = 1) -> SweepReport:
     """Compare the closed-form prediction against brute force for every
     shape/rank pair within the bounds; oversized crystals are listed as
-    skipped rather than silently dropped."""
+    skipped rather than silently dropped; at most one worker per CPU."""
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     tasks = [(parts, n, vertex_cap) for parts, n in sweep_pairs(max_n, max_cells)]
-    if (workers := min(jobs, len(tasks))) > 1:
+    if (workers := min(jobs, len(tasks), os.cpu_count() or 1)) > 1:
         # Imported here: the pool's modules cost every start-up that never forks.
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:

@@ -254,6 +254,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     if args.command == "verify" and args.m is None and (args.shape is None or args.n is None):
         sys.stderr.write("verify needs either --shape/--n or --m\n")
         return 2
+    if args.command == "verify" and args.m is not None and (args.shape, args.n) != (None, None):
+        sys.stderr.write("verify takes either --shape/--n or --m, not both\n")
+        return 2
     try:
         _emit(args.func(args), getattr(args, "out", None))
     except (PropertyFailure, NonTermination, InconsistentFamily, NonUniqueMinimum) as exc:

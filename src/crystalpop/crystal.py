@@ -14,12 +14,13 @@ the top row has an unmatched i exactly when it holds more than d i's, and
 F_i bumps its last i; otherwise F_i bumps the lower rows' own target. So
 the search memoizes the lower rows' signature by the code's low bits and
 the top row's letter blocks by its high bits. An image differs from its
-source in one cell, so checking that cell against n+1 and its right and
-lower neighbours is validate_tableau. The graph stores only the words and
-builds no Tableau for an output. Full outputs read graph.texts(), which
-formats each distinct row once (one memo per tableau row); outputs for one
-vertex format graph.rows(v), word v cut by tableaux.row_slices. to_json
-writes the json.dumps(indent=2) layout from fixed templates.
+source in one cell, so a bump is checked against that cell's neighbours, and
+validate_tableau raises any error. Generation fills only words and succ
+(pred waits for its first read), and no output builds a Tableau. Full
+outputs read graph.texts(), which formats each distinct row once (one memo
+per tableau row); outputs for one vertex format graph.rows(v), word v cut by
+tableaux.row_slices. to_json writes the json.dumps(indent=2) layout from
+fixed templates.
 """
 
 from __future__ import annotations
@@ -32,8 +33,8 @@ from itertools import repeat
 from typing import Optional
 
 from .tableaux import (
-    ColumnViolation, EntryOutOfRange, Partition, RowViolation, Tableau, dual_shape,
-    highest_weight_tableau, hook_content_count, reading_cells, reading_word, row_slices,
+    Partition, Tableau, dual_shape, highest_weight_tableau, hook_content_count,
+    reading_cells, reading_word, row_slices, validate_tableau,
 )
 
 DEFAULT_VERTEX_CAP = 2_000_000
@@ -86,13 +87,14 @@ def raising_E(t: Tableau, i: int) -> Optional[Tableau]:
 class CrystalGraph:
     """Edge-colored DAG over the tableaux of one shape, each stored as its
     reading word. succ[v][i-1] is the id of F_i(vertex v) or None; pred is
-    the E_i counterpart. Vertex 0 is the highest-weight tableau, the
-    minimum, by construction."""
+    the E_i counterpart. Ids are breadth-first order from vertex 0, the
+    highest-weight tableau, and each edge adds one to the entry sum: vertex 0
+    is the minimum, every predecessor has a smaller id (ids are a topological
+    order) and the edges are exactly the covers."""
 
     shape: Partition
     words: list[tuple[int, ...]]
     succ: list[list[Optional[int]]]
-    pred: list[list[Optional[int]]]
 
     @property
     def n(self) -> int:
@@ -101,6 +103,18 @@ class CrystalGraph:
     @property
     def num_vertices(self) -> int:
         return len(self.words)
+
+    @cached_property
+    def pred(self) -> list[list[Optional[int]]]:
+        """The E_i table, built from succ on first read: E_i inverts F_i."""
+        pred = list(map(list.copy, repeat([None] * self.n, len(self.succ))))
+        for v, row in enumerate(self.succ):
+            i = 0
+            for w in row:
+                if w is not None:
+                    pred[w][i] = v
+                i += 1
+        return pred
 
     @cached_property
     def _row_slices(self) -> list[slice]:
@@ -140,19 +154,6 @@ class CrystalGraph:
                     yield v, w, c
 
 
-def _check_bump(cells, p: int, value: int, word, right, below, top: int) -> None:
-    """validate_tableau, with the same errors, for a semistandard word whose
-    letter p grows to value: only that cell can break a condition. Missing
-    neighbours index the sentinel top + 1 that ends the word."""
-    (i, j), r, b = cells[p], right[p], below[p]
-    if value > top:
-        raise EntryOutOfRange((i, j), f"{value} not in [1, {top}]")
-    if word[r] < value:
-        raise RowViolation((i, j + 1), f"{value} > {word[r]}")
-    if word[b] <= value:
-        raise ColumnViolation((i + 1, j), f"{value} >= {word[b]}")
-
-
 def generate_crystal(shape: Partition, cap: Optional[int] = None) -> CrystalGraph:
     """Breadth-first closure of the highest-weight tableau under all F_i, on
     the codes and with the two memos of the module docstring. F_i adds 1 to
@@ -179,7 +180,6 @@ def generate_crystal(shape: Partition, cap: Optional[int] = None) -> CrystalGrap
     lower: dict[int, tuple] = {}  # lower rows: (i, depth[i], targets[i]), i = 1..n
     upper: dict[int, tuple] = {}  # top row: (starts, stops) of the blocks of 1..n
     succ: list[list[Optional[int]]] = [[None] * n]
-    pred: list[list[Optional[int]]] = [[None] * n]
     colors, letters, sentinel = range(1, n + 1), range(n + 1), (n + 2,)
     while level:
         ids: dict[int, int] = {}
@@ -198,7 +198,9 @@ def generate_crystal(shape: Partition, cap: Optional[int] = None) -> CrystalGrap
                 elif p is None:
                     continue
                 if padded[right[p]] <= i or padded[below[p]] <= i + 1:
-                    _check_bump(cells, p, i + 1, padded, right, below, n + 1)
+                    bad = word[:p] + (i + 1,) + word[p + 1:]
+                    validate_tableau(shape, map(bad.__getitem__, row_slices(shape)))
+                    raise RuntimeError(f"bump of letter {p} in {word} passed validate_tableau")
                 img = code + shift[p]
                 if (w := ids.get(img)) is None:
                     w = len(words)
@@ -209,11 +211,9 @@ def generate_crystal(shape: Partition, cap: Optional[int] = None) -> CrystalGrap
                     image[p] = i + 1
                     words.append(tuple(image))
                     succ.append([None] * n)
-                    pred.append([None] * n)
                 row[i - 1] = w
-                pred[w][i - 1] = head
         level = ids
-    return CrystalGraph(shape=shape, words=words, succ=succ, pred=pred)
+    return CrystalGraph(shape=shape, words=words, succ=succ)
 
 
 @dataclass(frozen=True)
@@ -269,14 +269,14 @@ def dual_crystal(graph: CrystalGraph) -> DualCrystal:
 def weyl_reflect(graph: CrystalGraph, v: int, i: int) -> int:
     """Reverse the maximal i-colored chain through v: if v sits at position
     j from the bottom of an m-chain, return the vertex at position m+1-j."""
+    pred, succ = graph.pred, graph.succ
     chain = [v]
-    while (w := graph.pred[chain[-1]][i - 1]) is not None:
+    while (w := pred[chain[-1]][i - 1]) is not None:
         chain.append(w)
-    below = len(chain) - 1
     chain.reverse()
-    while (w := graph.succ[chain[-1]][i - 1]) is not None:
+    while (w := succ[chain[-1]][i - 1]) is not None:
         chain.append(w)
-    return chain[len(chain) - 1 - below]
+    return chain[-1 - chain.index(v)]
 
 
 def stabilizer_colors(shape: Partition) -> frozenset[int]:

@@ -49,13 +49,13 @@ class DemazureFamily:
     extremal: dict[Permutation, int]
 
 
-def _closure(graph: CrystalGraph, bits: int, i: int) -> int:
-    """Close a vertex bitset under the lowering operator of one color."""
+def _closure(succ, bits: int, i: int) -> int:
+    """Close a vertex bitset under F_i, read from the graph's succ table."""
     frontier = bits
     while frontier:
         v = (frontier & -frontier).bit_length() - 1
         frontier &= frontier - 1
-        w = graph.succ[v][i - 1]
+        w = succ[v][i - 1]
         if w is not None and not bits >> w & 1:
             bits |= 1 << w
             frontier |= 1 << w
@@ -76,7 +76,7 @@ def build_demazure_family(graph: CrystalGraph) -> DemazureFamily:
         value = None
         for i in sorted(right_descents(w)):
             below = w.right_mult_gen(i)
-            found = (_closure(graph, members[below], i),
+            found = (_closure(graph.succ, members[below], i),
                      weyl_reflect(graph, extremal[below], i))
             if value is None:
                 value = found
@@ -136,6 +136,7 @@ def verify_key_properties(graph: CrystalGraph, kappa: list[Permutation]) -> Chec
     preservation along every cover edge; kappa is all_keys(graph, family).
     Each distinct pair (kappa(src), kappa(dst)) is compared once."""
     e = identity(graph.n + 1)
+    succ, pred = graph.succ, graph.pred
     keys, number = _numbered(kappa)
     descent_sets = [right_descents(w) for w in keys]
     violations = []
@@ -143,22 +144,20 @@ def verify_key_properties(graph: CrystalGraph, kappa: list[Permutation]) -> Chec
     for v in range(graph.num_vertices):
         descents = descent_sets[number[v]]
         for i in range(1, graph.n + 1):
-            has_up = graph.succ[v][i - 1] is not None
-            has_down = graph.pred[v][i - 1] is not None
-            if has_up:
-                w = graph.succ[v][i - 1]
+            w = succ[v][i - 1]
+            has_down = pred[v][i - 1] is not None
+            if w is not None:
                 checked += 1
                 if has_down:
                     if kappa[w] != kappa[v]:
                         violations.append(
                             f"interior of an {i}-chain moved the key at vertex {v}"
                         )
-                else:
-                    if kappa[w] not in (kappa[v], kappa[v].right_mult_gen(i)):
-                        violations.append(
-                            f"bottom of an {i}-chain: key of F_{i}({v}) is neither "
-                            f"kappa(v) nor kappa(v)s_{i}"
-                        )
+                elif kappa[w] not in (kappa[v], kappa[v].right_mult_gen(i)):
+                    violations.append(
+                        f"bottom of an {i}-chain: key of F_{i}({v}) is neither "
+                        f"kappa(v) nor kappa(v)s_{i}"
+                    )
             checked += 1
             if i in descents and not has_down:
                 violations.append(

@@ -106,15 +106,14 @@ def semilattice_pop(graph: CrystalGraph, v: int,
 def is_poppable(graph) -> bool:
     """Every component of every color restriction has a unique source.
 
-    Needs the CrystalGraph pred layout with ids in topological order (every
-    predecessor has a smaller id; see poset.py). For each nonempty color set
-    J, one pass in id order labels the vertices: a vertex with no
-    J-predecessor is its own label, any other takes the label of its
-    J-predecessors, and the check fails when two of those differ. A
-    completed pass makes labels constant on components, with each source its
-    own label, so each component has one source; conversely, a component's
-    unique source is every label in it. With J empty, components are single
-    vertices."""
+    Reads graph.pred and relies on CrystalGraph's id order: every
+    predecessor has a smaller id. For each nonempty color set J, one pass in
+    id order labels the vertices: a vertex with no J-predecessor is its own
+    label, any other takes the label of its J-predecessors, and the check
+    fails when two of those differ. A completed pass makes labels constant
+    on components, with each source its own label, so each component has one
+    source; conversely, a component's unique source is every label in it.
+    With J empty, components are single vertices."""
     n = graph.n
     if n > MAX_POPPABLE_COLORS:
         raise ValueError(f"2^{n} color subsets is past the practical limit")

@@ -1,14 +1,12 @@
 """Order-theoretic queries on a crystal graph.
 
-Vertex ids are assigned in BFS order from the minimum and every edge raises
-the total entry sum by one, so ids are a topological order (u < v whenever
-the order relation u < v holds) and the edges are exactly the covers. Up-sets
-and down-sets are Python integers used as bitsets, so join/meet existence is a
-couple of word operations per pair. A finite poset with a minimum and a
-maximum is a lattice once any two covers of one element have a join, so
-`is_lattice` checks O(V·n²) such pairs, not all O(V²). Down-sets are built on
-first read (by `meet` or `find_bowtie`), so a lattice verdict holds only
-up-sets.
+Ids follow CrystalGraph's order (see there): topological, vertex 0 the
+minimum, edges the covers. Up-sets and down-sets are Python integers used
+as bitsets, so join/meet existence is a couple of word operations per pair.
+A finite poset with a minimum and a maximum is a lattice once any two
+covers of one element have a join, so `is_lattice` checks O(V·n²) such
+pairs, not all O(V²). Down-sets, and with them graph.pred, are built on
+first read (by `meet` or `find_bowtie`): a lattice verdict holds only up-sets.
 """
 
 from __future__ import annotations
@@ -41,21 +39,21 @@ class ReachabilityIndex:
     descendant (down) bitsets are built on first read."""
 
     def __init__(self, graph: CrystalGraph):
-        size = graph.num_vertices
+        size, succ = graph.num_vertices, graph.succ
         up = [0] * size
         for v in range(size - 1, -1, -1):
             bits = 1 << v
-            for w in graph.succ[v]:
+            for w in succ[v]:
                 if w is not None:
                     bits |= up[w]
             up[v] = bits
         self.up = up
-        self._pred = graph.pred
+        self._graph = graph
 
     @cached_property
     def down(self) -> list[int]:
-        down = [0] * len(self._pred)
-        for v, row in enumerate(self._pred):
+        down = [0] * self._graph.num_vertices
+        for v, row in enumerate(self._graph.pred):
             bits = 1 << v
             for w in row:
                 if w is not None:

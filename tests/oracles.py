@@ -154,10 +154,11 @@ def _check_bump(cells, p: int, value: int, word, right, below, top: int) -> None
         raise ColumnViolation((i + 1, j), f"{value} >= {word[b]}")
 
 
-def generate_crystal_by_words(shape: Partition, cap: Optional[int] = None) -> CrystalGraph:
+def generate_crystal_by_words(shape: Partition, cap: Optional[int] = None):
     """Breadth-first closure of the highest-weight tableau under all F_i, on
     reading-word tuples: a full bracket scan of each word, and each image
-    built as a tuple and looked up by its hash."""
+    built as a tuple and looked up by its hash. Returns the words in
+    discovery order and the succ and pred tables, pred stored per edge."""
     if cap is None:
         cap = default_cap()
     n = shape.n
@@ -193,7 +194,7 @@ def generate_crystal_by_words(shape: Partition, cap: Optional[int] = None) -> Cr
             succ[head][i - 1] = w
             pred[w][i - 1] = head
         head += 1
-    return CrystalGraph(shape=shape, words=words, succ=succ, pred=pred)
+    return words, succ, pred
 
 
 def unique_sink(graph: CrystalGraph) -> int:

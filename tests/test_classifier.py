@@ -228,11 +228,14 @@ def test_sweep_forks_no_more_workers_than_shapes(monkeypatch):
             return map(fn, tasks)
 
     monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", InProcessPool)
-    wide = classification_sweep(2, 2, jobs=64)
-    assert requested == [len(sweep_pairs(2, 2))] == [5]
+    assert len(sweep_pairs(2, 2)) == 5
     serial = classification_sweep(2, 2, jobs=1)
-    assert requested == [5]
-    assert [r.parts for r in wide.rows] == [r.parts for r in serial.rows]
+    for jobs, cpus, workers in [(64, 64, 5), (64, 3, 3), (4, 8, 4), (64, None, None), (8, 1, None)]:
+        monkeypatch.setattr(classifier.os, "cpu_count", lambda: cpus)
+        requested.clear()
+        wide = classification_sweep(2, 2, jobs=jobs)
+        assert requested == ([] if workers is None else [workers])
+        assert [r.parts for r in wide.rows] == [r.parts for r in serial.rows]
 
 
 def test_sign_flip_staircase():

@@ -422,6 +422,13 @@ def test_verify_needs_arguments(capsys):
     assert "verify needs" in err
 
 
+@pytest.mark.parametrize("extra", [["--shape", "2,1", "--n", "2"], ["--shape", "2,1"], ["--n", "2"]])
+def test_verify_rejects_m_with_a_shape(capsys, extra):
+    assert run(capsys, "verify", "--m", "3", *extra) == (
+        2, "", "verify takes either --shape/--n or --m, not both\n"
+    )
+
+
 def test_invalid_shape_exit_code(capsys):
     code, _, err = run(capsys, "gen", "--shape", "1,2", "--n", "3")
     assert code == 2

@@ -19,16 +19,16 @@ from crystalpop.crystal import (
 )
 from crystalpop.key import build_demazure_family
 from crystalpop.perm import length
+from crystalpop.poset import ReachabilityIndex, is_lattice
 from crystalpop.tableaux import (
     ColumnViolation,
     Partition,
+    RowViolation,
     Tableau,
     TableauError,
     format_rows,
     hook_content_count,
     parse_tableau,
-    reading_cells,
-    reading_word,
     validate_tableau,
 )
 import oracles
@@ -101,44 +101,49 @@ def test_word_bfs_matches_tableau_bfs(parts, n):
 def test_code_bfs_matches_word_bfs(parts, n):
     shape = Partition(parts, n)
     graph = generate_crystal(shape)
-    reference = generate_crystal_by_words(shape)
-    assert graph.words == reference.words
-    assert graph.succ == reference.succ
-    assert graph.pred == reference.pred
-
-
-def test_bump_check_raises_what_validate_raises():
-    for parts, n in SHAPES:
-        shape = Partition(parts, n)
-        cells = reading_cells(shape)
-        position = {cell: p for p, cell in enumerate(cells)}
-        right = [position.get((i, j + 1), len(cells)) for i, j in cells]
-        below = [position.get((i + 1, j), len(cells)) for i, j in cells]
-        for t in enumerate_ssyt(shape):
-            word = reading_word(t) + (n + 2,)
-            for p, cell in enumerate(cells):
-                for value in range(word[p] + 1, n + 3):
-                    want = _outcome(t.with_entry, *cell, value)
-                    got = _outcome(
-                        crystal._check_bump, cells, p, value, word, right, below, n + 1
-                    )
-                    assert got == (None if isinstance(want, Tableau) else want)
+    assert (graph.words, graph.succ, graph.pred) == generate_crystal_by_words(shape)
 
 
 def test_bump_check_guards_a_start_that_breaks_a_column(monkeypatch):
-    # Column 1 of the start holds 2 over 2. F_2 bumps (1, 2) and then (1, 1)
-    # to 3, and only the second bump leaves a column of 3 over 2.
-    shape = Partition((2, 1), 2)
-    start = Tableau(shape, ((2, 2), (2,)))
-    with pytest.raises(ColumnViolation) as want:
-        validate_tableau(shape, ((3, 3), (2,)))
-    for module in (crystal, oracles):
-        monkeypatch.setattr(module, "highest_weight_tableau", lambda s: start)
-    for generate in (generate_crystal, generate_crystal_by_words):
-        with pytest.raises(ColumnViolation) as got:
-            generate(shape)
-        assert str(got.value) == str(want.value) == "column violation at (2, 1): 3 >= 2"
-        assert got.value.cell == (2, 1)
+    # Column 1 of the first start holds 2 over 2. F_2 bumps (1, 2) and then
+    # (1, 1) to 3, and only the second bump leaves a column of 3 over 2.
+    # The second start breaks a row below the top one: row 2 holds 3 before
+    # 1, and F_3 bumps that 3 to 4. Each image breaks only the bumped cell's
+    # neighbour, so validate_tableau names that cell.
+    cases = [
+        (Partition((2, 1), 2), ((2, 2), (2,)), ((3, 3), (2,)), ColumnViolation,
+         "column violation at (2, 1): 3 >= 2", (2, 1)),
+        (Partition((2, 2), 3), ((1, 2), (3, 1)), ((1, 2), (4, 1)), RowViolation,
+         "row violation at (2, 2): 4 > 1", (2, 2)),
+    ]
+    for shape, rows, image, error, text, cell in cases:
+        start = Tableau(shape, rows)
+        with pytest.raises(error) as want:
+            validate_tableau(shape, image)
+        for module in (crystal, oracles):
+            monkeypatch.setattr(module, "highest_weight_tableau", lambda s: start)
+        for generate in (generate_crystal, generate_crystal_by_words):
+            with pytest.raises(error) as got:
+                generate(shape)
+            assert str(got.value) == str(want.value) == text
+            assert got.value.cell == cell
+
+
+def test_generation_index_lattice_verdict_and_exports_leave_pred_unbuilt():
+    for parts, n in [((2, 1), 2), ((3, 2, 1), 3)]:
+        graph = generate_crystal(Partition(parts, n))
+        index = ReachabilityIndex(graph)
+        assert is_lattice(graph, index).is_lattice
+        assert is_lattice(graph).is_lattice
+        to_json(graph)
+        to_dot(graph)
+        graph.texts()
+        list(graph.edges())
+        assert "pred" not in vars(graph)
+        top = graph.num_vertices - 1
+        assert index.down[top] == (1 << graph.num_vertices) - 1
+        assert "pred" in vars(graph)
+        assert graph.pred == generate_crystal_by_tableaux(graph.shape)[2]
 
 
 def test_raising_inverts_lowering():
