@@ -122,8 +122,7 @@ def cmd_perm_pop(args) -> str:
 def cmd_lattice(args) -> str:
     graph = _graph(args)
     prediction = predict_lattice(graph.shape)
-    index = ReachabilityIndex(graph)
-    result = is_lattice(graph, index)
+    result = is_lattice(graph)
     if result.is_lattice != prediction.is_lattice_predicted:
         raise PropertyFailure(
             f"prediction {prediction.is_lattice_predicted} disagrees with "
@@ -136,6 +135,7 @@ def cmd_lattice(args) -> str:
     if prediction.matched_clause:
         lines.append(f"clause: {prediction.matched_clause}")
     if not result.is_lattice:
+        index = ReachabilityIndex(graph)
         cert = find_bowtie(graph, index)
         if cert is None or not verify_bowtie(graph, cert, index):
             raise PropertyFailure("non-lattice without a verifiable bowtie")

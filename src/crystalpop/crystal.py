@@ -15,12 +15,14 @@ F_i bumps its last i; otherwise F_i bumps the lower rows' own target. So
 the search memoizes the lower rows' signature by the code's low bits and
 the top row's letter blocks by its high bits. An image differs from its
 source in one cell, so a bump is checked against that cell's neighbours, and
-validate_tableau raises any error. Generation fills only words and succ
-(pred waits for its first read), and no output builds a Tableau. Full
-outputs read graph.texts(), which formats each distinct row once (one memo
-per tableau row); outputs for one vertex format graph.rows(v), word v cut by
-tableaux.row_slices. to_json writes the json.dumps(indent=2) layout from
-fixed templates.
+validate_tableau raises any error. A lower-rows target and its neighbours
+all lie in the lower rows, so it is checked once, when its memo entry is
+built, and a bad one is stored as ~p; a top-row target is checked per
+edge. Generation fills only words and succ (pred waits for its first
+read), and no output builds a Tableau. Full outputs read graph.texts(),
+which formats each distinct row once (one memo per tableau row); outputs
+for one vertex format graph.rows(v), word v cut by tableaux.row_slices.
+to_json writes the json.dumps(indent=2) layout from fixed templates.
 """
 
 from __future__ import annotations
@@ -187,17 +189,24 @@ def generate_crystal(shape: Partition, cap: Optional[int] = None) -> CrystalGrap
             word = words[head]
             if (memo := lower.get(code & mask)) is None:
                 depth, targets = _brackets(word[:low], n)
-                memo = lower[code & mask] = tuple(zip(colors, depth[1:-1], targets[1:-1]))
+                padded = word + sentinel  # a missing neighbour reads n + 2
+                memo = lower[code & mask] = tuple(
+                    (i, d, p if p is None or padded[right[p]] > i and padded[below[p]] > i + 1
+                     else ~p) for i, d, p in zip(colors, depth[1:-1], targets[1:-1]))
             if (top := upper.get(code >> cut)) is None:
                 ends = tuple(map(bisect_right, repeat(word), letters, repeat(low)))
                 top = upper[code >> cut] = (ends[:-1], ends[1:])
-            padded, row = word + sentinel, succ[head]
+            row = succ[head]
             for (i, d, p), start, stop in zip(memo, top[0], top[1]):
                 if stop - start > d:
                     p = stop - 1
+                    if (stop < end and word[stop] <= i
+                            or (q := below[p]) < end and word[q] <= i + 1):
+                        p = ~p
                 elif p is None:
                     continue
-                if padded[right[p]] <= i or padded[below[p]] <= i + 1:
+                if p < 0:
+                    p = ~p
                     bad = word[:p] + (i + 1,) + word[p + 1:]
                     validate_tableau(shape, map(bad.__getitem__, row_slices(shape)))
                     raise RuntimeError(f"bump of letter {p} in {word} passed validate_tableau")

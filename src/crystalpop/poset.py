@@ -5,8 +5,10 @@ minimum, edges the covers. Up-sets and down-sets are Python integers used
 as bitsets, so join/meet existence is a couple of word operations per pair.
 A finite poset with a minimum and a maximum is a lattice once any two
 covers of one element have a join, so `is_lattice` checks O(V·n²) such
-pairs, not all O(V²). Down-sets, and with them graph.pred, are built on
-first read (by `meet` or `find_bowtie`): a lattice verdict holds only up-sets.
+pairs, not all O(V²), in one top-down pass over private up-sets stored in
+reversed bit order (about V²/16 bytes); it builds no ReachabilityIndex
+unless a non-lattice's witness is read. The index's down-sets, and with
+them graph.pred, are built on first read (by `meet` or `find_bowtie`).
 """
 
 from __future__ import annotations
@@ -103,12 +105,6 @@ def meet(index: ReachabilityIndex, ids) -> Optional[int]:
     return z if common == down[z] else None
 
 
-@dataclass(frozen=True)
-class LatticeResult:
-    is_lattice: bool
-    witness: Optional[tuple[int, int]] = None
-
-
 def _first_joinless_pair(up: list[int]) -> Optional[tuple[int, int]]:
     """First pair (u, v), u < v in id order, with no join."""
     for u, up_u in enumerate(up):
@@ -121,22 +117,63 @@ def _first_joinless_pair(up: list[int]) -> Optional[tuple[int, int]]:
     return None
 
 
+class LatticeResult:
+    """The verdict of is_lattice. A non-lattice's witness, the first
+    joinless pair in id order, is found on its first read from the index
+    is_lattice was given, or from one built then."""
+
+    def __init__(self, is_lattice: bool, witness: Optional[tuple[int, int]] = None,
+                 *, source=None):
+        self.is_lattice = is_lattice
+        if source is None:
+            self.witness = witness
+        self._source = source  # (graph, index or None, the joinless covers)
+
+    @cached_property
+    def witness(self) -> tuple[int, int]:
+        graph, index, (x, y) = self._source
+        witness = _first_joinless_pair((index or ReachabilityIndex(graph)).up)
+        if witness is None:
+            raise RuntimeError(f"covers {x}, {y} have no join but the pair scan finds none")
+        self._source = None  # so the result keeps neither the graph nor the index
+        return witness
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, LatticeResult):
+            return NotImplemented
+        return (self.is_lattice, self.witness) == (other.is_lattice, other.witness)
+
+    def __repr__(self) -> str:
+        return f"LatticeResult(is_lattice={self.is_lattice}, witness={self.witness})"
+
+
 def is_lattice(graph: CrystalGraph, index: Optional[ReachabilityIndex] = None) -> LatticeResult:
     """Lemma: a finite poset with a minimum and a maximum is a lattice if every
     two distinct elements covering a common element have a join. Every cover
-    is an edge, so the check is one AND and one compare of V-bit up-sets for
-    each two successors of each vertex: O(V·n²) pairs for n colors in place of
-    the O(V²) pairs of a full scan. A non-lattice's witness is the first
-    joinless pair in id order, from a pairwise scan that stops there."""
-    if index is None:
-        index = ReachabilityIndex(graph)
-    for row in graph.succ:
-        for x, y in combinations([w for w in row if w is not None], 2):
-            if join(index, x, y) is None:
-                witness = _first_joinless_pair(index.up)
-                if witness is None:
-                    raise RuntimeError(f"covers {x}, {y} have no join but the pair scan finds none")
-                return LatticeResult(False, witness)
+    is an edge, so the check is one AND and one compare of up-sets for each
+    two successors of each vertex: O(V·n²) pairs for n colors in place of
+    the O(V²) pairs of a full scan.
+
+    One pass from the top id down to 0 builds its own up-sets in reversed
+    bit order: vertex w is bit top - w, so up[v] is top - v + 1 bits wide
+    and the lowest id in a common up-set is its highest bit. Ids are a
+    topological order, so the up-sets of v's covers are final when the pass
+    reaches v, and each two of them are checked there with join's test (an
+    empty common up-set, possible only without a maximum, is joinless). The
+    pass stops at the first joinless pair; index serves only the witness."""
+    succ = graph.succ
+    top = graph.num_vertices - 1
+    up = [0] * (top + 1)
+    for v in range(top, -1, -1):
+        covers = [w for w in succ[v] if w is not None]
+        bits = 1 << top - v
+        for w in covers:
+            bits |= up[w]
+        up[v] = bits
+        for x, y in combinations(covers, 2):
+            common = up[x] & up[y]
+            if not common or common != up[top + 1 - common.bit_length()]:
+                return LatticeResult(False, source=(graph, index, (x, y)))
     return LatticeResult(True)
 
 

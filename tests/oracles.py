@@ -21,7 +21,7 @@ from crystalpop.perm import (
     descents_commute, identity, length, longest_element,
     min_coset_rep, right_descents, weak_leq,
 )
-from crystalpop.poset import BowtieCertificate, LatticeResult, ReachabilityIndex
+from crystalpop.poset import BowtieCertificate, LatticeResult, ReachabilityIndex, join
 from crystalpop.pop import MAX_POPPABLE_COLORS, pop_crystal
 from crystalpop.tableaux import (
     ColumnViolation, EntryOutOfRange, Partition, RowViolation, Tableau, format_rows,
@@ -321,6 +321,23 @@ def is_lattice_by_pairs(graph: CrystalGraph,
             z = (common & -common).bit_length() - 1
             if common != up[z]:
                 return LatticeResult(False, (u, v))
+    return LatticeResult(True)
+
+
+def is_lattice_by_covers(graph: CrystalGraph,
+                         index: Optional[ReachabilityIndex] = None) -> LatticeResult:
+    """The cover check on the full index: every two covers of each vertex,
+    rows in id order, must have a join. A non-lattice's witness is the first
+    joinless pair of the pairwise scan."""
+    if index is None:
+        index = ReachabilityIndex(graph)
+    for row in graph.succ:
+        for x, y in itertools.combinations([w for w in row if w is not None], 2):
+            if join(index, x, y) is None:
+                witness = is_lattice_by_pairs(graph, index).witness
+                if witness is None:
+                    raise RuntimeError(f"covers {x}, {y} have no join but the pair scan finds none")
+                return LatticeResult(False, witness)
     return LatticeResult(True)
 
 

@@ -196,6 +196,14 @@ def test_small_sweep_agrees():
         ).is_lattice
 
 
+@pytest.mark.slow
+def test_rank_six_sweep_agrees():
+    # Largest crystal: (5,3,1) n=6, 41,580 vertices, under the default cap.
+    report = classification_sweep(6, 9)
+    assert len(report.rows) == 331
+    assert report.disagreements == [] and report.skipped == []
+
+
 def test_sweep_records_skips():
     report = classification_sweep(3, 5, vertex_cap=5)
     assert report.skipped

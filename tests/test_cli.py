@@ -220,6 +220,13 @@ def test_lattice_on_a_large_lattice(capsys):
     assert (code, out) == (0, "shape 12 n=5: lattice\nclause: (k)\n")
 
 
+def test_lattice_builds_an_index_only_for_a_bowtie(capsys, index_builds):
+    assert run(capsys, "lattice", "--shape", "3,2,1", "--n", "3")[0] == 0
+    assert index_builds == []
+    code, out, _ = run(capsys, "lattice", "--shape", "5,2", "--n", "3")
+    assert code == 0 and out.count("bowtie") == 4 and len(index_builds) == 1
+
+
 @pytest.mark.parametrize("shape,n", [("5,2", 3), ("4,4", 5)])
 def test_lattice_prints_the_reference_certificate(capsys, shape, n):
     graph = generate_crystal(Partition(tuple(map(int, shape.split(","))), n))

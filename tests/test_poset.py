@@ -1,3 +1,4 @@
+import weakref
 from types import SimpleNamespace
 
 import pytest
@@ -20,6 +21,7 @@ from crystalpop.tableaux import Partition
 from oracles import (
     components_and_sources,
     find_bowtie_by_candidates,
+    is_lattice_by_covers,
     is_lattice_by_pairs,
     levi_restrict,
     naive_join,
@@ -150,6 +152,14 @@ JOINLESS_AT_RANK_TWO = stub_poset(9, [
 ])
 
 
+# 0 < 1 < 3 and 0 < 2, with 2 and 3 both maximal: the covers 1, 2 of the
+# minimum have no upper bound at all.
+TWO_MAXIMA = stub_poset(4, [(0, 1), (0, 2), (1, 3)])
+# Three minima 0, 1, 2 below three maxima; t2 may be 1 or 2 on the edge (0, 3).
+TWO_POSSIBLE_T2 = stub_poset(6, [(0, 3), (0, 4), (0, 5), (1, 4), (1, 3), (2, 5), (2, 3)])
+STUBS = [NO_BOWTIE, BOOLEAN_B3, JOINLESS_AT_RANK_TWO, TWO_MAXIMA, TWO_POSSIBLE_T2]
+
+
 def test_non_lattice_without_a_bowtie():
     assert is_lattice(NO_BOWTIE) == is_lattice_by_pairs(NO_BOWTIE) == LatticeResult(False, (1, 2))
     assert find_bowtie(NO_BOWTIE) is None
@@ -169,10 +179,38 @@ def test_cover_check_fails_above_the_minimum():
     assert is_lattice(graph) == is_lattice_by_pairs(graph) == LatticeResult(False, (3, 5))
 
 
+def test_verdict_matches_cover_and_pairwise_references_on_stubs():
+    for graph in STUBS:
+        assert is_lattice(graph) == is_lattice_by_covers(graph) == is_lattice_by_pairs(graph)
+    assert is_lattice(TWO_MAXIMA) == LatticeResult(False, (1, 2))
+
+
 def test_cover_check_failure_without_a_joinless_pair_is_a_bug(monkeypatch):
     monkeypatch.setattr(poset, "_first_joinless_pair", lambda up: None)
+    result = is_lattice(NO_BOWTIE)
     with pytest.raises(RuntimeError, match="covers 1, 2 have no join but the pair scan finds none"):
-        is_lattice(NO_BOWTIE)
+        result.witness
+
+
+def test_verdict_builds_no_index_until_the_witness_is_read(index_builds):
+    assert is_lattice(generate_crystal(Partition((3, 2, 1), 3))) == LatticeResult(True)
+    graph = generate_crystal(Partition((5, 2), 3))
+    result = is_lattice(graph)
+    assert not result.is_lattice and index_builds == []
+    witness = result.witness
+    assert index_builds == [graph] and result.witness == witness
+    index = ReachabilityIndex(graph)
+    assert join(index, *witness) is None
+    assert is_lattice(graph, index).witness == witness and index_builds == [graph, graph]
+
+
+def test_a_read_witness_keeps_no_index():
+    graph = generate_crystal(Partition((5, 2), 3))
+    index = ReachabilityIndex(graph)
+    result, freed = is_lattice(graph, index), weakref.ref(index)
+    assert result.witness is not None
+    del index
+    assert freed() is None
 
 
 def check_against_pairwise_scan(pairs):
@@ -184,7 +222,8 @@ def check_against_pairwise_scan(pairs):
             continue
         index = ReachabilityIndex(graph)
         result = is_lattice(graph, index)
-        assert result == is_lattice_by_pairs(graph, index), (parts, n)
+        assert result == is_lattice_by_covers(graph, index) == is_lattice_by_pairs(graph, index), \
+            (parts, n)
         lattices += result.is_lattice
     return lattices
 
@@ -222,16 +261,14 @@ def test_find_bowtie_matches_candidate_reference():
 def test_find_bowtie_takes_up_sets_of_every_possible_t2():
     # On the cover edge (0, 3) both 1 and 2 can be t2; u2 = 4 lies above 1
     # only and u2 = 5 above 2 only, so the first u2 needs both up-sets.
-    graph = stub_poset(6, [(0, 3), (0, 4), (0, 5), (1, 4), (1, 3), (2, 5), (2, 3)])
+    graph = TWO_POSSIBLE_T2
     cert = BowtieCertificate(t1=0, t2=1, u1=3, u2=4)
     assert find_bowtie(graph) == find_bowtie_by_candidates(graph) == cert
     assert verify_bowtie(graph, cert)
 
 
 def test_lattice_and_bowtie_checks_leave_down_sets_unbuilt():
-    stubs = [NO_BOWTIE, BOOLEAN_B3, JOINLESS_AT_RANK_TWO,
-             stub_poset(6, [(0, 3), (0, 4), (0, 5), (1, 4), (1, 3), (2, 5), (2, 3)])]
-    for graph in graphs() + stubs:
+    for graph in graphs() + STUBS:
         index = ReachabilityIndex(graph)
         expected = find_bowtie_by_candidates(graph)
         is_lattice(graph, index)
