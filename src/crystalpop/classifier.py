@@ -165,20 +165,18 @@ def _dual_quad(graph: CrystalGraph) -> tuple[Tableau, Tableau, Tableau, Tableau]
     nu = graph.shape
     parts, n = nu.parts, nu.n
     ell = len(parts)
-    # literal three-row pattern at rows q..q+2, no rows below it
-    for q in range(1, ell - 1):
-        if q + 2 >= ell and nu.part(q) - 2 >= nu.part(q + 1) >= nu.part(q + 2) >= 1:
-            rank = n - q + 1
-            t_cols = nu.part(q + 2) - 1
-            reduced = Partition(
-                (nu.part(q) - t_cols, nu.part(q + 1) - t_cols, 1), rank
-            )
-            quad = bowtie_B(reduced)
-            mid = Partition((nu.part(q), nu.part(q + 1), nu.part(q + 2)), rank)
-            quad = tuple(eta_embed(x, mid, t_cols) for x in quad)
-            for r in range(q - 1, 0, -1):
-                quad = tuple(iota_embed(x, Partition(parts[r - 1:], rank + q - r)) for x in quad)
-            return quad  # type: ignore[return-value]
+    # literal three-row pattern in the last three rows q..q+2
+    q = ell - 2
+    if q >= 1 and nu.part(q) - 2 >= nu.part(q + 1) >= nu.part(q + 2) >= 1:
+        rank = n - q + 1
+        t_cols = nu.part(q + 2) - 1
+        reduced = Partition((nu.part(q) - t_cols, nu.part(q + 1) - t_cols, 1), rank)
+        quad = bowtie_B(reduced)
+        mid = Partition((nu.part(q), nu.part(q + 1), nu.part(q + 2)), rank)
+        quad = tuple(eta_embed(x, mid, t_cols) for x in quad)
+        for r in range(q - 1, 0, -1):
+            quad = tuple(iota_embed(x, Partition(parts[r - 1:], rank + q - r)) for x in quad)
+        return quad  # type: ignore[return-value]
     if ell == 2 and parts[1] >= 2 and n >= 3:
         t_cols = parts[1] - 2
         quad = bowtie_E(Partition((parts[0] - t_cols, 2), n))
@@ -283,6 +281,9 @@ def classification_sweep(max_n: int, max_cells: int,
     """Compare the closed-form prediction against brute force for every
     shape/rank pair within the bounds; oversized crystals are listed as
     skipped rather than silently dropped; at most one worker per CPU."""
+    for name, bound in (("max_n", max_n), ("max_cells", max_cells)):
+        if bound < 0:
+            raise ValueError(f"{name} must be at least 0, got {bound}")
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     tasks = [(parts, n, vertex_cap) for parts, n in sweep_pairs(max_n, max_cells)]

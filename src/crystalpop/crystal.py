@@ -17,12 +17,13 @@ the top row's letter blocks by its high bits. An image differs from its
 source in one cell, so a bump is checked against that cell's neighbours, and
 validate_tableau raises any error. A lower-rows target and its neighbours
 all lie in the lower rows, so it is checked once, when its memo entry is
-built, and a bad one is stored as ~p; a top-row target is checked per
-edge. Generation fills only words and succ (pred waits for its first
+built, and a bad one is stored as ~p. A top-row target ends its block, so
+the entry to its right is larger and only the entry below it is compared,
+per edge. Generation fills only words and succ (pred waits for its first
 read), and no output builds a Tableau. Full outputs read graph.texts(),
-which formats each distinct row once (one memo per tableau row); outputs
-for one vertex format graph.rows(v), word v cut by tableaux.row_slices.
-to_json writes the json.dumps(indent=2) layout from fixed templates.
+which formats each distinct row once (one memo per tableau row); outputs for
+one vertex format graph.rows(v), word v cut by tableaux.row_slices. to_json
+writes the json.dumps(indent=2) layout from fixed templates.
 """
 
 from __future__ import annotations
@@ -200,8 +201,7 @@ def generate_crystal(shape: Partition, cap: Optional[int] = None) -> CrystalGrap
             for (i, d, p), start, stop in zip(memo, top[0], top[1]):
                 if stop - start > d:
                     p = stop - 1
-                    if (stop < end and word[stop] <= i
-                            or (q := below[p]) < end and word[q] <= i + 1):
+                    if (q := below[p]) < end and word[q] <= i + 1:
                         p = ~p
                 elif p is None:
                     continue

@@ -323,10 +323,9 @@ def verify_section3_lemmas(m: int) -> CheckReport:
       S_m, not only the quotient, and nothing assumes rep is a true coset
       representative). Only when a cover fails does it scan every y for
       that J: with A_b the permutations whose inversion mask has bit b, the
-      up-set U(y) is the AND of A_b over the bits of mask(y) (Prop. 3.1.3);
-      with B_b the z whose rep(z) has bit b, G_J(x), the AND of B_b over
-      the bits of mask(x), is the set of z with x <= rep(z), and the
-      failures at y are U(y) & ~G_J(rep(y)).
+      up-set U(y) is the AND of A_b over the bits of mask(y) (Prop. 3.1.3),
+      and the failures at y are the z in U(y) with Inv(rep(y)) not within
+      Inv(rep(z)).
     - Bruhat order. With D_b the permutations whose rank array has bit b,
       the lower set L(y) is the complement of the OR of D_b over the bits
       missing from the rank array of y (Thm. 2.1.5). With E_b the x whose
@@ -365,8 +364,7 @@ def verify_section3_lemmas(m: int) -> CheckReport:
     violations = []
     checked = 0
 
-    weak_columns = _bit_columns(masks)
-    mask_cols = _bitsets(weak_columns)
+    mask_cols = _bitsets(_bit_columns(masks))
     # one up-set at a time, each dropped once counted
     weak_pairs = sum(_having(mask_cols, mask, everything).bit_count() for mask in masks)
     lower, upper = weak_covers(lines, index)
@@ -375,17 +373,13 @@ def verify_section3_lemmas(m: int) -> CheckReport:
         held = list(map(masks.__getitem__, rep))  # Inv(rep(y))
         missed = list(map(outside.__getitem__, rep))  # ~Inv(rep(y))
         if any(map(operator.and_, map(held.__getitem__, lower), map(missed.__getitem__, upper))):
-            rep_mask_cols = _bitsets(weak_columns, rep)
-            above_rep = {}
             for y, mask in enumerate(masks):
-                x = rep[y]
-                if x not in above_rep:
-                    above_rep[x] = _having(rep_mask_cols, masks[x], everything)
-                for z in _set_bits(_having(mask_cols, mask, everything) & ~above_rep[x]):
-                    violations.append(
-                        f"quotient monotonicity fails: J={set(j)} "
-                        f"y={Permutation(lines[y])} z={Permutation(lines[z])}"
-                    )
+                for z in _set_bits(_having(mask_cols, mask, everything)):
+                    if held[y] & missed[z]:
+                        violations.append(
+                            f"quotient monotonicity fails: J={set(j)} "
+                            f"y={Permutation(lines[y])} z={Permutation(lines[z])}"
+                        )
         # Inv(rep(pop(w))) within Inv(pop(rep(w))), for each w
         exchange = list(map(operator.and_, map(held.__getitem__, pop),
                             map(outside.__getitem__, map(pop.__getitem__, rep))))

@@ -91,7 +91,12 @@ def test_bowtie_E_verifies(parts, n):
     assert verify_bowtie(graph, locate(graph, bowtie_E(shape)))
 
 
-BOWTIE_C_CASES = [((3, 3, 1), 3, 1), ((3, 3, 1, 1), 4, 1), ((5, 3, 1), 3, 1), ((3, 3, 1), 4, 1)]
+# Shapes whose duals, (4,3,1,1) and (5,4,2,2), end in three rows that drop by
+# two, so the dual quad is built from bowtie_B; the second embeds one column.
+THREE_ROW_DUAL_CASES = [((4, 3, 3, 1), 4, 2), ((5, 3, 3, 1), 4, 2)]
+BOWTIE_C_CASES = [
+    ((3, 3, 1), 3, 1), ((3, 3, 1, 1), 4, 1), ((5, 3, 1), 3, 1), ((3, 3, 1), 4, 1),
+] + THREE_ROW_DUAL_CASES
 
 
 @pytest.mark.parametrize("parts,n,p", BOWTIE_C_CASES)
@@ -114,6 +119,25 @@ def test_bowtie_C_generates_each_crystal_once(monkeypatch, parts, n, p):
     monkeypatch.setattr(classifier, "generate_crystal", spy)
     bowtie_C_via_duality(Partition(parts, n), p)
     assert sorted(shapes) == sorted([parts, dual_shape(Partition(parts, n)).parts])
+
+
+@pytest.mark.parametrize("parts,n,p", THREE_ROW_DUAL_CASES)
+def test_bowtie_C_builds_three_row_dual_quad(monkeypatch, parts, n, p):
+    built = []
+
+    def spy(shape):
+        built.append(shape.parts)
+        return bowtie_B(shape)
+
+    def scan(*args):
+        raise AssertionError("the dual quad was scanned for")
+
+    monkeypatch.setattr(classifier, "bowtie_B", spy)
+    monkeypatch.setattr(classifier, "find_bowtie", scan)
+    shape = Partition(parts, n)
+    graph = generate_crystal(shape)
+    assert verify_bowtie(graph, locate(graph, bowtie_C_via_duality(shape, p)))
+    assert built == [(3, 1, 1)]
 
 
 def test_constructors_reject_wrong_shapes():

@@ -318,6 +318,21 @@ def test_classify_needs_at_least_one_job(capsys, jobs):
     assert err == f"invalid input: jobs must be at least 1, got {jobs}\n"
 
 
+@pytest.mark.parametrize("bounds,name,bound", [
+    (("-1", "3"), "max_n", -1), (("3", "-2"), "max_cells", -2),
+])
+def test_classify_rejects_negative_bounds(capsys, bounds, name, bound):
+    code, out, err = run(capsys, "classify", "--max-n", bounds[0], "--max-cells", bounds[1])
+    assert (code, out) == (2, "")
+    assert err == f"invalid input: {name} must be at least 0, got {bound}\n"
+
+
+@pytest.mark.parametrize("bounds", [("0", "3"), ("3", "0")])
+def test_classify_zero_bound_is_an_empty_sweep(capsys, bounds):
+    code, out, err = run(capsys, "classify", "--max-n", bounds[0], "--max-cells", bounds[1])
+    assert (code, out, err) == (0, "lambda,n,predicted,brute_force,clause,vertices,millis\r\n", "")
+
+
 def test_verify_crystal(capsys):
     code, out, _ = run(capsys, "verify", "--shape", "2,1", "--n", "2")
     assert code == 0

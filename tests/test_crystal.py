@@ -142,7 +142,7 @@ def test_generation_index_lattice_verdict_and_exports_leave_pred_unbuilt():
         assert "pred" not in vars(graph)
         top = graph.num_vertices - 1
         assert index.down[top] == (1 << graph.num_vertices) - 1
-        assert "pred" in vars(graph)
+        assert "pred" not in vars(graph)
         assert graph.pred == generate_crystal_by_tableaux(graph.shape)[2]
 
 

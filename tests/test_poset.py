@@ -283,6 +283,19 @@ def test_lattice_and_bowtie_checks_leave_down_sets_unbuilt():
                 assert meet(index, [u, v]) == naive_meet(reach, size, [u, v])
 
 
+def test_index_reads_only_succ():
+    # A poset given by num_vertices and succ alone answers as the full stub.
+    for graph in STUBS:
+        size = graph.num_vertices
+        bare = SimpleNamespace(num_vertices=size, succ=graph.succ)
+        full, index = ReachabilityIndex(graph), ReachabilityIndex(bare)
+        assert (index.up, index.down) == (full.up, full.down)
+        for u in range(size):
+            assert [meet(index, [u, v]) for v in range(size)] == [
+                meet(full, [u, v]) for v in range(size)]
+        assert find_bowtie(bare, index) == find_bowtie(graph, full)
+
+
 def test_verify_bowtie_rejects_bad_certificate():
     graph = generate_crystal(Partition((2, 1), 2))
     cert = BowtieCertificate(t1=0, t2=1, u1=2, u2=3)
