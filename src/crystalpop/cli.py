@@ -2,7 +2,8 @@
 sweeps, and verification suites.
 
 Exit codes: 0 success, 1 a mathematical property check failed, 2 invalid
-input. Output is byte-deterministic for fixed inputs.
+input. Output is byte-deterministic for fixed inputs, except the millis
+column of classify, the wall time spent on each shape.
 """
 
 from __future__ import annotations

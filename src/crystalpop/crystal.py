@@ -119,20 +119,16 @@ class CrystalGraph:
                 i += 1
         return pred
 
-    @cached_property
-    def _row_slices(self) -> list[slice]:
-        return row_slices(self.shape)
-
     def rows(self, v: int) -> tuple[tuple[int, ...], ...]:
         """The rows of vertex v's tableau, top row first, cut from its word."""
-        return tuple(map(self.words[v].__getitem__, self._row_slices))
+        return tuple(map(self.words[v].__getitem__, row_slices(self.shape)))
 
     def texts(self) -> list[str]:
         """format_rows(self.rows(v)) for every v, a row slice at a time: each
         distinct row of a slice is formatted once. Each row is dropped as
         soon as it is looked up, so no slice's V rows are alive at once."""
         columns = []
-        for cut in self._row_slices:
+        for cut in row_slices(self.shape):
             memo: dict[tuple[int, ...], str] = {}
             column = []
             for word in self.words:
@@ -164,6 +160,8 @@ def generate_crystal(shape: Partition, cap: Optional[int] = None) -> CrystalGrap
     holds the codes of the level being found, level those being read."""
     if cap is None:
         cap = default_cap()
+    if cap < 0:
+        raise ValueError(f"cap must be at least 0, got {cap}")
     n = shape.n
     over_cap = f"crystal for {shape.parts} at n={n} exceeds cap {cap}"
     if hook_content_count(shape) > cap:

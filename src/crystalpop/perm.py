@@ -22,12 +22,14 @@ lexicographic order. Weak-order monotonicity is tested on covers only (a
 map preserves the order iff it preserves every cover), with the coset
 representatives of each generator subset gathered from those of its
 parent subset. Sets of permutations are ints with one bit per permutation,
-and for each bit b of an invariant the suite keeps the set of permutations
-having b: the weak up-set of y is the AND of those sets over the
-inversions of y, and the Bruhat lower set of y the complement of their OR
-over the rank bits y lacks. Up-sets are built one at a time and dropped,
-so no m!^2/8-byte table is kept; the cover tests grow as 2^(m-2) (m-1) m!,
-and the suite stops at MAX_LEMMA_M, the largest size measured.
+and one containment query answers both orders: for each bit b of an
+invariant the suite keeps the set of permutations having b, and the z
+whose invariant lies within y's are the complement of the OR of those sets
+over the bits y lacks. The Bruhat lower set reads the rank arrays; the
+weak up-set reads the inversions each permutation lacks, Inv(w0) - Inv(w).
+Up-sets are built one at a time and dropped, so no m!^2/8-byte table is
+kept; the cover tests grow as 2^(m-2) (m-1) m!, and the suite stops at
+MAX_LEMMA_M, the largest size measured.
 """
 
 from __future__ import annotations
@@ -227,41 +229,31 @@ def _set_bits(v: int) -> list[int]:
     return out
 
 
-def _bit_columns(values: list[int]) -> dict[int, str]:
-    """For each bit b set in some value, the string of '0'/'1' characters
-    whose i-th character is bit b of values[i]."""
-    width = max(values).bit_length()
-    if not width:
-        return {}
-    rows = [format(v, f"0{width}b") for v in values]
-    return {
-        width - 1 - k: "".join(col)
-        for k, col in enumerate(zip(*rows))
-        if "1" in col
-    }
+# _DIGITS[t] maps a byte to the digit b"1" if its bit t is set, else b"0".
+_DIGITS = [bytes(48 + (x >> t & 1) for x in range(256)) for t in range(8)]
 
 
-def _bitsets(columns: dict[int, str], order: list[int] | None = None) -> dict[int, int]:
-    """For each bit b, the set of i whose character columns[b][order[i]] is
-    '1' (order defaults to the identity), as an int with bit i for index i."""
-    if order is None:
-        return {b: int(col[::-1], 2) for b, col in columns.items()}
-    # With one index, take returns a one-character string, which joins to itself.
-    take = operator.itemgetter(*order)
-    return {b: int("".join(take(col))[::-1], 2) for b, col in columns.items()}
-
-
-def _having(cols: dict[int, int], packed: int, everything: int) -> int:
-    """The intersection of cols[b] over the bits b of packed."""
-    out = everything
-    for b, col in cols.items():
-        if packed >> b & 1:
-            out &= col
-    return out
+def _columns(values: list[int]) -> dict[int, int]:
+    """For each bit b set in some value, the set of i whose values[i] has b,
+    as an int with bit i for index i. The values are written as bytes, last
+    one first (int reads its first digit as the top bit), so byte j of every
+    value is one strided slice, which _DIGITS turns into the '0'/'1' digits
+    of each of its bits."""
+    size = (max(values).bit_length() + 7) // 8
+    data = b"".join([v.to_bytes(size, "little") for v in reversed(values)])
+    cols = {}
+    for j in range(size):
+        column = data[j::size]
+        for t in range(8):
+            if col := int(column.translate(_DIGITS[t]), 2):
+                cols[8 * j + t] = col
+    return cols
 
 
 def _lacking(cols: dict[int, int], packed: int) -> int:
-    """The union of cols[b] over the bits b missing from packed."""
+    """The union of cols[b] over the bits b missing from packed. For cols =
+    _columns(values), its complement is the set of i with values[i] within
+    packed."""
     out = 0
     for b, col in cols.items():
         if not packed >> b & 1:
@@ -315,22 +307,24 @@ def verify_section3_lemmas(m: int) -> CheckReport:
     intermediate element has pairwise commuting descents).
 
     S_m is indexed in all_permutations order, and sets of permutations are
-    ints with bit i for index i.
+    ints with bit i for index i. Both orders are containment orders, so one
+    query answers both: with C_b the permutations whose invariant has bit b
+    (_columns), the z whose invariant lies within that of y are the
+    complement of the OR of C_b over the bits y lacks (_lacking).
 
     - Quotient monotonicity. A map between posets preserves the order iff
       it preserves every cover, so for each J the suite tests
       Inv(rep(y)) within Inv(rep(y*s_i)) over every right-weak cover (all of
       S_m, not only the quotient, and nothing assumes rep is a true coset
       representative). Only when a cover fails does it scan every y for
-      that J: with A_b the permutations whose inversion mask has bit b, the
-      up-set U(y) is the AND of A_b over the bits of mask(y) (Prop. 3.1.3),
-      and the failures at y are the z in U(y) with Inv(rep(y)) not within
-      Inv(rep(z)).
-    - Bruhat order. With D_b the permutations whose rank array has bit b,
-      the lower set L(y) is the complement of the OR of D_b over the bits
-      missing from the rank array of y (Thm. 2.1.5). With E_b the x whose
-      pop(x) has bit b, monotonicity of pop at y is L(y) & ~L_E(pop(y)) == 0,
-      where L_E(p), the x with pop(x) <= p, is built from E_b as L is from D_b.
+      that J: Inv(y) lies within Inv(z) iff out(z) lies within out(y),
+      with out(w) = Inv(w0) - Inv(w) the inversions w lacks, so the up-set
+      U(y) is the query on out (Prop. 3.1.3), and the failures at y are the
+      z in U(y) with Inv(rep(y)) not within Inv(rep(z)).
+    - Bruhat order. The lower set L(y) is the query on the rank arrays
+      (Thm. 2.1.5), and L_E(p), the x with pop(x) <= p, the query on the
+      rank arrays of pop(x); monotonicity of pop at y is
+      L(y) & ~L_E(pop(y)) == 0.
 
     Each pair (y, z) still counts as one check: checked adds the number of
     weak pairs per J and the sizes of the lower sets. A failing set is
@@ -360,21 +354,22 @@ def verify_section3_lemmas(m: int) -> CheckReport:
     index = {line: i for i, line in enumerate(lines)}
     pop = list(map(index.__getitem__, popped))
     everything = (1 << len(lines)) - 1
-    outside = [~mask for mask in masks]
+    universe = longest_element(m).inversion_mask  # w0 has every inversion
+    outside = [universe ^ mask for mask in masks]
     violations = []
     checked = 0
 
-    mask_cols = _bitsets(_bit_columns(masks))
+    outside_cols = _columns(outside)
     # one up-set at a time, each dropped once counted
-    weak_pairs = sum(_having(mask_cols, mask, everything).bit_count() for mask in masks)
+    weak_pairs = sum((everything & ~_lacking(outside_cols, gap)).bit_count() for gap in outside)
     lower, upper = weak_covers(lines, index)
     for j, rep in coset_rep_tables(lines, index):
         checked += weak_pairs
         held = list(map(masks.__getitem__, rep))  # Inv(rep(y))
-        missed = list(map(outside.__getitem__, rep))  # ~Inv(rep(y))
+        missed = list(map(outside.__getitem__, rep))  # the inversions rep(y) lacks
         if any(map(operator.and_, map(held.__getitem__, lower), map(missed.__getitem__, upper))):
-            for y, mask in enumerate(masks):
-                for z in _set_bits(_having(mask_cols, mask, everything)):
+            for y, gap in enumerate(outside):
+                for z in _set_bits(everything & ~_lacking(outside_cols, gap)):
                     if held[y] & missed[z]:
                         violations.append(
                             f"quotient monotonicity fails: J={set(j)} "
@@ -391,9 +386,8 @@ def verify_section3_lemmas(m: int) -> CheckReport:
                         f"pop/quotient exchange fails: J={set(j)} w={Permutation(lines[w])}"
                     )
 
-    bruhat_columns = _bit_columns(ranks)
-    rank_cols = _bitsets(bruhat_columns)
-    pop_rank_cols = _bitsets(bruhat_columns, pop)
+    rank_cols = _columns(ranks)
+    pop_rank_cols = _columns([ranks[p] for p in pop])
     for y, rank in enumerate(ranks):
         if not commuting[y]:
             continue

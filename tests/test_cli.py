@@ -327,6 +327,31 @@ def test_classify_rejects_negative_bounds(capsys, bounds, name, bound):
     assert err == f"invalid input: {name} must be at least 0, got {bound}\n"
 
 
+@pytest.mark.parametrize("command", [
+    ("gen", "--shape", "2,1", "--n", "2"),
+    ("pop", "--shape", "2,1", "--n", "2"),
+    ("lattice", "--shape", "2,1", "--n", "2"),
+    ("verify", "--shape", "2,1", "--n", "2"),
+    ("classify", "--max-n", "2", "--max-cells", "2"),
+])
+def test_negative_cap_is_invalid_input(capsys, monkeypatch, command):
+    code, out, err = run(capsys, *command, "--cap", "-1")
+    assert (code, out, err) == (2, "", "invalid input: cap must be at least 0, got -1\n")
+    monkeypatch.setenv("CRYSTAL_POP_CAP", "-3")
+    code, out, err = run(capsys, *command)
+    assert (code, out, err) == (2, "", "invalid input: cap must be at least 0, got -3\n")
+
+
+def test_classify_with_a_zero_cap_skips_every_shape(capsys):
+    code, out, err = run(capsys, "classify", "--max-n", "1", "--max-cells", "2", "--cap", "0")
+    assert (code, err) == (0, "")
+    table, skipped = out.split("# ", 1)
+    assert [row[:4] for row in csv.reader(io.StringIO(table))][1:] == [
+        ["1", "1", "True", "skipped"], ["2", "1", "True", "skipped"],
+    ]
+    assert skipped == "skipped over cap: (1,) n=1\r\n# skipped over cap: (2,) n=1\r\n"
+
+
 @pytest.mark.parametrize("bounds", [("0", "3"), ("3", "0")])
 def test_classify_zero_bound_is_an_empty_sweep(capsys, bounds):
     code, out, err = run(capsys, "classify", "--max-n", bounds[0], "--max-cells", bounds[1])

@@ -206,6 +206,17 @@ def test_cap_enforced(monkeypatch):
         generate_crystal(Partition((3, 1), 3))
 
 
+def test_negative_cap_is_invalid(monkeypatch):
+    shape = Partition((1,), 1)
+    with pytest.raises(ValueError, match=r"^cap must be at least 0, got -1$"):
+        generate_crystal(shape, cap=-1)
+    monkeypatch.setenv(CAP_ENV_VAR, "-3")
+    with pytest.raises(ValueError, match=r"^cap must be at least 0, got -3$"):
+        generate_crystal(shape)
+    with pytest.raises(SizeLimitExceeded, match=r"exceeds cap 0$"):
+        generate_crystal(shape, cap=0)
+
+
 def test_cap_checked_before_generation(monkeypatch):
     def no_search(*args):
         raise AssertionError("the search started")

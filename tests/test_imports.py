@@ -1,9 +1,11 @@
 """Every name a crystalpop module imports is used in that module, every
 top-level def or class has a user outside itself, and so has every method
 or property of a class. The package's __init__.py is skipped: its imports
-are re-exports. Importing the CLI loads no process-pool module."""
+are re-exports. Importing the CLI loads no process-pool module. Every
+module parses as the oldest Python that pyproject.toml allows."""
 
 import ast
+import re
 import subprocess
 import sys
 from collections import Counter
@@ -16,7 +18,11 @@ import crystalpop
 MODULES = sorted(
     p for p in Path(crystalpop.__file__).parent.glob("*.py") if p.name != "__init__.py"
 )
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+ROOT = Path(__file__).resolve().parent.parent
+PERFBENCH = ROOT / "perfbench"
+OLDEST_PYTHON = tuple(map(int, re.search(
+    r'requires-python = ">=(\d+)\.(\d+)"', (ROOT / "pyproject.toml").read_text()
+).groups()))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -157,3 +163,16 @@ def test_cli_import_loads_no_process_pool():
     out = subprocess.run([sys.executable, "-c", probe, src], check=True,
                          capture_output=True, text=True).stdout
     assert out == "[]\n"
+
+
+def test_the_version_check_rejects_newer_syntax():
+    source = "try:\n    pass\nexcept* ValueError:\n    pass\n"  # Python 3.11 syntax
+    ast.parse(source, feature_version=(3, 11))
+    with pytest.raises(SyntaxError):
+        ast.parse(source, feature_version=(3, 10))
+
+
+@pytest.mark.parametrize("path", sorted(Path(crystalpop.__file__).parent.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_modules_parse_as_the_oldest_python(path):
+    ast.parse(path.read_text(), filename=str(path), feature_version=OLDEST_PYTHON)

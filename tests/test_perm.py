@@ -237,6 +237,35 @@ def all_of(m):
     return lines, {line: i for i, line in enumerate(lines)}
 
 
+def within(values, packed):
+    """The set of i whose values[i] lies within packed, by brute force."""
+    return sum(1 << i for i, v in enumerate(values) if not v & ~packed)
+
+
+@pytest.mark.parametrize("values,packed", [
+    ([0], 0),  # S_1: the only permutation has no inversions
+    ([0, 0, 0], 0b11),
+    ([0b101, 0b100, 0], 0b110),  # no value sets bit 1
+    ([0b101, 0b100, 0], 0b101),
+    ([0b1000, 0b1], 0b11110),  # packed holds bits no value sets
+    ([1 << 20 | 1, 0xFF, 1 << 8], 0x1FF),  # bits in three bytes
+])
+def test_columns_and_lacking_answer_containment(values, packed):
+    cols = perm._columns(values)
+    assert cols == {
+        b: sum(1 << i for i, v in enumerate(values) if v >> b & 1)
+        for b in range(max(values).bit_length()) if any(v >> b & 1 for v in values)
+    }
+    everything = (1 << len(values)) - 1
+    assert everything & ~perm._lacking(cols, packed) == within(values, packed)
+
+
+@given(st.lists(st.integers(0, 1 << 12), min_size=1, max_size=40), st.integers(0, 1 << 14))
+def test_columns_and_lacking_match_brute_force(values, packed):
+    everything = (1 << len(values)) - 1
+    assert everything & ~perm._lacking(perm._columns(values), packed) == within(values, packed)
+
+
 def test_coset_rep_tables_and_covers_match_direct_forms():
     lines, index = all_of(6)
     perms = list(all_permutations(6))
