@@ -259,6 +259,8 @@ def main(argv: Optional[list[str]] = None) -> int:
         sys.stderr.write("verify takes either --shape/--n or --m, not both\n")
         return 2
     try:
+        if (getattr(args, "cap", None) or 0) < 0:
+            raise ValueError(f"cap must be at least 0, got {args.cap}")
         _emit(args.func(args), getattr(args, "out", None))
     except (PropertyFailure, NonTermination, InconsistentFamily, NonUniqueMinimum) as exc:
         sys.stderr.write(f"property check failed: {exc}\n")

@@ -53,7 +53,11 @@ class IsomorphismFailure(RuntimeError):
 
 
 def default_cap() -> int:
-    return int(os.environ.get(CAP_ENV_VAR, DEFAULT_VERTEX_CAP))
+    text = os.environ.get(CAP_ENV_VAR, str(DEFAULT_VERTEX_CAP))
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"{CAP_ENV_VAR} must be an integer, got {text!r}") from None
 
 
 def _brackets(word, n: int) -> tuple[list[int], list[Optional[int]]]:

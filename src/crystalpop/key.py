@@ -21,6 +21,7 @@ from .crystal import CrystalGraph, stabilizer_colors, weyl_reflect
 from .perm import (
     CheckReport,
     Permutation,
+    _set_bits,
     bruhat_leq,
     coxeter_pop,
     identity,
@@ -50,16 +51,17 @@ class DemazureFamily:
 
 
 def _closure(succ, bits: int, i: int) -> int:
-    """Close a vertex bitset under F_i, read from the graph's succ table."""
-    frontier = bits
-    while frontier:
-        v = (frontier & -frontier).bit_length() - 1
-        frontier &= frontier - 1
+    """Close a vertex bitset S under F_i, read from the graph's succ table.
+    The closure is S plus the tail of each i-string from its members, so
+    each member's string is walked up to its end or to a vertex already
+    flagged: every vertex of the result is read at most once."""
+    flags = bytearray(bin(bits)[:1:-1].encode().ljust(len(succ), b"0"))
+    for v in _set_bits(bits):
         w = succ[v][i - 1]
-        if w is not None and not bits >> w & 1:
-            bits |= 1 << w
-            frontier |= 1 << w
-    return bits
+        while w is not None and flags[w] == 48:  # b"0": not yet in the closure
+            flags[w] = 49
+            w = succ[w][i - 1]
+    return int(flags[::-1], 2)
 
 
 def build_demazure_family(graph: CrystalGraph) -> DemazureFamily:
@@ -107,9 +109,8 @@ def all_keys(graph: CrystalGraph, family: DemazureFamily) -> list[Permutation]:
         if fresh:
             groups.append((w, fresh))
             assigned |= fresh
-        while fresh:
-            keys[(fresh & -fresh).bit_length() - 1] = w
-            fresh &= fresh - 1
+        for v in _set_bits(fresh):
+            keys[v] = w
     missing = ~assigned & ((1 << graph.num_vertices) - 1)
     if missing:
         v = (missing & -missing).bit_length() - 1
@@ -134,45 +135,44 @@ def _numbered(kappa: list[Permutation]) -> tuple[list[Permutation], list[int]]:
 def verify_key_properties(graph: CrystalGraph, kappa: list[Permutation]) -> CheckReport:
     """Check the four defining properties of the key map plus order
     preservation along every cover edge; kappa is all_keys(graph, family).
-    Each distinct pair (kappa(src), kappa(dst)) is compared once."""
+    One walk over the edges compares key numbers and collects the distinct
+    pairs (kappa(src), kappa(dst)), each tested for the order once; the
+    edges are walked again only to list the failing ones."""
     e = identity(graph.n + 1)
-    succ, pred = graph.succ, graph.pred
     keys, number = _numbered(kappa)
     descent_sets = [right_descents(w) for w in keys]
+    pairs = set()
     violations = []
     checked = 0
-    for v in range(graph.num_vertices):
-        descents = descent_sets[number[v]]
-        for i in range(1, graph.n + 1):
-            w = succ[v][i - 1]
-            has_down = pred[v][i - 1] is not None
+    for v, (out, into) in enumerate(zip(graph.succ, graph.pred)):
+        k = number[v]
+        descents = descent_sets[k]
+        for i, w, u in zip(range(1, graph.n + 1), out, into):
             if w is not None:
-                checked += 1
-                if has_down:
-                    if kappa[w] != kappa[v]:
-                        violations.append(
-                            f"interior of an {i}-chain moved the key at vertex {v}"
-                        )
-                elif kappa[w] not in (kappa[v], kappa[v].right_mult_gen(i)):
+                checked += 2  # the chain property here, order preservation below
+                kw = number[w]
+                pairs.add((k, kw))
+                if kw != k and u is not None:
+                    violations.append(
+                        f"interior of an {i}-chain moved the key at vertex {v}"
+                    )
+                elif kw != k and keys[kw] != keys[k].right_mult_gen(i):
                     violations.append(
                         f"bottom of an {i}-chain: key of F_{i}({v}) is neither "
                         f"kappa(v) nor kappa(v)s_{i}"
                     )
             checked += 1
-            if i in descents and not has_down:
+            if i in descents and u is None:
                 violations.append(
                     f"descent {i} of the key of vertex {v} without an incoming edge"
                 )
         checked += 1
         if kappa[v] == e and v != 0:
             violations.append(f"identity key at non-minimal vertex {v}")
-    failing = _weak_failures(
-        {(number[src], number[dst]) for src, dst, _ in graph.edges()}, keys, keys
-    )
-    for src, dst, _ in graph.edges():
-        checked += 1
-        if (number[src], number[dst]) in failing:
-            violations.append(f"order preservation fails on edge {src} -> {dst}")
+    failing = _weak_failures(pairs, keys, keys)
+    if failing:
+        violations += [f"order preservation fails on edge {src} -> {dst}"
+                       for src, dst, _ in graph.edges() if (number[src], number[dst]) in failing]
     return CheckReport(checked=checked, violations=violations)
 
 

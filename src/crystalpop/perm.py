@@ -219,14 +219,10 @@ class CheckReport:
         return not self.violations
 
 
-def _set_bits(v: int) -> list[int]:
-    """The positions of the set bits of v, from low to high."""
-    out = []
-    while v:
-        low = v & -v
-        out.append(low.bit_length() - 1)
-        v ^= low
-    return out
+def _set_bits(v: int) -> itertools.compress:
+    """An iterator over the positions of the set bits of v >= 0, from low to
+    high, read from one scan of its binary digits (a zero byte is false)."""
+    return itertools.compress(itertools.count(), bin(v)[:1:-1].encode().replace(b"0", b"\0"))
 
 
 # _DIGITS[t] maps a byte to the digit b"1" if its bit t is set, else b"0".

@@ -567,6 +567,20 @@ def key_map_by_filter(family: DemazureFamily, v: int) -> Permutation:
     return best
 
 
+def closure_by_frontier(succ, bits: int, i: int) -> int:
+    """Close a vertex bitset under F_i by popping the lowest vertex of a
+    frontier bitset until it is empty, adding each new F_i target."""
+    frontier = bits
+    while frontier:
+        v = (frontier & -frontier).bit_length() - 1
+        frontier &= frontier - 1
+        w = succ[v][i - 1]
+        if w is not None and not bits >> w & 1:
+            bits |= 1 << w
+            frontier |= 1 << w
+    return bits
+
+
 def verify_key_properties_by_edges(graph: CrystalGraph, kappa: list[Permutation]) -> CheckReport:
     """The key-property suite with one weak_leq call per edge."""
     e = identity(graph.n + 1)

@@ -342,6 +342,22 @@ def test_negative_cap_is_invalid_input(capsys, monkeypatch, command):
     assert (code, out, err) == (2, "", "invalid input: cap must be at least 0, got -3\n")
 
 
+@pytest.mark.parametrize("command,cap", [
+    (("verify", "--m", "3"), "-5"),  # generates no crystal
+    (("classify", "--max-n", "0", "--max-cells", "3"), "-1"),  # an empty sweep
+])
+def test_negative_cap_is_rejected_where_it_is_parsed(capsys, command, cap):
+    code, out, err = run(capsys, *command, "--cap", cap)
+    assert (code, out, err) == (2, "", f"invalid input: cap must be at least 0, got {cap}\n")
+
+
+def test_malformed_cap_env_var_is_named(capsys, monkeypatch):
+    monkeypatch.setenv("CRYSTAL_POP_CAP", "abc")
+    code, out, err = run(capsys, "gen", "--shape", "1", "--n", "1")
+    assert (code, out) == (2, "")
+    assert err == "invalid input: CRYSTAL_POP_CAP must be an integer, got 'abc'\n"
+
+
 def test_classify_with_a_zero_cap_skips_every_shape(capsys):
     code, out, err = run(capsys, "classify", "--max-n", "1", "--max-cells", "2", "--cap", "0")
     assert (code, err) == (0, "")
@@ -379,6 +395,15 @@ def test_verify_crystal(capsys):
 ])
 def test_verify_crystal_stdout_is_frozen(capsys, shape, stdout):
     assert run(capsys, "verify", "--shape", shape, "--n", "4") == (0, stdout, "")
+
+
+def test_verify_rank_five_crystal_stdout_is_frozen(capsys):
+    # The first rank-5 check of the key map: 11,340 vertices, about 0.2 s.
+    assert run(capsys, "verify", "--shape", "5,3,1", "--n", "5") == (0, (
+        "crystal 5,3,1 n=5: 11340 vertices\npoppable: pass\n"
+        "pop agreement on embedded quotient: pass\n"
+        "key properties: pass (135540 checks)\npop-key inequality: pass (11340 checks)\n"
+    ), "")
 
 
 def count_calls(monkeypatch, name: str) -> list:

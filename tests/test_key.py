@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from crystalpop import key
@@ -14,6 +16,7 @@ from crystalpop.key import (
 from crystalpop.perm import identity, length, parse_permutation, weak_leq
 from crystalpop.tableaux import Partition
 from oracles import (
+    closure_by_frontier,
     embed_parabolic_quotient_by_words,
     key_map_by_filter,
     parabolic_quotient_by_filter,
@@ -177,3 +180,55 @@ def test_key_middle_vertices_two_one():
     keys = all_keys(graph, family)
     assert keys[3] == parse_permutation("231")
     assert keys[4] == parse_permutation("312")
+
+
+CLOSURE_PAIRS = list(sweep_pairs(4, 6)) + [((5, 3, 1), 5)]
+
+
+def subsets(size, rng):
+    """The empty and full sets, dense and sparse random sets, and one vertex."""
+    full = (1 << size) - 1
+    dense = rng.getrandbits(size)
+    sparse = dense & rng.getrandbits(size) & rng.getrandbits(size) & rng.getrandbits(size)
+    return [0, full, dense, sparse, 1 << rng.randrange(size)]
+
+
+def test_closure_matches_frontier_closure():
+    rng = random.Random(21)
+    for parts, n in CLOSURE_PAIRS:
+        graph = generate_crystal(Partition(parts, n))
+        for bits in subsets(graph.num_vertices, rng):
+            for i in range(1, n + 1):
+                assert key._closure(graph.succ, bits, i) == closure_by_frontier(
+                    graph.succ, bits, i), (parts, n, i)
+
+
+def test_family_matches_family_built_by_frontier_closure(monkeypatch):
+    for parts, n in CLOSURE_PAIRS:
+        graph, family = built(parts, n)
+        with monkeypatch.context() as patch:
+            patch.setattr(key, "_closure", closure_by_frontier)
+            reference = build_demazure_family(graph)
+        assert family.members == reference.members, (parts, n)
+        assert family.extremal == reference.extremal, (parts, n)
+        assert list(family.members) == list(reference.members), (parts, n)
+
+
+class CountingRows(list):
+    """A succ table that counts the rows read from it."""
+
+    reads = 0
+
+    def __getitem__(self, v):
+        self.reads += 1
+        return super().__getitem__(v)
+
+
+def test_closure_reads_each_row_at_most_once():
+    rng = random.Random(5)
+    graph = generate_crystal(Partition((5, 3, 1), 5))
+    for case, bits in enumerate(subsets(graph.num_vertices, rng)):
+        for i in range(1, 6):
+            succ = CountingRows(graph.succ)
+            added = key._closure(succ, bits, i) & ~bits
+            assert succ.reads <= bits.bit_count() + added.bit_count(), (case, i)

@@ -266,6 +266,22 @@ def test_columns_and_lacking_match_brute_force(values, packed):
     assert everything & ~perm._lacking(perm._columns(values), packed) == within(values, packed)
 
 
+SPARSE = 1 << 69_999 | 1 << 40_000 | 1 << 64 | 1 << 63 | 1
+
+
+@pytest.mark.parametrize("v", [
+    0, 1, 2, 0b1011, SPARSE, (1 << 70_000) - 1,  # empty, single bits, sparse and full
+    (1 << 70_000) // 3, int("110" * 23_334, 2),  # dense: every other bit, two of three
+], ids=["0", "1", "2", "1011", "sparse", "full", "alternate", "two-of-three"])
+def test_set_bits_lists_the_set_bits(v):
+    assert list(perm._set_bits(v)) == [b for b in range(v.bit_length()) if v >> b & 1]
+
+
+@given(st.integers(0, 1 << 300))
+def test_set_bits_matches_brute_force(v):
+    assert list(perm._set_bits(v)) == [b for b in range(v.bit_length()) if v >> b & 1]
+
+
 def test_coset_rep_tables_and_covers_match_direct_forms():
     lines, index = all_of(6)
     perms = list(all_permutations(6))
