@@ -10,13 +10,10 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .crystal import (
-    CrystalGraph,
-    SizeLimitExceeded,
-    dual_crystal,
-    generate_crystal,
+    CrystalGraph, SizeLimitExceeded, crystal_levels, default_cap, dual_crystal, generate_crystal,
 )
 from .poset import find_bowtie, is_lattice
-from .tableaux import Partition, Tableau, dual_shape, validate_tableau
+from .tableaux import Partition, Tableau, dual_shape, hook_content_count, validate_tableau
 
 
 class HypothesisViolated(ValueError):
@@ -262,15 +259,15 @@ def _sweep_one(args) -> SweepRow:
     shape = Partition(parts, n)
     prediction = predict_lattice(shape)
     start = time.perf_counter()
+    levels = crystal_levels(shape, cap)  # generated only as far as the verdict reads
     try:
-        graph = generate_crystal(shape, cap=cap)
+        brute = is_lattice(next(levels), levels=levels).is_lattice
     except SizeLimitExceeded:
-        brute = vertices = None
-    else:
-        brute, vertices = is_lattice(graph).is_lattice, graph.num_vertices
+        brute = None
     return SweepRow(
         parts=parts, n=n, predicted=prediction.is_lattice_predicted,
-        clause=prediction.matched_clause, brute_force=brute, vertices=vertices,
+        clause=prediction.matched_clause, brute_force=brute,
+        vertices=None if brute is None else hook_content_count(shape),
         millis=(time.perf_counter() - start) * 1000, skipped=brute is None,
     )
 
@@ -286,7 +283,8 @@ def classification_sweep(max_n: int, max_cells: int,
             raise ValueError(f"{name} must be at least 0, got {bound}")
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
-    tasks = [(parts, n, vertex_cap) for parts, n in sweep_pairs(max_n, max_cells)]
+    cap = default_cap(vertex_cap)
+    tasks = [(parts, n, cap) for parts, n in sweep_pairs(max_n, max_cells)]
     if (workers := min(jobs, len(tasks), os.cpu_count() or 1)) > 1:
         # Imported here: the pool's modules cost every start-up that never forks.
         from concurrent.futures import ProcessPoolExecutor

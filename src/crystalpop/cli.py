@@ -16,7 +16,7 @@ import sys
 from typing import Optional
 
 from .classifier import classification_sweep, predict_lattice
-from .crystal import SizeLimitExceeded, generate_crystal, to_dot, to_json
+from .crystal import SizeLimitExceeded, default_cap, generate_crystal, to_dot, to_json
 from .key import (
     InconsistentFamily,
     NonUniqueMinimum,
@@ -250,8 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     if args.command == "verify" and args.m is None and (args.shape is None or args.n is None):
         sys.stderr.write("verify needs either --shape/--n or --m\n")
         return 2
@@ -259,8 +258,8 @@ def main(argv: Optional[list[str]] = None) -> int:
         sys.stderr.write("verify takes either --shape/--n or --m, not both\n")
         return 2
     try:
-        if (getattr(args, "cap", None) or 0) < 0:
-            raise ValueError(f"cap must be at least 0, got {args.cap}")
+        if "cap" in vars(args):  # read the environment once, for every command with --cap
+            args.cap = default_cap(args.cap)
         _emit(args.func(args), getattr(args, "out", None))
     except (PropertyFailure, NonTermination, InconsistentFamily, NonUniqueMinimum) as exc:
         sys.stderr.write(f"property check failed: {exc}\n")

@@ -33,7 +33,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import repeat
-from typing import Optional
+from typing import Iterator, Optional
 
 from .tableaux import (
     Partition, Tableau, dual_shape, highest_weight_tableau, hook_content_count,
@@ -52,12 +52,17 @@ class IsomorphismFailure(RuntimeError):
     """The forced colored-digraph matching broke; indicates a bug."""
 
 
-def default_cap() -> int:
-    text = os.environ.get(CAP_ENV_VAR, str(DEFAULT_VERTEX_CAP))
-    try:
-        return int(text)
-    except ValueError:
-        raise ValueError(f"{CAP_ENV_VAR} must be an integer, got {text!r}") from None
+def default_cap(cap: Optional[int] = None) -> int:
+    """cap, or if None CRYSTAL_POP_CAP's value; ValueError unless an int >= 0."""
+    if cap is None:
+        text = os.environ.get(CAP_ENV_VAR, str(DEFAULT_VERTEX_CAP))
+        try:
+            cap = int(text)
+        except ValueError:
+            raise ValueError(f"{CAP_ENV_VAR} must be an integer, got {text!r}") from None
+    if cap < 0:
+        raise ValueError(f"cap must be at least 0, got {cap}")
+    return cap
 
 
 def _brackets(word, n: int) -> tuple[list[int], list[Optional[int]]]:
@@ -157,15 +162,13 @@ class CrystalGraph:
                     yield v, w, c
 
 
-def generate_crystal(shape: Partition, cap: Optional[int] = None) -> CrystalGraph:
+def crystal_levels(shape: Partition, cap: Optional[int] = None) -> Iterator[CrystalGraph]:
     """Breadth-first closure of the highest-weight tableau under all F_i, on
     the codes and with the two memos of the module docstring. F_i adds 1 to
     the letter sum, so the images of one level are the next level: ids
-    holds the codes of the level being found, level those being read."""
-    if cap is None:
-        cap = default_cap()
-    if cap < 0:
-        raise ValueError(f"cap must be at least 0, got {cap}")
+    holds the codes of the level being found, level those being read. Yields
+    the one growing graph as each level is found (the rows below it filled)."""
+    cap = default_cap(cap)
     n = shape.n
     over_cap = f"crystal for {shape.parts} at n={n} exceeds cap {cap}"
     if hook_content_count(shape) > cap:
@@ -186,7 +189,9 @@ def generate_crystal(shape: Partition, cap: Optional[int] = None) -> CrystalGrap
     upper: dict[int, tuple] = {}  # top row: (starts, stops) of the blocks of 1..n
     succ: list[list[Optional[int]]] = [[None] * n]
     colors, letters, sentinel = range(1, n + 1), range(n + 1), (n + 2,)
+    graph = CrystalGraph(shape=shape, words=words, succ=succ)
     while level:
+        yield graph
         ids: dict[int, int] = {}
         for code, head in level.items():
             word = words[head]
@@ -224,7 +229,12 @@ def generate_crystal(shape: Partition, cap: Optional[int] = None) -> CrystalGrap
                     succ.append([None] * n)
                 row[i - 1] = w
         level = ids
-    return CrystalGraph(shape=shape, words=words, succ=succ)
+
+
+def generate_crystal(shape: Partition, cap: Optional[int] = None) -> CrystalGraph:
+    """The whole crystal graph: crystal_levels drained."""
+    *_, graph = crystal_levels(shape, cap)
+    return graph
 
 
 @dataclass(frozen=True)
@@ -256,10 +266,7 @@ def dual_crystal(graph: CrystalGraph) -> DualCrystal:
     mapping: list[Optional[int]] = [None] * graph.num_vertices
     mapping[0] = 0
     queue = [0]
-    head = 0
-    while head < len(queue):
-        v = queue[head]
-        head += 1
+    for v in queue:  # the loop reads what it appends
         for i in range(1, n + 1):
             w = graph.succ[v][i - 1]
             img = dual.succ[mapping[v]][n - i]  # color i becomes n+1-i

@@ -135,12 +135,14 @@ def _numbered(kappa: list[Permutation]) -> tuple[list[Permutation], list[int]]:
 def verify_key_properties(graph: CrystalGraph, kappa: list[Permutation]) -> CheckReport:
     """Check the four defining properties of the key map plus order
     preservation along every cover edge; kappa is all_keys(graph, family).
-    One walk over the edges compares key numbers and collects the distinct
-    pairs (kappa(src), kappa(dst)), each tested for the order once; the
-    edges are walked again only to list the failing ones."""
+    One walk over the edges compares key numbers and keys with the tabled
+    products key * s_i, and collects the distinct pairs (kappa(src),
+    kappa(dst)), each tested for the order once; the edges are walked again
+    only to list the failing ones."""
     e = identity(graph.n + 1)
     keys, number = _numbered(kappa)
     descent_sets = [right_descents(w) for w in keys]
+    shifted = [[w.right_mult_gen(i) for i in range(1, graph.n + 1)] for w in keys]
     pairs = set()
     violations = []
     checked = 0
@@ -156,7 +158,7 @@ def verify_key_properties(graph: CrystalGraph, kappa: list[Permutation]) -> Chec
                     violations.append(
                         f"interior of an {i}-chain moved the key at vertex {v}"
                     )
-                elif kw != k and keys[kw] != keys[k].right_mult_gen(i):
+                elif kw != k and keys[kw] != shifted[k][i - 1]:
                     violations.append(
                         f"bottom of an {i}-chain: key of F_{i}({v}) is neither "
                         f"kappa(v) nor kappa(v)s_{i}"

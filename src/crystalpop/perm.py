@@ -300,13 +300,10 @@ def verify_section3_lemmas(m: int) -> CheckReport:
     order, Bruhat monotonicity of pop under commuting descents, the
     pop/quotient exchange inequality, and the sorting time of the maximal
     quotient elements (h-1 pops reach the identity, h-2 do not, and every
-    intermediate element has pairwise commuting descents).
-
-    S_m is indexed in all_permutations order, and sets of permutations are
-    ints with bit i for index i. Both orders are containment orders, so one
-    query answers both: with C_b the permutations whose invariant has bit b
-    (_columns), the z whose invariant lies within that of y are the
-    complement of the OR of C_b over the bits y lacks (_lacking).
+    intermediate element has pairwise commuting descents). S_m is indexed
+    in all_permutations order, and both orders use the one containment
+    query of the module docstring: _columns gives the sets C_b, and
+    _lacking the OR of C_b over the bits y lacks.
 
     - Quotient monotonicity. A map between posets preserves the order iff
       it preserves every cover, so for each J the suite tests
@@ -325,13 +322,9 @@ def verify_section3_lemmas(m: int) -> CheckReport:
     Each pair (y, z) still counts as one check: checked adds the number of
     weak pairs per J and the sizes of the lower sets. A failing set is
     decoded from its low bit up, which is the pairwise scan's order, so
-    counts and messages are those of the pairwise scan.
-
-    The weak part makes (m-1)/2 m! cover tests per J where a pairwise scan
-    makes m!^2 order tests, and the coset representatives of all 2^(m-1)
-    subsets come from coset_rep_tables. Up-sets are built one at a time, so
-    no table of m!-bit sets is kept outside a failing J's scan; m is
-    limited to MAX_LEMMA_M, the largest size measured."""
+    counts and messages are those of the pairwise scan. The weak part makes
+    (m-1)/2 m! cover tests per J where a pairwise scan makes m!^2 order
+    tests; the coset representatives come from coset_rep_tables."""
     if m < 1:
         raise ValueError(f"the lemma suite needs m >= 1, got {m}")
     if m > MAX_LEMMA_M:

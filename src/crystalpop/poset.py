@@ -3,21 +3,21 @@
 Ids follow CrystalGraph's order (see there): topological, vertex 0 the
 minimum, edges the covers. Up-sets and down-sets are Python integers used
 as bitsets, so join/meet existence is a couple of word operations per pair.
-A finite poset with a minimum and a maximum is a lattice once any two
-covers of one element have a join, so `is_lattice` checks O(V·n²) such
-pairs, not all O(V²), in one top-down pass over private up-sets stored in
-reversed bit order (about V²/16 bytes); it builds no ReachabilityIndex
-unless a non-lattice's witness is read. The index keeps succ only: its
-down-sets are pushed along succ on first read (by `meet` or
-`find_bowtie`), so no query here builds the graph's E_i table.
+A bounded finite poset is a lattice once any two lower covers of one
+element have a meet, so `is_lattice` checks O(V·n²) such pairs, not all
+O(V²), in one bottom-up pass over private down-sets (about V²/16 bytes),
+fed as the crystal is generated or from a stored graph; it builds no
+ReachabilityIndex unless a non-lattice's witness is read. The index keeps
+succ only: its down-sets are pushed along succ on first read (by `meet`
+or `find_bowtie`), so no query here builds the graph's E_i table.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations
-from typing import Optional
+from itertools import repeat
+from typing import Iterator, Optional
 
 from .crystal import CrystalGraph
 
@@ -122,23 +122,25 @@ def _first_joinless_pair(up: list[int]) -> Optional[tuple[int, int]]:
 
 
 class LatticeResult:
-    """The verdict of is_lattice. A non-lattice's witness, the first
-    joinless pair in id order, is found on its first read from the index
-    is_lattice was given, or from one built then."""
+    """The verdict of is_lattice. A non-lattice's witness, the first joinless
+    pair in id order, is found on its first read (after draining any levels
+    left) from the index is_lattice was given, or from one built then."""
 
     def __init__(self, is_lattice: bool, witness: Optional[tuple[int, int]] = None,
                  *, source=None):
         self.is_lattice = is_lattice
         if source is None:
             self.witness = witness
-        self._source = source  # (graph, index or None, the joinless covers)
+        self._source = source  # (graph, index or None, levels or None, the failure)
 
     @cached_property
     def witness(self) -> tuple[int, int]:
-        graph, index, (x, y) = self._source
+        graph, index, levels, failure = self._source
+        for _ in levels or ():
+            pass
         witness = _first_joinless_pair((index or ReachabilityIndex(graph)).up)
         if witness is None:
-            raise RuntimeError(f"covers {x}, {y} have no join but the pair scan finds none")
+            raise RuntimeError(f"{failure} but the pair scan finds none")
         self._source = None  # so the result keeps neither the graph nor the index
         return witness
 
@@ -151,33 +153,44 @@ class LatticeResult:
         return f"LatticeResult(is_lattice={self.is_lattice}, witness={self.witness})"
 
 
-def is_lattice(graph: CrystalGraph, index: Optional[ReachabilityIndex] = None) -> LatticeResult:
-    """Lemma: a finite poset with a minimum and a maximum is a lattice if every
-    two distinct elements covering a common element have a join. Every cover
-    is an edge, so the check is one AND and one compare of up-sets for each
-    two successors of each vertex: O(V·n²) pairs for n colors in place of
-    the O(V²) pairs of a full scan.
-
-    One pass from the top id down to 0 builds its own up-sets in reversed
-    bit order: vertex w is bit top - w, so up[v] is top - v + 1 bits wide
-    and the lowest id in a common up-set is its highest bit. Ids are a
-    topological order, so the up-sets of v's covers are final when the pass
-    reaches v, and each two of them are checked there with join's test (an
-    empty common up-set, possible only without a maximum, is joinless). The
-    pass stops at the first joinless pair; index serves only the witness."""
-    succ = graph.succ
-    top = graph.num_vertices - 1
-    up = [0] * (top + 1)
-    for v in range(top, -1, -1):
-        covers = [w for w in succ[v] if w is not None]
-        bits = 1 << top - v
-        for w in covers:
-            bits |= up[w]
-        up[v] = bits
-        for x, y in combinations(covers, 2):
-            common = up[x] & up[y]
-            if not common or common != up[top + 1 - common.bit_length()]:
-                return LatticeResult(False, source=(graph, index, (x, y)))
+def is_lattice(graph: CrystalGraph, index: Optional[ReachabilityIndex] = None, *,
+               levels: Optional[Iterator[CrystalGraph]] = None) -> LatticeResult:
+    """Lemma (the dual of the cover lemma; Davey-Priestley, Introduction to
+    Lattices and Order): a finite poset with a minimum and a maximum is a
+    lattice if any two lower covers of one element have a meet. One pass up
+    the ids (a topological order) pushes each down-set along its succ row,
+    from its final width 1 << w at the first push into w, and tests each
+    later push into w against w's earlier lower covers with meet's test:
+    O(V·n²) tests for n colors, not O(V²). A nonzero id no push reached (a
+    second minimal element) fails, and so does a second empty row. levels,
+    the crystal_levels generator growing graph, is read a level at a time,
+    so generating a non-lattice stops at its first meetless pair. The pass
+    stops at the first failure; index serves only the witness."""
+    succ, start = graph.succ, 0
+    down, lower = [1], [None]  # down-sets, 0 until reached; lower covers pushed so far
+    while start < (bound := graph.num_vertices):
+        if levels is not None:
+            next(levels, None)  # the next level, which fills the rows below bound
+        down += repeat(0, graph.num_vertices - len(down))
+        lower += repeat(None, graph.num_vertices - len(lower))
+        for v in range(start, bound):
+            if not (bits := down[v]):
+                return LatticeResult(False, source=(graph, index, levels, f"0 and {v} are minimal"))
+            lower[v] = None
+            for w in filter(None, succ[v]):  # drops None; 0, the minimum, is in no row
+                if (seen := lower[w]) is None:
+                    lower[w], down[w] = [v], bits | 1 << w
+                    continue
+                for x in seen:
+                    common = down[x] & bits
+                    if common != down[common.bit_length() - 1]:
+                        failure = f"lower covers {x}, {v} have no meet"
+                        return LatticeResult(False, source=(graph, index, levels, failure))
+                seen.append(v)
+                down[w] |= bits
+        start = bound
+    if (maximal := len(succ) - sum(map(any, succ))) != 1:
+        return LatticeResult(False, source=(graph, index, levels, f"{maximal} ids are maximal"))
     return LatticeResult(True)
 
 

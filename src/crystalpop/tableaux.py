@@ -57,9 +57,7 @@ class Partition:
         if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
             raise ShapeMismatch(f"parts must be weakly decreasing: {parts}")
         if len(parts) > self.n:
-            raise ShapeMismatch(
-                f"at most n={self.n} parts allowed, got {len(parts)}"
-            )
+            raise ShapeMismatch(f"at most n={self.n} parts allowed, got {len(parts)}")
 
     def __len__(self):
         return len(self.parts)
@@ -134,18 +132,13 @@ def validate_tableau(shape: Partition, grid) -> Tableau:
 
 def highest_weight_tableau(shape: Partition) -> Tableau:
     """The minimal element: row i filled with the entry i."""
-    return Tableau(
-        shape, tuple((i,) * width for i, width in enumerate(shape.parts, start=1))
-    )
+    return Tableau(shape, tuple((i,) * width for i, width in enumerate(shape.parts, start=1)))
 
 
 def reading_cells(shape: Partition) -> list[tuple[int, int]]:
     """Cells in reading order: rows bottom to top, each left to right."""
-    cells = []
-    for i in range(len(shape.parts), 0, -1):
-        for j in range(1, shape.parts[i - 1] + 1):
-            cells.append((i, j))
-    return cells
+    return [(i, j) for i in range(len(shape.parts), 0, -1)
+            for j in range(1, shape.parts[i - 1] + 1)]
 
 
 def reading_word(t: Tableau) -> tuple[int, ...]:
@@ -168,9 +161,7 @@ def format_rows(rows) -> str:
 def parse_tableau(text: str, n: int) -> Tableau:
     """Parse the canonical "1,1,2/3"-style form and validate it."""
     try:
-        grid = [
-            [int(tok) for tok in row.split(",")] for row in text.strip().split("/")
-        ]
+        grid = [[int(tok) for tok in row.split(",")] for row in text.strip().split("/")]
     except ValueError as exc:
         raise ShapeMismatch(f"bad tableau {text!r}") from exc
     shape = Partition(tuple(len(row) for row in grid), n)
@@ -184,14 +175,11 @@ def hook_content_count(shape: Partition) -> int:
     if not parts:
         return 1
     conj = [sum(1 for p in parts if p >= j) for j in range(1, parts[0] + 1)]
-    num = 1
-    den = 1
+    num = den = 1
     for i, width in enumerate(parts, start=1):
         for j in range(1, width + 1):
-            content = j - i
-            hook = (width - j) + (conj[j - 1] - i) + 1
-            num *= shape.n + 1 + content
-            den *= hook
+            num *= shape.n + 1 + j - i  # n+1 plus the content
+            den *= (width - j) + (conj[j - 1] - i) + 1  # the hook length
     count, rem = divmod(num, den)
     if rem:
         raise ArithmeticError("hook-content product is not integral")

@@ -341,6 +341,30 @@ def is_lattice_by_covers(graph: CrystalGraph,
     return LatticeResult(True)
 
 
+def is_lattice_top_down(graph: CrystalGraph,
+                        index: Optional[ReachabilityIndex] = None) -> LatticeResult:
+    """The cover lemma read top-down: every two covers of each vertex must
+    have a join. One pass from the top id down to 0 builds up-sets in
+    reversed bit order (vertex w is bit top - w), so the lowest id in a
+    common up-set is its highest bit; an empty common up-set, possible only
+    without a maximum, is joinless. A non-lattice's witness is the first
+    joinless pair of the pairwise scan."""
+    succ = graph.succ
+    top = graph.num_vertices - 1
+    up = [0] * (top + 1)
+    for v in range(top, -1, -1):
+        covers = [w for w in succ[v] if w is not None]
+        bits = 1 << top - v
+        for w in covers:
+            bits |= up[w]
+        up[v] = bits
+        for x, y in itertools.combinations(covers, 2):
+            common = up[x] & up[y]
+            if not common or common != up[top + 1 - common.bit_length()]:
+                return LatticeResult(False, is_lattice_by_pairs(graph, index).witness)
+    return LatticeResult(True)
+
+
 class NotPoppable(RuntimeError):
     """A color-restricted component has more than one source."""
 

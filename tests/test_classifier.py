@@ -28,7 +28,7 @@ from crystalpop.classifier import (
 from crystalpop.crystal import generate_crystal
 from crystalpop.poset import ReachabilityIndex, is_lattice, join, verify_bowtie
 from crystalpop.tableaux import Partition, dual_shape, validate_tableau
-from oracles import locate
+from oracles import is_lattice_top_down, locate
 
 
 @pytest.mark.parametrize(
@@ -218,6 +218,29 @@ def test_small_sweep_agrees():
         assert row.predicted == is_lattice(
             generate_crystal(Partition(row.parts, row.n))
         ).is_lattice
+
+
+def test_sweep_rows_match_full_generation_and_the_top_down_verdict():
+    for row in classification_sweep(5, 6).rows:
+        graph = generate_crystal(Partition(row.parts, row.n))
+        prediction = predict_lattice(graph.shape)
+        assert (row.predicted, row.clause, row.brute_force, row.vertices, row.skipped) == (
+            prediction.is_lattice_predicted, prediction.matched_clause,
+            is_lattice_top_down(graph).is_lattice, graph.num_vertices, False), row
+
+
+def test_sweep_reads_the_cap_environment_variable_once(monkeypatch):
+    monkeypatch.setenv("CRYSTAL_POP_CAP", "10")
+    caps, resolve = [], crystal.default_cap
+
+    def spy(cap=None):
+        caps.append(cap)
+        return resolve(cap)
+    monkeypatch.setattr(crystal, "default_cap", spy)
+    monkeypatch.setattr(classifier, "default_cap", spy)
+    report = classification_sweep(3, 4)
+    assert caps.count(None) == 1 and set(caps) == {None, 10}
+    assert report.skipped and all(row.vertices is None for row in report.skipped)
 
 
 @pytest.mark.slow

@@ -351,6 +351,21 @@ def test_negative_cap_is_rejected_where_it_is_parsed(capsys, command, cap):
     assert (code, out, err) == (2, "", f"invalid input: cap must be at least 0, got {cap}\n")
 
 
+@pytest.mark.parametrize("command", [
+    ("verify", "--m", "3"),  # generates no crystal
+    ("classify", "--max-n", "0", "--max-cells", "3"),  # an empty sweep
+])
+@pytest.mark.parametrize("value,message", [
+    ("-3", "cap must be at least 0, got -3"),
+    ("abc", "CRYSTAL_POP_CAP must be an integer, got 'abc'"),
+])
+def test_bad_cap_env_var_is_rejected_where_no_crystal_is_generated(capsys, monkeypatch,
+                                                                   command, value, message):
+    monkeypatch.setenv("CRYSTAL_POP_CAP", value)
+    assert run(capsys, *command) == (2, "", f"invalid input: {message}\n")
+    assert run(capsys, *command, "--cap", "5")[0] == 0
+
+
 def test_malformed_cap_env_var_is_named(capsys, monkeypatch):
     monkeypatch.setenv("CRYSTAL_POP_CAP", "abc")
     code, out, err = run(capsys, "gen", "--shape", "1", "--n", "1")

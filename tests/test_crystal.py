@@ -7,6 +7,7 @@ from crystalpop.classifier import sweep_pairs
 from crystalpop.crystal import (
     CAP_ENV_VAR,
     SizeLimitExceeded,
+    crystal_levels,
     default_cap,
     dual_crystal,
     generate_crystal,
@@ -102,6 +103,23 @@ def test_code_bfs_matches_word_bfs(parts, n):
     shape = Partition(parts, n)
     graph = generate_crystal(shape)
     assert (graph.words, graph.succ, graph.pred) == generate_crystal_by_words(shape)
+
+
+@pytest.mark.parametrize("parts,n", [((5, 3, 1), 5), ((3, 2, 1), 3), ((1,), 1), ((), 2)],
+                         ids=lambda x: str(x))
+def test_level_generator_yields_each_bfs_level_and_drains_to_word_bfs(parts, n):
+    shape = Partition(parts, n)
+    words, succ, pred = generate_crystal_by_words(shape)
+    starts = []
+    for graph in crystal_levels(shape):
+        start = starts[-1] if starts else 0
+        starts.append(graph.num_vertices)
+        assert graph.succ[:start] == succ[:start]  # the rows below the newest level
+        newest = graph.words[start:]
+        assert newest == words[start:len(graph.words)] and len(set(map(sum, newest))) == 1
+        assert sum(newest[0]) == sum(words[0]) + len(starts) - 1
+    assert (graph.words, graph.succ, graph.pred) == (words, succ, pred)
+    assert starts[-1] == len(words)
 
 
 def test_bump_check_guards_a_start_that_breaks_a_column(monkeypatch):

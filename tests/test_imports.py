@@ -1,10 +1,12 @@
 """Every name a crystalpop module imports is used in that module, every
 top-level def or class has a user outside itself, and so has every method
 or property of a class. The package's __init__.py is skipped: its imports
-are re-exports. Importing the CLI loads no process-pool module. Every
-module parses as the oldest Python that pyproject.toml allows."""
+are re-exports. Every module attribute the benchmark's tracer wraps
+exists. Importing the CLI loads no process-pool module. Every module
+parses as the oldest Python that pyproject.toml allows."""
 
 import ast
+import importlib
 import re
 import subprocess
 import sys
@@ -93,6 +95,36 @@ def test_the_check_finds_unreferenced_definitions():
 def test_perfbench_names_cover_imports_and_boundaries():
     names = perfbench_names()
     assert {"generate_crystal", "to_json", "build_demazure_family", "_sweep_one"} <= names
+
+
+def boundary_targets(source: str) -> list[tuple[str, str]]:
+    """(module, attr) of every Boundary(module, attr, ...) call in source."""
+    return [
+        (node.args[0].value, node.args[1].value) for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+        and node.func.id == "Boundary" and len(node.args) >= 2
+        and all(isinstance(a, ast.Constant) for a in node.args[:2])
+    ]
+
+
+def missing_attributes(targets) -> list[str]:
+    return [f"{module}.{attr}" for module, attr in targets
+            if not hasattr(importlib.import_module(module), attr)]
+
+
+def test_the_check_finds_missing_boundaries():
+    source = ('B = (Boundary("crystalpop.poset", "is_lattice", "poset.x"),\n'
+              '     Boundary("crystalpop.classifier", "gone", count="c"))\n')
+    assert boundary_targets(source) == [("crystalpop.poset", "is_lattice"),
+                                        ("crystalpop.classifier", "gone")]
+    assert missing_attributes(boundary_targets(source)) == ["crystalpop.classifier.gone"]
+
+
+def test_every_traced_boundary_resolves():
+    # A missing name otherwise fails only inside a traced benchmark run.
+    targets = boundary_targets((PERFBENCH / "tracing.py").read_text())
+    assert ("crystalpop.classifier", "is_lattice") in targets
+    assert missing_attributes(targets) == []
 
 
 def test_every_definition_has_a_user():

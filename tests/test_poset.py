@@ -5,7 +5,7 @@ import pytest
 
 from crystalpop import poset
 from crystalpop.classifier import sweep_pairs
-from crystalpop.crystal import SizeLimitExceeded, generate_crystal
+from crystalpop.crystal import SizeLimitExceeded, crystal_levels, generate_crystal
 from crystalpop.poset import (
     BowtieCertificate,
     LatticeResult,
@@ -23,6 +23,7 @@ from oracles import (
     find_bowtie_by_candidates,
     is_lattice_by_covers,
     is_lattice_by_pairs,
+    is_lattice_top_down,
     levi_restrict,
     naive_join,
     naive_meet,
@@ -181,15 +182,60 @@ def test_cover_check_fails_above_the_minimum():
 
 def test_verdict_matches_cover_and_pairwise_references_on_stubs():
     for graph in STUBS:
-        assert is_lattice(graph) == is_lattice_by_covers(graph) == is_lattice_by_pairs(graph)
+        assert is_lattice(graph) == is_lattice_by_covers(graph) == is_lattice_by_pairs(graph) \
+            == is_lattice_top_down(graph)
     assert is_lattice(TWO_MAXIMA) == LatticeResult(False, (1, 2))
 
 
 def test_cover_check_failure_without_a_joinless_pair_is_a_bug(monkeypatch):
     monkeypatch.setattr(poset, "_first_joinless_pair", lambda up: None)
     result = is_lattice(NO_BOWTIE)
-    with pytest.raises(RuntimeError, match="covers 1, 2 have no join but the pair scan finds none"):
+    with pytest.raises(RuntimeError, match="lower covers 7, 8 have no meet but the pair scan finds none"):
         result.witness
+
+
+@pytest.mark.parametrize("graph,failure", [
+    (TWO_MAXIMA, "2 ids are maximal"),
+    (TWO_POSSIBLE_T2, "0 and 1 are minimal"),
+    # Every pair has a join here, so only the boundedness check rejects it.
+    (stub_poset(3, [(0, 2), (1, 2)]), "0 and 1 are minimal"),
+])
+def test_verdict_rejects_a_second_minimal_or_maximal_element(monkeypatch, graph, failure):
+    monkeypatch.setattr(poset, "_first_joinless_pair", lambda up: None)
+    result = is_lattice(graph)
+    assert not result.is_lattice
+    with pytest.raises(RuntimeError, match=f"^{failure} but the pair scan finds none$"):
+        result.witness
+
+
+def staged_verdict(shape):
+    """is_lattice fed by the level generator, and the graph it grows."""
+    levels = crystal_levels(shape)
+    graph = next(levels)
+    return is_lattice(graph, levels=levels), graph, levels
+
+
+def test_staged_verdict_stops_generating_a_non_lattice_at_its_first_meetless_pair(
+        monkeypatch):
+    shape = Partition((5, 3, 1), 5)
+    result, graph, levels = staged_verdict(shape)
+    assert not result.is_lattice and graph.num_vertices < 11340
+    assert next(levels) is graph  # undrained
+    monkeypatch.setattr(poset, "_first_joinless_pair", lambda up: None)
+    with pytest.raises(RuntimeError, match="^lower covers 85, 88 have no meet"):
+        staged_verdict(shape)[0].witness
+    monkeypatch.undo()
+    # Reading the witness drains the generator first.
+    assert result.witness == (1, 22) and graph.num_vertices == 11340
+    assert result == is_lattice(generate_crystal(shape))
+
+
+def test_staged_verdict_generates_all_of_a_lattice():
+    shape = Partition((3, 2, 1), 3)
+    result, graph, levels = staged_verdict(shape)
+    assert result == LatticeResult(True) and next(levels, None) is None
+    full = generate_crystal(shape)
+    assert (graph.words, graph.succ) == (full.words, full.succ)
 
 
 def test_verdict_builds_no_index_until_the_witness_is_read(index_builds):
@@ -222,8 +268,8 @@ def check_against_pairwise_scan(pairs):
             continue
         index = ReachabilityIndex(graph)
         result = is_lattice(graph, index)
-        assert result == is_lattice_by_covers(graph, index) == is_lattice_by_pairs(graph, index), \
-            (parts, n)
+        assert result == is_lattice_by_covers(graph, index) == is_lattice_by_pairs(graph, index) \
+            == is_lattice_top_down(graph, index) == staged_verdict(graph.shape)[0], (parts, n)
         lattices += result.is_lattice
     return lattices
 
