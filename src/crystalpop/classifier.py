@@ -149,8 +149,7 @@ def eta_embed(t: Tableau, target: Partition, t_cols: int) -> Tableau:
         or not (0 <= t_cols < target.parts[-1] if target.parts else t_cols == 0)
     ):
         raise HypothesisViolated(
-            f"target {target.parts} is not {mu} plus {t_cols} identity columns"
-        )
+            f"target {target.parts} is not {mu} plus {t_cols} identity columns")
     rows = [(i,) * t_cols + row for i, row in enumerate(t.rows, start=1)]
     return validate_tableau(target, rows)
 
@@ -194,9 +193,7 @@ def bowtie_C_via_duality(shape: Partition, p: int) -> tuple[Tableau, Tableau, Ta
     if not (1 <= p <= ell - 2) or not (
         shape.part(p) >= shape.part(p + 1) >= shape.part(p + 2) + 2
     ):
-        raise HypothesisViolated(
-            f"rows {p}..{p + 2} of {shape.parts} do not drop by two"
-        )
+        raise HypothesisViolated(f"rows {p}..{p + 2} of {shape.parts} do not drop by two")
     nu = dual_shape(shape)
     q = n - p
     if not nu.part(q) - 2 >= nu.part(q + 1) >= nu.part(q + 2):

@@ -129,10 +129,8 @@ def cmd_lattice(args) -> str:
             f"prediction {prediction.is_lattice_predicted} disagrees with "
             f"brute force {result.is_lattice} for {graph.shape.parts}, n={graph.n}"
         )
-    lines = [
-        f"shape {args.shape} n={graph.n}: "
-        + ("lattice" if result.is_lattice else "not a lattice")
-    ]
+    lines = [f"shape {args.shape} n={graph.n}: "
+             + ("lattice" if result.is_lattice else "not a lattice")]
     if prediction.matched_clause:
         lines.append(f"clause: {prediction.matched_clause}")
     if not result.is_lattice:
@@ -199,9 +197,7 @@ def cmd_verify(args) -> str:
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="crystal-pop",
-        description="Crystal pop-stack sorting and lattice analysis",
-    )
+        prog="crystal-pop", description="Crystal pop-stack sorting and lattice analysis")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def shaped(p):

@@ -6,24 +6,26 @@ to i+1 (Bump-Schilling, Crystal Bases, Ch. 2-3); one pass finds that letter
 for every color, since a letter a opens a bracket for color a-1 and closes
 one for color a. E_i is F_{n+1-i} on the reversed word with letters a ->
 n+2-a. The crystal graph is the breadth-first closure of the highest-weight
-word under all F_i, ids in discovery order, each word keyed by its code:
-letter a at position p adds a << s*p, s the bit length of n+1, so F_i at p
-adds 1 << s*p. The word ends with the top row, weakly increasing, so its
-i's precede its i+1's: if the lower rows leave d brackets of color i open,
-the top row has an unmatched i exactly when it holds more than d i's, and
-F_i bumps its last i; otherwise F_i bumps the lower rows' own target. So
-the search memoizes the lower rows' signature by the code's low bits and
-the top row's letter blocks by its high bits. An image differs from its
-source in one cell, so a bump is checked against that cell's neighbours, and
-validate_tableau raises any error. A lower-rows target and its neighbours
-all lie in the lower rows, so it is checked once, when its memo entry is
-built, and a bad one is stored as ~p. A top-row target ends its block, so
-the entry to its right is larger and only the entry below it is compared,
-per edge. Generation fills only words and succ (pred waits for its first
-read), and no output builds a Tableau. Full outputs read graph.texts(),
-which formats each distinct row once (one memo per tableau row); outputs for
-one vertex format graph.rows(v), word v cut by tableaux.row_slices. to_json
-writes the json.dumps(indent=2) layout from fixed templates.
+word under all F_i, ids in discovery order, each vertex stored as its word's
+code: letter a at position p adds a << s*p, s the bit length of n+1, so F_i
+at p adds 1 << s*p. The word ends with the top row, weakly increasing, so
+its i's precede its i+1's: if the lower rows leave d brackets of color i
+open, the top row has an unmatched i exactly when it holds more than d i's,
+and F_i bumps its last i; otherwise F_i bumps the lower rows' own target. So
+the search memoizes the lower rows' signature by the code's low bits, and a
+vertex takes its top row's block ends from the edge that finds it: a top-row
+bump of color i ends block i one cell earlier, a lower-rows bump keeps them.
+An image differs from its source in one cell, so a bump is checked against
+that cell's neighbours, and validate_tableau raises any error. A lower-rows
+target and its neighbours all lie in the lower rows, so it is checked once,
+when its memo entry is built (the one time a word is decoded), and a bad one
+is stored as ~p. A top-row target ends its block, so the entry to its right
+is larger and only the entry below it, read from the code, is compared, per
+edge. Generation fills only codes and succ (pred waits for its first read),
+and no output builds a Tableau. Full outputs read graph.texts(), which
+formats each distinct row code once; outputs for one vertex format
+graph.rows(v), code v decoded and cut by tableaux.row_slices. to_json writes
+the json.dumps(indent=2) layout from fixed templates.
 """
 
 from __future__ import annotations
@@ -95,18 +97,29 @@ def raising_E(t: Tableau, i: int) -> Optional[Tableau]:
     return None if p is None else t.with_entry(*reading_cells(t.shape)[-1 - p], i)
 
 
-@dataclass
+def _encode(word, width: int) -> int:
+    """A reading word's code: letter a at position p adds a << width*p."""
+    return sum(a << width * p for p, a in enumerate(word))
+
+
+def _decode(code: int, width: int, size: int) -> tuple[int, ...]:
+    """The first size letters of a code, width bits each."""
+    mask = (1 << width) - 1
+    return tuple([code >> s & mask for s in range(0, width * size, width)])
+
+
 class CrystalGraph:
     """Edge-colored DAG over the tableaux of one shape, each stored as its
-    reading word. succ[v][i-1] is the id of F_i(vertex v) or None; pred is
-    the E_i counterpart. Ids are breadth-first order from vertex 0, the
+    reading word's code; generation gives each vertex its top-row block ends
+    from the edge that finds it and drops them with its level (see the module
+    docstring). succ[v][i-1] is the id of F_i(vertex v) or None; pred is the
+    E_i counterpart. Ids are breadth-first order from vertex 0, the
     highest-weight tableau, and each edge adds one to the entry sum: vertex 0
     is the minimum, every predecessor has a smaller id (ids are a topological
     order) and the edges are exactly the covers."""
 
-    shape: Partition
-    words: list[tuple[int, ...]]
-    succ: list[list[Optional[int]]]
+    def __init__(self, shape: Partition, codes: list[int], succ: list[list[Optional[int]]]):
+        self.shape, self.codes, self.succ = shape, codes, succ
 
     @property
     def n(self) -> int:
@@ -114,36 +127,42 @@ class CrystalGraph:
 
     @property
     def num_vertices(self) -> int:
-        return len(self.words)
+        return len(self.codes)
 
     @cached_property
     def pred(self) -> list[list[Optional[int]]]:
-        """The E_i table, built from succ on first read: E_i inverts F_i."""
+        """The E_i table from succ on first read (E_i inverts F_i), ids as succ's ints."""
         pred = list(map(list.copy, repeat([None] * self.n, len(self.succ))))
-        for v, row in enumerate(self.succ):
+        ids = [0] * len(self.succ)  # id w's int object, stored before row w is read
+        for v, row in zip(ids, self.succ):
             i = 0
             for w in row:
                 if w is not None:
                     pred[w][i] = v
+                    ids[w] = w
                 i += 1
         return pred
 
     def rows(self, v: int) -> tuple[tuple[int, ...], ...]:
-        """The rows of vertex v's tableau, top row first, cut from its word."""
-        return tuple(map(self.words[v].__getitem__, row_slices(self.shape)))
+        """The rows of vertex v's tableau, top row first: its code decoded and cut."""
+        word = _decode(self.codes[v], (self.n + 1).bit_length(), sum(self.shape.parts))
+        return tuple(map(word.__getitem__, row_slices(self.shape)))
 
     def texts(self) -> list[str]:
         """format_rows(self.rows(v)) for every v, a row slice at a time: each
-        distinct row of a slice is formatted once. Each row is dropped as
-        soon as it is looked up, so no slice's V rows are alive at once."""
+        row is cut out of the code with a shift and a mask, and each distinct
+        row code is formatted once."""
+        width = (self.n + 1).bit_length()
         columns = []
         for cut in row_slices(self.shape):
-            memo: dict[tuple[int, ...], str] = {}
+            lo, size = width * cut.start, cut.stop - cut.start
+            mask = (1 << width * size) - 1
+            memo: dict[int, str] = {}
             column = []
-            for word in self.words:
-                row = word[cut]
+            for code in self.codes:
+                row = code >> lo & mask
                 if row not in memo:
-                    memo[row] = ",".join(map(str, row))
+                    memo[row] = ",".join(map(str, _decode(row, width, size)))
                 column.append(memo[row])
             columns.append(column)
         return list(map("/".join, zip(*columns))) if columns else [""] * self.num_vertices
@@ -152,7 +171,7 @@ class CrystalGraph:
         return Tableau(self.shape, self.rows(v))
 
     def vertex_id(self, t: Tableau) -> int:
-        return self.words.index(reading_word(t))
+        return self.codes.index(_encode(reading_word(t), (self.n + 1).bit_length()))
 
     def edges(self):
         """(src, dst, color) triples in id order."""
@@ -163,10 +182,10 @@ class CrystalGraph:
 
 
 def crystal_levels(shape: Partition, cap: Optional[int] = None) -> Iterator[CrystalGraph]:
-    """Breadth-first closure of the highest-weight tableau under all F_i, on
-    the codes and with the two memos of the module docstring. F_i adds 1 to
-    the letter sum, so the images of one level are the next level: ids
-    holds the codes of the level being found, level those being read. Yields
+    """Breadth-first closure of the highest-weight tableau under all F_i, as
+    the module docstring sets out. F_i adds 1 to the letter sum, so the images
+    of one level are the next level: ids holds the codes of the level being
+    found, level those being read and tops their top-row block ends. Yields
     the one growing graph as each level is found (the rows below it filled)."""
     cap = default_cap(cap)
     n = shape.n
@@ -179,56 +198,58 @@ def crystal_levels(shape: Partition, cap: Optional[int] = None) -> Iterator[Crys
     right = [position.get((i, j + 1), end) for i, j in cells]
     below = [position.get((i + 1, j), end) for i, j in cells]
     width = (n + 1).bit_length()
+    letter = (1 << width) - 1
     shift = [1 << width * p for p in range(end)]
     low = end - shape.part(1)
-    cut = width * low
-    mask = (1 << cut) - 1
-    words = [reading_word(highest_weight_tableau(shape))]
-    level = {sum(a << width * p for p, a in enumerate(words[0])): 0}
+    mask = (1 << width * low) - 1
+    word = reading_word(highest_weight_tableau(shape))
+    codes = [_encode(word, width)]
+    level = {codes[0]: 0}
+    tops = [[bisect_right(word, a, low) for a in range(n + 1)]]
     lower: dict[int, tuple] = {}  # lower rows: (i, depth[i], targets[i]), i = 1..n
-    upper: dict[int, tuple] = {}  # top row: (starts, stops) of the blocks of 1..n
     succ: list[list[Optional[int]]] = [[None] * n]
-    colors, letters, sentinel = range(1, n + 1), range(n + 1), (n + 2,)
-    graph = CrystalGraph(shape=shape, words=words, succ=succ)
+    colors, sentinel = range(1, n + 1), (n + 2,)
+    graph = CrystalGraph(shape=shape, codes=codes, succ=succ)
     while level:
         yield graph
         ids: dict[int, int] = {}
-        for code, head in level.items():
-            word = words[head]
+        found = []
+        for (code, head), ends in zip(level.items(), tops):
             if (memo := lower.get(code & mask)) is None:
+                word = _decode(code, width, end)
                 depth, targets = _brackets(word[:low], n)
                 padded = word + sentinel  # a missing neighbour reads n + 2
                 memo = lower[code & mask] = tuple(
                     (i, d, p if p is None or padded[right[p]] > i and padded[below[p]] > i + 1
                      else ~p) for i, d, p in zip(colors, depth[1:-1], targets[1:-1]))
-            if (top := upper.get(code >> cut)) is None:
-                ends = tuple(map(bisect_right, repeat(word), letters, repeat(low)))
-                top = upper[code >> cut] = (ends[:-1], ends[1:])
             row = succ[head]
-            for (i, d, p), start, stop in zip(memo, top[0], top[1]):
-                if stop - start > d:
+            for i, d, p in memo:
+                if (stop := ends[i]) - ends[i - 1] > d:
                     p = stop - 1
-                    if (q := below[p]) < end and word[q] <= i + 1:
+                    if (q := below[p]) < end and code >> width * q & letter <= i + 1:
                         p = ~p
                 elif p is None:
                     continue
                 if p < 0:
                     p = ~p
-                    bad = word[:p] + (i + 1,) + word[p + 1:]
+                    bad = _decode(code + shift[p], width, end)
                     validate_tableau(shape, map(bad.__getitem__, row_slices(shape)))
-                    raise RuntimeError(f"bump of letter {p} in {word} passed validate_tableau")
+                    raise RuntimeError(f"bump of letter {p} into {bad} passed validate_tableau")
                 img = code + shift[p]
                 if (w := ids.get(img)) is None:
-                    w = len(words)
+                    w = len(codes)
                     if w >= cap:
                         raise SizeLimitExceeded(over_cap)
                     ids[img] = w
-                    image = list(word)
-                    image[p] = i + 1
-                    words.append(tuple(image))
+                    codes.append(img)
                     succ.append([None] * n)
+                    if p < low:
+                        found.append(ends)
+                    else:
+                        found.append(top := ends.copy())
+                        top[i] = p
                 row[i - 1] = w
-        level = ids
+        level, tops = ids, found
 
 
 def generate_crystal(shape: Partition, cap: Optional[int] = None) -> CrystalGraph:
@@ -260,9 +281,7 @@ def dual_crystal(graph: CrystalGraph) -> DualCrystal:
     n = graph.n
     dual = generate_crystal(dual_shape(graph.shape))
     if dual.num_vertices != graph.num_vertices:
-        raise IsomorphismFailure(
-            f"dual vertex count {dual.num_vertices} != {graph.num_vertices}"
-        )
+        raise IsomorphismFailure(f"dual vertex count {dual.num_vertices} != {graph.num_vertices}")
     mapping: list[Optional[int]] = [None] * graph.num_vertices
     mapping[0] = 0
     queue = [0]
@@ -300,9 +319,7 @@ def weyl_reflect(graph: CrystalGraph, v: int, i: int) -> int:
 def stabilizer_colors(shape: Partition) -> frozenset[int]:
     """Colors i with equal adjacent parts (zero-padded), generating the
     stabilizer of the weight."""
-    return frozenset(
-        i for i in range(1, shape.n + 1) if shape.part(i) == shape.part(i + 1)
-    )
+    return frozenset(i for i in range(1, shape.n + 1) if shape.part(i) == shape.part(i + 1))
 
 
 _JSON_VERTEX = '{\n      "id": %d,\n      "rows": "%s"\n    }'
@@ -326,9 +343,7 @@ def to_json(graph: CrystalGraph) -> str:
             f'\n  "vertices": {array(vertices)},\n  "edges": {array(edges)}\n}}')
 
 
-_DOT_PALETTE = [
-    "red", "blue", "green3", "orange", "purple", "brown", "cyan3", "magenta",
-]
+_DOT_PALETTE = ["red", "blue", "green3", "orange", "purple", "brown", "cyan3", "magenta"]
 
 
 def to_dot(graph: CrystalGraph) -> str:

@@ -29,7 +29,7 @@ from .perm import (
     right_descents,
     weak_leq,
 )
-from .pop import pop_crystal
+from .pop import _pop_crystal
 
 
 class InconsistentFamily(RuntimeError):
@@ -83,9 +83,7 @@ def build_demazure_family(graph: CrystalGraph) -> DemazureFamily:
             if value is None:
                 value = found
             elif value != found:
-                raise InconsistentFamily(
-                    f"cover paths disagree at {w} (color {i})"
-                )
+                raise InconsistentFamily(f"cover paths disagree at {w} (color {i})")
         members[w], extremal[w] = value  # type: ignore[misc]
     return DemazureFamily(members=members, extremal=extremal)
 
@@ -155,9 +153,7 @@ def verify_key_properties(graph: CrystalGraph, kappa: list[Permutation]) -> Chec
                 kw = number[w]
                 pairs.add((k, kw))
                 if kw != k and u is not None:
-                    violations.append(
-                        f"interior of an {i}-chain moved the key at vertex {v}"
-                    )
+                    violations.append(f"interior of an {i}-chain moved the key at vertex {v}")
                 elif kw != k and keys[kw] != shifted[k][i - 1]:
                     violations.append(
                         f"bottom of an {i}-chain: key of F_{i}({v}) is neither "
@@ -165,9 +161,7 @@ def verify_key_properties(graph: CrystalGraph, kappa: list[Permutation]) -> Chec
                     )
             checked += 1
             if i in descents and u is None:
-                violations.append(
-                    f"descent {i} of the key of vertex {v} without an incoming edge"
-                )
+                violations.append(f"descent {i} of the key of vertex {v} without an incoming edge")
         checked += 1
         if kappa[v] == e and v != 0:
             violations.append(f"identity key at non-minimal vertex {v}")
@@ -183,7 +177,8 @@ def verify_pop_key_inequality(graph: CrystalGraph, kappa: list[Permutation]) -> 
     all_keys(graph, family). Each distinct pair of sides is compared once."""
     keys, number = _numbered(kappa)
     popped = [coxeter_pop(w) for w in keys]
-    below = [number[pop_crystal(graph, v)] for v in range(graph.num_vertices)]
+    pred = graph.pred
+    below = [number[_pop_crystal(pred, v)] for v in range(graph.num_vertices)]
     failing = _weak_failures(set(zip(below, number)), keys, popped)
     violations = [
         f"pop/key inequality fails at vertex {v}"

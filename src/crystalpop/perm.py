@@ -360,10 +360,8 @@ def verify_section3_lemmas(m: int) -> CheckReport:
             for y, gap in enumerate(outside):
                 for z in _set_bits(everything & ~_lacking(outside_cols, gap)):
                     if held[y] & missed[z]:
-                        violations.append(
-                            f"quotient monotonicity fails: J={set(j)} "
-                            f"y={Permutation(lines[y])} z={Permutation(lines[z])}"
-                        )
+                        violations.append(f"quotient monotonicity fails: J={set(j)} "
+                                          f"y={Permutation(lines[y])} z={Permutation(lines[z])}")
         # Inv(rep(pop(w))) within Inv(pop(rep(w))), for each w
         exchange = list(map(operator.and_, map(held.__getitem__, pop),
                             map(outside.__getitem__, map(pop.__getitem__, rep))))
@@ -372,8 +370,7 @@ def verify_section3_lemmas(m: int) -> CheckReport:
             for w, bad in enumerate(exchange):
                 if bad:
                     violations.append(
-                        f"pop/quotient exchange fails: J={set(j)} w={Permutation(lines[w])}"
-                    )
+                        f"pop/quotient exchange fails: J={set(j)} w={Permutation(lines[w])}")
 
     rank_cols = _columns(ranks)
     pop_rank_cols = _columns([ranks[p] for p in pop])
@@ -383,10 +380,8 @@ def verify_section3_lemmas(m: int) -> CheckReport:
         lower_set = everything & ~_lacking(rank_cols, rank)
         checked += lower_set.bit_count()
         for x in _set_bits(lower_set & _lacking(pop_rank_cols, ranks[pop[y]])):
-            violations.append(
-                f"Bruhat pop monotonicity fails: "
-                f"x={Permutation(lines[x])} y={Permutation(lines[y])}"
-            )
+            violations.append(f"Bruhat pop monotonicity fails: "
+                              f"x={Permutation(lines[x])} y={Permutation(lines[y])}")
 
     full = frozenset(range(1, m))
     for s in range(1, m):
@@ -398,10 +393,8 @@ def verify_section3_lemmas(m: int) -> CheckReport:
         checked += 1
         steps = len(trajectory) - 1 if length(trajectory[-1]) == 0 else f"over {m}"
         if steps != m - 1:
-            violations.append(
-                f"sorting time of quotient-maximal element is {steps}, "
-                f"expected {m - 1} (s={s})"
-            )
+            violations.append(f"sorting time of quotient-maximal element is {steps}, "
+                              f"expected {m - 1} (s={s})")
         for v in trajectory:
             checked += 1
             if not descents_commute(v):

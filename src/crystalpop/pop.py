@@ -36,7 +36,11 @@ def pop_crystal(graph: CrystalGraph, v: int) -> int:
     starting vertex and of the current one, and raise along it to
     exhaustion. The fixed point is the source of the restricted component,
     so the walk order does not matter; we take the smallest color."""
-    pred = graph.pred
+    return _pop_crystal(graph.pred, v)
+
+
+def _pop_crystal(pred: list[list[Optional[int]]], v: int) -> int:
+    """pop_crystal on the E_i table, for callers that read graph.pred once."""
     target = [i for i, w in enumerate(pred[v]) if w is not None]
     while True:
         row = pred[v]
@@ -70,9 +74,9 @@ def orbit(graph: CrystalGraph, v: int) -> OrbitReport:
 def orbit_lengths(graph: CrystalGraph) -> list[int]:
     """orbit(graph, v).length for every v, one pop each: pop_crystal moves to
     a smaller id or stays fixed, so the lengths fill in id order."""
-    lengths = [0] * graph.num_vertices
+    lengths, pred = [0] * graph.num_vertices, graph.pred
     for v in range(graph.num_vertices):
-        w = pop_crystal(graph, v)
+        w = _pop_crystal(pred, v)
         if w > v:
             raise NonTermination(f"pop moved vertex {v} up to {w}")
         lengths[v] = 1 if w == v else 1 + lengths[w]
@@ -137,7 +141,5 @@ def is_poppable(graph) -> bool:
 def pop_agreement_on_quotient(graph: CrystalGraph, embedding: dict[Permutation, int]) -> bool:
     """Crystal pop agrees with the Coxeter pop on the embedded parabolic
     quotient; embedding is build_demazure_family(graph).extremal."""
-    for w, v in embedding.items():
-        if pop_crystal(graph, v) != embedding[coxeter_pop(w)]:
-            return False
-    return True
+    pred = graph.pred
+    return all(_pop_crystal(pred, v) == embedding[coxeter_pop(w)] for w, v in embedding.items())

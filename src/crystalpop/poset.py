@@ -88,11 +88,12 @@ def minimal_upper_bounds(index: ReachabilityIndex, u: int, v: int) -> list[int]:
 
 def join(index: ReachabilityIndex, u: int, v: int) -> Optional[int]:
     """Least upper bound, or None if the two minimal upper bounds differ."""
-    common = index.up[u] & index.up[v]
+    up = index.up
+    common = up[u] & up[v]
     if not common:
         return None
     z = (common & -common).bit_length() - 1
-    return z if common == index.up[z] else None
+    return z if common == up[z] else None
 
 
 def meet(index: ReachabilityIndex, ids) -> Optional[int]:

@@ -197,6 +197,12 @@ def generate_crystal_by_words(shape: Partition, cap: Optional[int] = None):
     return words, succ, pred
 
 
+def graph_words(graph: CrystalGraph) -> list[tuple[int, ...]]:
+    """Every vertex's reading word, read back from graph.tableau on each call,
+    so a graph still being generated reads as far as it has grown."""
+    return [reading_word(graph.tableau(v)) for v in range(graph.num_vertices)]
+
+
 def unique_sink(graph: CrystalGraph) -> int:
     """The one vertex with no outgoing edge (the maximum)."""
     sinks = [v for v, row in enumerate(graph.succ) if not any(x is not None for x in row)]

@@ -249,6 +249,20 @@ def test_classify_small_sweep(capsys):
     assert all(row[2] == row[3] for row in rows[1:])
 
 
+def test_classify_sweep_csv_is_frozen(tmp_path, capsys):
+    # The benchmark's sweep (perfbench/expected.json) with millis dropped:
+    # byte count and sha256, so a change to generation shows here first.
+    argv = ("classify", "--max-n", "5", "--max-cells", "6", "--jobs", "1")
+    code, out, _ = run(capsys, *argv)
+    target = tmp_path / "sweep.csv"
+    assert code == 0 and run(capsys, *argv, "--out", str(target)) == (0, "", "")
+    for text in (out, target.read_bytes().decode()):
+        kept = "".join(line.rsplit(",", 1)[0] + "\r\n" for line in text.splitlines()).encode()
+        assert len(kept) == 2_824
+        assert hashlib.sha256(kept).hexdigest() == (
+            "0e6d5ae8012bd78dd191106b000713c32d43c6cd7c96def313b8a117c9066185")
+
+
 def flip_one_box_prediction(monkeypatch):
     """Make the closed form disagree with brute force at shape (1,), n=1."""
     predict = classifier.predict_lattice

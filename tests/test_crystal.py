@@ -37,6 +37,7 @@ from oracles import (
     enumerate_ssyt,
     generate_crystal_by_tableaux,
     generate_crystal_by_words,
+    graph_words,
     levi_restrict,
     lowering_by_cells,
     parabolic_quotient_by_filter,
@@ -96,13 +97,30 @@ def test_word_bfs_matches_tableau_bfs(parts, n):
     assert all(validate_tableau(shape, t.rows) == t for t in tableaux)
 
 
+# sweep_pairs(5, 6) is mostly one-row and one-column shapes, where nearly
+# every vertex has a top row (or a lower part) no earlier vertex had.
 @pytest.mark.parametrize(
-    "parts,n", [((5, 3, 1), 5), ((4, 4), 5), ((6, 4, 2), 4), ((12,), 5)], ids=lambda x: str(x)
+    "parts,n", sweep_pairs(5, 6) + [((5, 3, 1), 5), ((4, 4), 5), ((6, 4, 2), 4), ((12,), 5)],
+    ids=lambda x: str(x),
 )
 def test_code_bfs_matches_word_bfs(parts, n):
     shape = Partition(parts, n)
     graph = generate_crystal(shape)
-    assert (graph.words, graph.succ, graph.pred) == generate_crystal_by_words(shape)
+    assert (graph_words(graph), graph.succ, graph.pred) == generate_crystal_by_words(shape)
+
+
+def test_generation_decodes_one_word_per_lower_rows_memo_miss(monkeypatch):
+    # (12,) at n=5 has no lower rows, so its 6,188 vertices share one memo
+    # entry; each top row's blocks come from the edge that finds it.
+    decode, decoded = crystal._decode, []
+    monkeypatch.setattr(crystal, "_decode", lambda *args: decoded.append(args) or decode(*args))
+    for parts, n, misses in [((12,), 5, 1), ((5, 3, 1), 4, None), ((1, 1, 1, 1), 5, None)]:
+        decoded.clear()
+        graph = generate_crystal(Partition(parts, n))
+        count, low = len(decoded), sum(parts[1:])
+        if misses is None:
+            misses = len({word[:low] for word in graph_words(graph)})
+        assert 1 <= count <= misses, (parts, n)
 
 
 @pytest.mark.parametrize("parts,n", [((5, 3, 1), 5), ((3, 2, 1), 3), ((1,), 1), ((), 2)],
@@ -115,10 +133,10 @@ def test_level_generator_yields_each_bfs_level_and_drains_to_word_bfs(parts, n):
         start = starts[-1] if starts else 0
         starts.append(graph.num_vertices)
         assert graph.succ[:start] == succ[:start]  # the rows below the newest level
-        newest = graph.words[start:]
-        assert newest == words[start:len(graph.words)] and len(set(map(sum, newest))) == 1
+        newest = graph_words(graph)[start:]
+        assert newest == words[start:graph.num_vertices] and len(set(map(sum, newest))) == 1
         assert sum(newest[0]) == sum(words[0]) + len(starts) - 1
-    assert (graph.words, graph.succ, graph.pred) == (words, succ, pred)
+    assert (graph_words(graph), graph.succ, graph.pred) == (words, succ, pred)
     assert starts[-1] == len(words)
 
 
@@ -162,6 +180,14 @@ def test_generation_index_lattice_verdict_and_exports_leave_pred_unbuilt():
         assert index.down[top] == (1 << graph.num_vertices) - 1
         assert "pred" not in vars(graph)
         assert graph.pred == generate_crystal_by_tableaux(graph.shape)[2]
+
+
+def test_pred_stores_the_id_objects_succ_holds():
+    graph = generate_crystal(Partition((5, 3, 1), 4))
+    held = {w: w for row in graph.succ for w in row if w is not None}
+    stored = [u for row in graph.pred for u in row if u is not None]
+    assert max(stored) > 256  # past CPython's cached small ints
+    assert all(u is held.get(u, u) for u in stored)
 
 
 def test_raising_inverts_lowering():

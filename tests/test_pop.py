@@ -92,7 +92,7 @@ def test_orbit_lengths_match_orbits():
 
 def test_orbit_lengths_reject_a_pop_that_moves_up(monkeypatch):
     graph = generate_crystal(Partition((2, 1), 2))
-    monkeypatch.setattr(pop, "pop_crystal", lambda g, v: v + 1)
+    monkeypatch.setattr(pop, "_pop_crystal", lambda pred, v: v + 1)
     with pytest.raises(NonTermination):
         orbit_lengths(graph)
 

@@ -235,7 +235,7 @@ def test_staged_verdict_generates_all_of_a_lattice():
     result, graph, levels = staged_verdict(shape)
     assert result == LatticeResult(True) and next(levels, None) is None
     full = generate_crystal(shape)
-    assert (graph.words, graph.succ) == (full.words, full.succ)
+    assert (graph.codes, graph.succ) == (full.codes, full.succ)
 
 
 def test_verdict_builds_no_index_until_the_witness_is_read(index_builds):
