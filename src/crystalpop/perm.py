@@ -5,7 +5,8 @@ A permutation of [m] is stored in one-line notation. Generators are named
 by their index: i stands for the adjacent transposition swapping i and i+1,
 so generator subsets are sets of integers in [1, m-1].
 
-The order tests read two invariants that each Permutation computes once:
+The order tests read two invariants, each computed by one function on a
+one-line tuple, which a Permutation calls once and caches:
 
 - The inversion bitmask has one bit per value pair a < b in which b stands
   before a. The length is its popcount, and the right weak order is
@@ -18,23 +19,28 @@ The order tests read two invariants that each Permutation computes once:
   the entrywise comparison is one bitwise containment test as well.
 
 The exhaustive lemma suite works on one-line tuples indexed in
-lexicographic order. Weak-order monotonicity is tested on covers only (a
-map preserves the order iff it preserves every cover), with the coset
-representatives of each generator subset gathered from those of its
-parent subset. Sets of permutations are ints with one bit per permutation,
+lexicographic order, and builds no Permutation per element: the
+invariants, the pop and the commuting-descent test run on the tuples.
+Weak-order monotonicity is tested on covers only (a map preserves the
+order iff it preserves every cover). The coset representatives of each
+generator subset come from those of its parent subset by a walk along left
+descents, which reduces to one popcount and one index shift per distinct
+parent value. Sets of permutations are ints with one bit per permutation,
 and one containment query answers both orders: for each bit b of an
 invariant the suite keeps the set of permutations having b, and the z
 whose invariant lies within y's are the complement of the OR of those sets
-over the bits y lacks. The Bruhat lower set reads the rank arrays; the
-weak up-set reads the inversions each permutation lacks, Inv(w0) - Inv(w).
-Up-sets are built one at a time and dropped, so no m!^2/8-byte table is
-kept; the cover tests grow as 2^(m-2) (m-1) m!, and the suite stops at
-MAX_LEMMA_M, the largest size measured.
+over the bits y lacks. The Bruhat lower set reads the rank arrays, where
+the OR needs one set per entry, that of the entry's lowest lacking bit;
+the weak up-set reads the inversions each permutation lacks,
+Inv(w0) - Inv(w). Up-sets are built one at a time and dropped, so no
+m!^2/8-byte table is kept; the cover tests grow as 2^(m-2) (m-1) m!, and
+the suite stops at MAX_LEMMA_M, the largest size measured.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import operator
 from dataclasses import dataclass
 from functools import cached_property
@@ -62,37 +68,48 @@ class Permutation:
 
     @cached_property
     def inversion_mask(self) -> int:
-        """Bit (a-1)*m + (b-1) is set iff a < b and b stands before a."""
-        line = self.one_line
-        m = len(line)
-        mask = 0
-        for pos, b in enumerate(line):
-            for a in line[pos + 1:]:
-                if a < b:
-                    mask |= 1 << ((a - 1) * m + b - 1)
-        return mask
+        return _inversion_mask(self.one_line)
 
     @cached_property
     def bruhat_ranks(self) -> int:
-        """The rank array r[i, j] for 1 <= i < m and 2 <= j <= m (the rows
-        i = m and the column j = 1 are the same for every permutation).
-        Each entry gets a field of m-1 bits whose lowest r[i, j] bits are
-        set, so that entrywise <= is bitwise containment."""
-        line = self.one_line
-        m = len(line)
-        counts = [0] * (m + 1)
-        packed = 0
-        for v in line[:-1]:
-            for j in range(2, v + 1):
-                counts[j] += 1
-            for c in counts[2:]:
-                packed = packed << (m - 1) | (1 << c) - 1
-        return packed
+        return _bruhat_ranks(self.one_line)
 
     def __str__(self):
         if self.m <= 9:
             return "".join(str(v) for v in self.one_line)
         return ",".join(str(v) for v in self.one_line)
+
+
+def _inversion_mask(line: tuple[int, ...]) -> int:
+    """Bit (a-1)*m + (b-1) is set iff a < b and b stands before a. Read
+    right to left, later holds bit (a-1)*m for each value a already passed,
+    and the ones below b's stride, shifted by b-1, are b's inversions."""
+    m = len(line)
+    mask = later = 0
+    for b in reversed(line):
+        stride = (b - 1) * m
+        mask |= (later & (1 << stride) - 1) << (b - 1)
+        later |= 1 << stride
+    return mask
+
+
+def _bruhat_ranks(line: tuple[int, ...]) -> int:
+    """The rank array r[i, j] for 1 <= i < m and 2 <= j <= m (the rows
+    i = m and the column j = 1 are the same for every permutation). Each
+    entry gets a field of m-1 bits whose lowest r[i, j] bits are set, so
+    that entrywise <= is bitwise containment; row i = 1 is the highest, and
+    within a row j = 2 is the highest field. Row i is row i-1 with the
+    fields j <= w(i) grown by one bit: shifted up, with bit 0 set."""
+    width = len(line) - 1
+    if width < 1:
+        return 0  # S_0 and S_1 have no entries
+    lows = ((1 << width * width) - 1) // ((1 << width) - 1)  # bit 0 of each field of a row
+    row = packed = 0
+    for v in line[:-1]:
+        grown = (1 << width * (v - 1)) - 1 << width * (width + 1 - v)  # the fields j <= v
+        row |= (row << 1 | lows) & grown
+        packed = packed << width * width | row
+    return packed
 
 
 def identity(m: int) -> Permutation:
@@ -108,10 +125,9 @@ def parse_permutation(text: str) -> Permutation:
     return Permutation(tuple(int(ch) for ch in text))
 
 
-def all_permutations(m: int):
-    """All of S_m in lexicographic one-line order."""
-    for word in itertools.permutations(range(1, m + 1)):
-        yield Permutation(word)
+def permutation_lines(m: int) -> itertools.permutations:
+    """All of S_m as one-line tuples, in lexicographic order."""
+    return itertools.permutations(range(1, m + 1))
 
 
 def length(w: Permutation) -> int:
@@ -142,28 +158,23 @@ def longest_element(m: int) -> Permutation:
     return Permutation(tuple(range(m, 0, -1)))
 
 
-def min_coset_line(line: tuple[int, ...], gens: frozenset[int] | set[int]) -> tuple[int, ...]:
-    """min_coset_rep on a one-line tuple, with no Permutation built."""
-    m = len(line)
+def min_coset_rep(w: Permutation, gens: frozenset[int] | set[int]) -> Permutation:
+    """Minimum-length representative of the left coset W_J w. W_J acts on
+    values and permutes each block {i, ..., k+1}, for a maximal run i..k of
+    generators in J, freely: the representative writes each block's values
+    in increasing order of position. Generators outside [1, m-1] are ignored."""
+    m = w.m
     block = list(range(m + 1))  # block[a] = the smallest value in a's block
     for i in sorted(gens):
         if 0 < i < m:
             block[i + 1] = block[i]
     nxt = list(range(m + 1))  # nxt[b] = the next value block b hands out
     out = []
-    for a in line:
+    for a in w.one_line:
         b = block[a]
         out.append(nxt[b])
         nxt[b] += 1
-    return tuple(out)
-
-
-def min_coset_rep(w: Permutation, gens: frozenset[int] | set[int]) -> Permutation:
-    """Minimum-length representative of the left coset W_J w. W_J acts on
-    values and permutes each block {i, ..., k+1}, for a maximal run i..k of
-    generators in J, freely: the representative writes each block's values
-    in increasing order of position. Generators outside [1, m-1] are ignored."""
-    return Permutation(min_coset_line(w.one_line, gens))
+    return Permutation(tuple(out))
 
 
 def parabolic_quotient(gens: frozenset[int] | set[int], m: int) -> list[Permutation]:
@@ -191,20 +202,30 @@ def coxeter_pop(w: Permutation) -> Permutation:
     descents is a maximal descending run w(i) > ... > w(k+1), and the right
     factor w0(J) reverses positions i..k+1, so the product is: reverse each
     maximal descending run."""
-    line = w.one_line
+    return Permutation(_pop_line(w.one_line))
+
+
+def _pop_line(line: tuple[int, ...]) -> tuple[int, ...]:
+    """coxeter_pop on a one-line tuple."""
     out = []
     start = 0
-    for k in range(1, len(line) + 1):
-        if k == len(line) or line[k - 1] < line[k]:
-            out.extend(reversed(line[start:k]))
+    for k in range(1, len(line)):
+        if line[k - 1] < line[k]:
+            out += line[start:k][::-1]
             start = k
-    return Permutation(tuple(out))
+    out += line[start:][::-1]
+    return tuple(out)
 
 
 def descents_commute(w: Permutation) -> bool:
     """True iff no two right descents are adjacent (no double descent)."""
-    desc = right_descents(w)
-    return all(i + 1 not in desc for i in desc)
+    return _descents_commute(w.one_line)
+
+
+def _descents_commute(line: tuple[int, ...]) -> bool:
+    """descents_commute on a one-line tuple: no w(i) > w(i+1) > w(i+2)."""
+    desc = list(map(operator.gt, line, line[1:]))
+    return not any(map(operator.and_, desc, desc[1:]))
 
 
 @dataclass
@@ -257,6 +278,19 @@ def _lacking(cols: dict[int, int], packed: int) -> int:
     return out
 
 
+def _unary_lacking(cols: dict[int, int], packed: int, lows: int, fields: int) -> int:
+    """_lacking(cols, packed) for values made of unary fields, each holding
+    a count c as its c lowest bits, with lows the bit 0 of every field and
+    fields all of their bits. A value with bit t+1 of a field has its bit t,
+    so cols[t+1] lies within cols[t] there, and the OR over the bits a field
+    of packed lacks is the column of the lowest of them, which is the field's
+    bit of (packed << 1 | lows) & ~packed. A full field's top bit shifts onto
+    bit 0 of the field above, which packed either has or lacks as that
+    field's own lowest lacking bit; one past the top field is outside
+    fields."""
+    return _lacking(cols, fields ^ ((packed << 1 | lows) & ~packed & fields))
+
+
 def weak_covers(lines: list[tuple[int, ...]],
                 index: dict[tuple[int, ...], int]) -> tuple[list[int], list[int]]:
     """The covers y < y*s_i of the right weak order, one for each ascent
@@ -272,27 +306,51 @@ def weak_covers(lines: list[tuple[int, ...]],
     return lower, upper
 
 
-def coset_rep_tables(lines: list[tuple[int, ...]], index: dict[tuple[int, ...], int]):
+def coset_rep_tables(lines: list[tuple[int, ...]], masks: list[int]):
     """Yield (J, rep) for each generator subset J of S_m, by size, then in
-    lexicographic order, where rep[w] is the index of
-    min_coset_line(lines[w], J) and lines is all of S_m with its index.
+    lexicographic order, where rep[w] is the index of min_coset_rep(w, J),
+    lines is all of S_m in lexicographic order and masks their inversion
+    masks.
 
-    For J' = J - {max J}, W_J' w lies in W_J w, so rep_J = rep_J o rep_J':
-    the rewrite runs only on the distinct values of the table for J', and
-    the rest is a gather. Only the previous size's tables are kept, and of
-    those only the ones a larger J extends (max J' < m-1)."""
+    For J' = J - {k}, k = max J, W_J' w lies in W_J w, so rep_J = rep_J o
+    rep_J': the step below runs only on the distinct values x of the table
+    for J', and the rest is a gather. Only the previous size's tables are
+    kept, and of those only the ones a larger J extends (k < m-1).
+
+    The step is a walk by left descents (Bjorner and Brenti, Sec. 2.4).
+    Let a..k be the run of J ending at k. x writes the values a..k in
+    increasing order of position, and k+1 stands at some position q, so
+    only k+1 is out of place in its J-block {a, ..., k+1}. For j = k,
+    k-1, ..., while j+1 stands before j, x becomes s_j x (the values j
+    and j+1 swapped): a left descent in J, so it stays in W_J x and gets
+    shorter, and the walk stops once the block is sorted, after one step
+    for each of the t values of a..k standing after k+1 (t is a popcount of
+    x's inversion mask). Each step swaps j+1, at q, with a j after it,
+    which lowers the Lehmer digit at q (the later values smaller than the
+    one at q) by one and leaves every other digit as it is; so it lowers
+    the lexicographic index by (m-1-q)!, and rep_J(x) = x - t (m-1-q)!.
+    The empty J has the identity table, whose ints every table shares."""
     m = len(lines[0])
-    level = {(): range(len(lines))}  # the parent of the empty set
+    factorial = [math.factorial(m - 1 - q) for q in range(m)]
+    ids = list(range(len(lines)))
+    level = {(): ids}  # the empty set is its own parent
     for r in range(m):
         below, level = level, {}
         for c in itertools.combinations(range(1, m), r):
-            parent = below[c[:-1]]
-            j = frozenset(c)
-            image = {x: index[min_coset_line(lines[x], j)] for x in set(parent)}
-            rep = list(map(image.__getitem__, parent))
+            rep = parent = below[c[:-1]]
+            if c:
+                k = a = c[-1]
+                while a - 1 in c:
+                    a -= 1
+                after = sum(1 << (j - 1) * m + k for j in range(a, k + 1))  # inversions (j, k+1)
+                image = {}
+                for x in set(parent):
+                    shift = factorial[lines[x].index(k + 1)] * (masks[x] & after).bit_count()
+                    image[x] = ids[x - shift]
+                rep = list(map(image.__getitem__, parent))
             if not c or c[-1] < m - 1:
                 level[c] = rep
-            yield j, rep
+            yield frozenset(c), rep
 
 
 def verify_section3_lemmas(m: int) -> CheckReport:
@@ -301,7 +359,7 @@ def verify_section3_lemmas(m: int) -> CheckReport:
     pop/quotient exchange inequality, and the sorting time of the maximal
     quotient elements (h-1 pops reach the identity, h-2 do not, and every
     intermediate element has pairwise commuting descents). S_m is indexed
-    in all_permutations order, and both orders use the one containment
+    in permutation_lines order, and both orders use the one containment
     query of the module docstring: _columns gives the sets C_b, and
     _lacking the OR of C_b over the bits y lacks.
 
@@ -333,15 +391,11 @@ def verify_section3_lemmas(m: int) -> CheckReport:
             f"2^(m-2) (m-1) m! weak-cover tests, and m = {MAX_LEMMA_M} is the "
             f"largest size measured"
         )
-    lines, popped, masks, ranks, commuting = [], [], [], [], []
-    for w in all_permutations(m):
-        lines.append(w.one_line)
-        popped.append(coxeter_pop(w).one_line)
-        masks.append(w.inversion_mask)
-        ranks.append(w.bruhat_ranks)
-        commuting.append(descents_commute(w))
+    lines = list(permutation_lines(m))
     index = {line: i for i, line in enumerate(lines)}
-    pop = list(map(index.__getitem__, popped))
+    masks = list(map(_inversion_mask, lines))
+    ranks = list(map(_bruhat_ranks, lines))
+    pop = list(map(index.__getitem__, map(_pop_line, lines)))
     everything = (1 << len(lines)) - 1
     universe = longest_element(m).inversion_mask  # w0 has every inversion
     outside = [universe ^ mask for mask in masks]
@@ -352,7 +406,7 @@ def verify_section3_lemmas(m: int) -> CheckReport:
     # one up-set at a time, each dropped once counted
     weak_pairs = sum((everything & ~_lacking(outside_cols, gap)).bit_count() for gap in outside)
     lower, upper = weak_covers(lines, index)
-    for j, rep in coset_rep_tables(lines, index):
+    for j, rep in coset_rep_tables(lines, masks):
         checked += weak_pairs
         held = list(map(masks.__getitem__, rep))  # Inv(rep(y))
         missed = list(map(outside.__getitem__, rep))  # the inversions rep(y) lacks
@@ -372,14 +426,17 @@ def verify_section3_lemmas(m: int) -> CheckReport:
                     violations.append(
                         f"pop/quotient exchange fails: J={set(j)} w={Permutation(lines[w])}")
 
+    width = m - 1
+    fields = (1 << width ** 3) - 1  # every bit of the (m-1)^2 rank fields
+    lows = fields // ((1 << width) - 1 or 1)  # bit 0 of each
     rank_cols = _columns(ranks)
     pop_rank_cols = _columns([ranks[p] for p in pop])
-    for y, rank in enumerate(ranks):
-        if not commuting[y]:
+    for y, commutes in enumerate(map(_descents_commute, lines)):
+        if not commutes:
             continue
-        lower_set = everything & ~_lacking(rank_cols, rank)
+        lower_set = everything & ~_unary_lacking(rank_cols, ranks[y], lows, fields)
         checked += lower_set.bit_count()
-        for x in _set_bits(lower_set & _lacking(pop_rank_cols, ranks[pop[y]])):
+        for x in _set_bits(lower_set & _unary_lacking(pop_rank_cols, ranks[pop[y]], lows, fields)):
             violations.append(f"Bruhat pop monotonicity fails: "
                               f"x={Permutation(lines[x])} y={Permutation(lines[y])}")
 

@@ -68,7 +68,8 @@ def forward_orbit(start, step) -> tuple:
 
 
 def orbit(graph: CrystalGraph, v: int) -> OrbitReport:
-    return OrbitReport(trajectory=forward_orbit(v, lambda w: pop_crystal(graph, w)))
+    pred = graph.pred
+    return OrbitReport(trajectory=forward_orbit(v, lambda w: _pop_crystal(pred, w)))
 
 
 def orbit_lengths(graph: CrystalGraph) -> list[int]:

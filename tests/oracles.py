@@ -17,9 +17,9 @@ from crystalpop.crystal import (
 )
 from crystalpop.key import DemazureFamily, NonUniqueMinimum
 from crystalpop.perm import (
-    CheckReport, Permutation, all_permutations, bruhat_leq, coxeter_pop,
+    CheckReport, Permutation, bruhat_leq, coxeter_pop,
     descents_commute, identity, length, longest_element,
-    min_coset_rep, right_descents, weak_leq,
+    min_coset_rep, permutation_lines, right_descents, weak_leq,
 )
 from crystalpop.poset import BowtieCertificate, LatticeResult, ReachabilityIndex, join
 from crystalpop.pop import MAX_POPPABLE_COLORS, pop_crystal
@@ -477,6 +477,11 @@ def naive_meet(reach: list[set[int]], size: int, ids):
     return maximal[0] if len(maximal) == 1 else None
 
 
+def all_permutations(m: int):
+    """All of S_m as Permutations, in lexicographic one-line order."""
+    return map(Permutation, permutation_lines(m))
+
+
 def inversion_count(p: Permutation) -> int:
     """Number of position pairs a < b with p(a) > p(b)."""
     line = p.one_line
@@ -675,6 +680,44 @@ def min_coset_rep_by_descents(w: Permutation, gens) -> Permutation:
                 cur = left_mult_gen(cur, i)
                 changed = True
     return cur
+
+
+def min_coset_line(line: tuple[int, ...], gens) -> tuple[int, ...]:
+    """min_coset_rep on a one-line tuple: number the values of each block
+    {i, ..., k+1}, for a maximal run i..k of generators in J, in order of
+    position."""
+    m = len(line)
+    block = list(range(m + 1))  # block[a] = the smallest value in a's block
+    for i in sorted(gens):
+        if 0 < i < m:
+            block[i + 1] = block[i]
+    nxt = list(range(m + 1))  # nxt[b] = the next value block b hands out
+    out = []
+    for a in line:
+        b = block[a]
+        out.append(nxt[b])
+        nxt[b] += 1
+    return tuple(out)
+
+
+def coset_rep_tables_by_rewrite(lines: list[tuple[int, ...]], line_rep=min_coset_line):
+    """coset_rep_tables by rewriting one-line tuples: for J' = J - {max J},
+    rep_J = rep_J o rep_J', with line_rep run on each distinct value of the
+    table for J' and its result looked up in the index of lines. The empty
+    J's parent is the identity, so line_rep runs on all of S_m there."""
+    index = {line: i for i, line in enumerate(lines)}
+    m = len(lines[0])
+    level = {(): range(len(lines))}
+    for r in range(m):
+        below, level = level, {}
+        for c in itertools.combinations(range(1, m), r):
+            parent = below[c[:-1]]
+            j = frozenset(c)
+            image = {x: index[line_rep(lines[x], j)] for x in set(parent)}
+            rep = list(map(image.__getitem__, parent))
+            if not c or c[-1] < m - 1:
+                level[c] = rep
+            yield j, rep
 
 
 def verify_section3_lemmas_by_pairs(m: int) -> CheckReport:

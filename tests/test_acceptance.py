@@ -18,10 +18,7 @@ from crystalpop.key import (
     verify_key_properties,
     verify_pop_key_inequality,
 )
-from crystalpop.perm import (
-    all_permutations,
-    verify_section3_lemmas,
-)
+from crystalpop.perm import verify_section3_lemmas
 from crystalpop.pop import (
     is_poppable,
     max_orbit_size,
@@ -36,7 +33,7 @@ from crystalpop.tableaux import (
     hook_content_count,
     parse_tableau,
 )
-from oracles import coxeter_pop_by_longest_parabolic, enumerate_ssyt, locate
+from oracles import all_permutations, coxeter_pop_by_longest_parabolic, enumerate_ssyt, locate
 
 VERTEX_CAP = 100_000
 

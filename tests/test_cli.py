@@ -195,7 +195,7 @@ def test_cycling_orbits_fail_the_property_check(capsys, monkeypatch):
     code, out, err = run(capsys, "perm-pop", "--element", "123")
     assert (code, out) == (1, "")
     assert "property check failed" in err
-    monkeypatch.setattr(pop, "pop_crystal", lambda graph, v: v ^ 1)
+    monkeypatch.setattr(pop, "_pop_crystal", lambda pred, v: v ^ 1)
     code, out, err = run(capsys, "pop", "--shape", "2,1", "--n", "2", "--element", "1,1/2")
     assert (code, out) == (1, "")
     assert "property check failed" in err
@@ -452,7 +452,7 @@ def count_calls(monkeypatch, name: str) -> list:
 
 def test_verify_crystal_walks_the_quotient_once(capsys, monkeypatch):
     quotients = count_calls(monkeypatch, "parabolic_quotient")
-    permutations = count_calls(monkeypatch, "all_permutations")
+    permutations = count_calls(monkeypatch, "permutation_lines")
     pops = count_calls(monkeypatch, "coxeter_pop")
     assert run(capsys, "verify", "--shape", "4,2", "--n", "4")[0] == 0
     assert len(quotients) == 1
@@ -465,7 +465,7 @@ def test_verify_crystal_at_high_rank_builds_only_the_quotient(capsys, monkeypatc
     def no_permutations(m):
         raise AssertionError("S_m was built")
 
-    monkeypatch.setattr(perm, "all_permutations", no_permutations)
+    monkeypatch.setattr(perm, "permutation_lines", no_permutations)
     # The one-box crystal is a chain of n+1 vertices: (n+1)^2 + 2n key checks.
     assert run(capsys, "verify", "--shape", "1", "--n", "11") == (0, (
         "crystal 1 n=11: 12 vertices\npoppable: pass\n"
@@ -510,7 +510,7 @@ def test_verify_lemma_suite_rejects_m_past_the_limit(capsys, monkeypatch):
     def no_permutations(m):
         raise AssertionError("S_m was built")
 
-    monkeypatch.setattr(perm, "all_permutations", no_permutations)
+    monkeypatch.setattr(perm, "permutation_lines", no_permutations)
     code, out, err = run(capsys, "verify", "--m", str(perm.MAX_LEMMA_M + 1))
     assert code == 2
     assert out == ""

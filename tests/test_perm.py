@@ -7,7 +7,6 @@ import oracles
 from crystalpop import perm
 from crystalpop.perm import (
     Permutation,
-    all_permutations,
     bruhat_leq,
     coset_rep_tables,
     coxeter_pop,
@@ -24,11 +23,15 @@ from crystalpop.perm import (
     weak_leq,
 )
 from oracles import (
+    all_permutations,
     bruhat_leq_by_rank_counts,
     bruhat_lower_interval,
+    coset_rep_tables_by_rewrite,
+    coxeter_pop_by_longest_parabolic,
     inversion_count,
     left_descents,
     left_mult_gen,
+    min_coset_line,
     min_coset_rep_by_descents,
     parabolic_quotient_by_filter,
     verify_section3_lemmas_by_pairs,
@@ -161,7 +164,7 @@ def test_parabolic_quotient_builds_only_the_quotient(monkeypatch):
     def no_permutations(m):
         raise AssertionError("S_m was built")
 
-    monkeypatch.setattr(perm, "all_permutations", no_permutations)
+    monkeypatch.setattr(perm, "permutation_lines", no_permutations)
     q = parabolic_quotient(frozenset(range(2, 12)), 12)
     # one minimal representative per coset of S_1 x S_11: where 1 is sent
     assert len(q) == 12
@@ -225,6 +228,13 @@ def test_lemma_suite_s7():
     assert report.checked == 44323353
 
 
+@pytest.mark.slow
+def test_lemma_suite_s8():
+    report = verify_section3_lemmas(8)
+    assert report.ok, report.violations
+    assert report.checked == 2288862776
+
+
 def test_lemma_suite_matches_pairwise_scan():
     for m in range(1, 6):
         report = verify_section3_lemmas(m)
@@ -286,7 +296,7 @@ def test_coset_rep_tables_and_covers_match_direct_forms():
     lines, index = all_of(6)
     perms = list(all_permutations(6))
     assert [w.one_line for w in perms] == lines
-    tables = list(coset_rep_tables(lines, index))
+    tables = list(coset_rep_tables(lines, [w.inversion_mask for w in perms]))
     assert [j for j, _ in tables] == generator_subsets(6)
     for j, rep in tables:
         assert rep == [index[min_coset_rep(w, j).one_line] for w in perms], j
@@ -299,14 +309,90 @@ def test_coset_rep_tables_and_covers_match_direct_forms():
     assert sorted(zip(*weak_covers(lines, index))) == covers
 
 
+def assert_walks_match_rewrite(m):
+    lines, _ = all_of(m)
+    masks = list(map(perm._inversion_mask, lines))
+    walked = list(coset_rep_tables(lines, masks))
+    assert walked == list(coset_rep_tables_by_rewrite(lines))
+    assert [j for j, _ in walked] == generator_subsets(m)
+
+
+@pytest.mark.parametrize("m", range(1, 7))
+def test_coset_rep_walks_match_rewrite(m):
+    assert_walks_match_rewrite(m)
+
+
+@pytest.mark.slow
+def test_coset_rep_walks_match_rewrite_s7():
+    assert_walks_match_rewrite(7)
+
+
+@pytest.mark.parametrize("m", range(1, 7))
+def test_tuple_bodies_match_direct_forms(m):
+    for line in itertools.permutations(range(1, m + 1)):
+        inversions = sum(
+            1 << (a - 1) * m + b - 1 for p, b in enumerate(line) for a in line[p + 1:] if a < b
+        )
+        assert perm._inversion_mask(line) == inversions
+        ranks = 0  # r[i, j] = #{a <= i : w(a) >= j}, in unary fields, row i = 1 first
+        for i in range(1, m):
+            for j in range(2, m + 1):
+                ranks = ranks << (m - 1) | (1 << sum(v >= j for v in line[:i])) - 1
+        assert perm._bruhat_ranks(line) == ranks
+        w = Permutation(line)
+        assert Permutation(perm._pop_line(line)) == coxeter_pop_by_longest_parabolic(w)
+        desc = right_descents(w)
+        assert perm._descents_commute(line) == all(i + 1 not in desc for i in desc)
+
+
+def unary_fields(m):
+    """lows and fields of the rank arrays of S_m: (m-1)^2 fields of m-1 bits."""
+    width = m - 1
+    return sum(1 << width * f for f in range(width * width)), (1 << width ** 3) - 1
+
+
+@pytest.mark.parametrize("m", [5, 6])
+def test_unary_lacking_matches_every_bit_query(m):
+    lines, _ = all_of(m)
+    ranks = list(map(perm._bruhat_ranks, lines))
+    cols = perm._columns(ranks)
+    lows, fields = unary_fields(m)
+    for rank in ranks:
+        assert perm._unary_lacking(cols, rank, lows, fields) == perm._lacking(cols, rank)
+
+
+@given(st.integers(1, 5), st.integers(1, 6), st.data())
+def test_unary_lacking_matches_every_bit_query_on_random_fields(width, count, data):
+    def pack(counts):
+        return sum(((1 << c) - 1) << width * f for f, c in enumerate(counts))
+
+    field_counts = st.lists(st.integers(0, width), min_size=count, max_size=count)
+    values = data.draw(st.lists(field_counts.map(pack), min_size=1, max_size=30))
+    packed = data.draw(field_counts.map(pack))
+    lows = sum(1 << width * f for f in range(count))
+    fields = (1 << width * count) - 1
+    cols = perm._columns(values)
+    assert perm._unary_lacking(cols, packed, lows, fields) == perm._lacking(cols, packed)
+
+
 def use_reps(monkeypatch, line_rep):
     """Make both suites take their coset representatives from line_rep: the
-    bitset suite through perm.min_coset_line, the pairwise scan through its
+    bitset suite through perm.coset_rep_tables, here the rewrite tables
+    built on line_rep, and perm.min_coset_rep, the pairwise scan through its
     min_coset_rep."""
-    monkeypatch.setattr(perm, "min_coset_line", line_rep)
     monkeypatch.setattr(
-        oracles, "min_coset_rep", lambda w, gens: Permutation(line_rep(w.one_line, gens))
+        perm, "coset_rep_tables", lambda lines, masks: coset_rep_tables_by_rewrite(lines, line_rep)
     )
+    for module in (perm, oracles):
+        monkeypatch.setattr(
+            module, "min_coset_rep", lambda w, gens: Permutation(line_rep(w.one_line, gens))
+        )
+
+
+def use_pop(monkeypatch, line_pop):
+    """Make both suites pop with line_pop: coxeter_pop, which the pairwise
+    scan calls, pops through perm._pop_line, as the bitset suite does."""
+    monkeypatch.setattr(perm, "_pop_line", line_pop)
 
 
 def assert_suites_agree(m):
@@ -319,18 +405,17 @@ def assert_suites_agree(m):
 def test_lemma_suite_failures_match_pairwise_scan(monkeypatch):
     """Wrong coset representatives and a wrong pop make every kind of pair
     check fail; both suites must list the same failures in the same order."""
-    true_line, true_pop = perm.min_coset_line, perm.coxeter_pop
+    true_pop = perm._pop_line
 
     def wrong_rep(line, gens):
-        return line if len(gens) == 1 and line[-1] == 1 else true_line(line, gens)
+        return line if len(gens) == 1 and line[-1] == 1 else min_coset_line(line, gens)
 
-    def wrong_pop(w):
+    def wrong_pop(line):
         # Still lowers the length, so the sorting-time orbits end.
-        return identity(w.m) if w.one_line[0] == 3 else true_pop(w)
+        return tuple(range(1, len(line) + 1)) if line[0] == 3 else true_pop(line)
 
     use_reps(monkeypatch, wrong_rep)
-    for module in (perm, oracles):
-        monkeypatch.setattr(module, "coxeter_pop", wrong_pop)
+    use_pop(monkeypatch, wrong_pop)
     for m in (3, 4):
         report = assert_suites_agree(m)
     for kind in ("quotient monotonicity", "pop/quotient exchange", "Bruhat pop monotonicity"):
@@ -342,10 +427,8 @@ def test_lemma_suite_in_coset_wrong_reps_match_pairwise_scan(monkeypatch):
     gets s_1 times it: an element of the right coset, but not the minimal
     one. The larger J built on J = {1, 2} must still get their true
     representatives."""
-    true_line = perm.min_coset_line
-
     def in_coset_rep(line, gens):
-        rep = true_line(line, gens)
+        rep = min_coset_line(line, gens)
         if set(gens) != {1, 2} or rep[0] != 1:
             return rep
         return tuple({1: 2, 2: 1}.get(a, a) for a in rep)
@@ -362,16 +445,14 @@ def test_lemma_suite_scans_a_subset_with_one_broken_cover(monkeypatch):
     """A representative that breaks exactly one weak cover for J = {3} on
     S_4 sends the suite to its per-y scan for that J, which lists the same
     failing pairs as the pairwise scan."""
-    true_line = perm.min_coset_line
-
     def one_wrong(line, gens):
         if set(gens) == {3} and line == (1, 2, 4, 3):
             return (1, 3, 2, 4)
-        return true_line(line, gens)
+        return min_coset_line(line, gens)
 
     use_reps(monkeypatch, one_wrong)
     lines, index = all_of(4)
-    rep = dict(coset_rep_tables(lines, index))[frozenset({3})]
+    rep = dict(perm.coset_rep_tables(lines, list(map(perm._inversion_mask, lines))))[frozenset({3})]
     broken = [
         (y, z) for y, z in zip(*weak_covers(lines, index))
         if not weak_leq(Permutation(lines[rep[y]]), Permutation(lines[rep[z]]))
@@ -385,18 +466,16 @@ def test_lemma_suite_reports_a_pop_that_does_not_sort(monkeypatch):
     """A pop that leaves the last descending run as it is fixes w0 and other
     non-identity permutations; both suites stop the sorting-time walk after
     m pops and report it instead of looping."""
-    true_pop = perm.coxeter_pop
+    true_pop = perm._pop_line
 
-    def stuck_pop(w):
-        line = w.one_line
+    def stuck_pop(line):
         k = len(line) - 1
         while k > 0 and line[k - 1] > line[k]:
             k -= 1
-        return Permutation(true_pop(w).one_line[:k] + line[k:])
+        return true_pop(line)[:k] + line[k:]
 
-    assert stuck_pop(longest_element(4)) == longest_element(4)
-    for module in (perm, oracles):
-        monkeypatch.setattr(module, "coxeter_pop", stuck_pop)
+    assert stuck_pop(longest_element(4).one_line) == longest_element(4).one_line
+    use_pop(monkeypatch, stuck_pop)
     report = verify_section3_lemmas(4)
     expected = verify_section3_lemmas_by_pairs(4)
     assert not report.ok and not expected.ok

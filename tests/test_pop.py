@@ -5,7 +5,7 @@ import pytest
 from crystalpop.classifier import sweep_pairs
 from crystalpop.crystal import generate_crystal
 from crystalpop.key import build_demazure_family
-from crystalpop.perm import all_permutations, coxeter_pop, identity, parse_permutation
+from crystalpop.perm import coxeter_pop, identity, parse_permutation
 from crystalpop import pop
 from crystalpop.pop import (
     MAX_POPPABLE_COLORS,
@@ -23,6 +23,7 @@ from crystalpop.pop import (
 from crystalpop.poset import MeetUndefined, ReachabilityIndex
 from crystalpop.tableaux import Partition
 from oracles import (
+    all_permutations,
     coxeter_pop_by_longest_parabolic,
     down_colors,
     is_poppable_by_components,
@@ -88,6 +89,14 @@ def test_orbit_lengths_match_orbits():
         assert orbit_lengths(graph) == [
             orbit(graph, v).length for v in range(graph.num_vertices)
         ]
+
+
+def test_orbit_matches_the_orbit_of_pop_crystal():
+    for parts, n in sweep_pairs(4, 5):
+        graph = generate_crystal(Partition(parts, n))
+        for v in range(graph.num_vertices):
+            expected = forward_orbit(v, lambda w: pop_crystal(graph, w))
+            assert orbit(graph, v).trajectory == expected, (parts, n, v)
 
 
 def test_orbit_lengths_reject_a_pop_that_moves_up(monkeypatch):
