@@ -6,7 +6,6 @@ from __future__ import annotations
 
 import os
 import time
-from dataclasses import dataclass
 from typing import Optional
 
 from .crystal import (
@@ -14,6 +13,7 @@ from .crystal import (
 )
 from .poset import find_bowtie, is_lattice
 from .tableaux import Partition, Tableau, dual_shape, hook_content_count, validate_tableau
+from .values import Frozen, Value
 
 
 class HypothesisViolated(ValueError):
@@ -31,11 +31,11 @@ CLAUSE_NEAR_RECTANGLE = "(k^(n-1),k-1)"
 CLAUSE_STAIRCASE = "(3,2,1) at n=3"
 
 
-@dataclass(frozen=True)
-class Classification:
-    shape: Partition
-    is_lattice_predicted: bool
-    matched_clause: Optional[str]
+class Classification(Frozen):
+    def __init__(self, shape: Partition, is_lattice_predicted: bool,
+                 matched_clause: Optional[str]):
+        vars(self).update(shape=shape, is_lattice_predicted=is_lattice_predicted,
+                          matched_clause=matched_clause)
 
 
 def predict_lattice(shape: Partition) -> Classification:
@@ -207,25 +207,22 @@ def bowtie_C_via_duality(shape: Partition, p: int) -> tuple[Tableau, Tableau, Ta
     )
 
 
-@dataclass
-class SweepRow:
-    parts: tuple[int, ...]
-    n: int
-    predicted: bool
-    clause: Optional[str]
-    brute_force: Optional[bool]
-    vertices: Optional[int]
-    millis: float
-    skipped: bool = False
+class SweepRow(Value):
+    def __init__(self, parts: tuple[int, ...], n: int, predicted: bool, clause: Optional[str],
+                 brute_force: Optional[bool], vertices: Optional[int], millis: float,
+                 skipped: bool = False):
+        self.parts, self.n, self.predicted, self.clause = parts, n, predicted, clause
+        self.brute_force, self.vertices, self.millis = brute_force, vertices, millis
+        self.skipped = skipped
 
     @property
     def agrees(self) -> Optional[bool]:
         return None if self.skipped else self.predicted == self.brute_force
 
 
-@dataclass
-class SweepReport:
-    rows: list[SweepRow]
+class SweepReport(Value):
+    def __init__(self, rows: list[SweepRow]):
+        self.rows = rows
 
     @property
     def disagreements(self) -> list[SweepRow]:

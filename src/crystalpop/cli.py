@@ -13,6 +13,7 @@ import csv
 import io
 import json
 import sys
+from functools import cache
 from typing import Optional
 
 from .classifier import classification_sweep, predict_lattice
@@ -195,6 +196,7 @@ def cmd_verify(args) -> str:
     return "\n".join(lines) + "\n"
 
 
+@cache  # built by the first main call: argparse keeps no state between parses
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="crystal-pop", description="Crystal pop-stack sorting and lattice analysis")

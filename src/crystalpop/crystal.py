@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import os
 from bisect import bisect_right
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import repeat
 from typing import Iterator, Optional
@@ -41,6 +40,7 @@ from .tableaux import (
     Partition, Tableau, dual_shape, highest_weight_tableau, hook_content_count,
     reading_cells, reading_word, row_slices, validate_tableau,
 )
+from .values import Frozen
 
 DEFAULT_VERTEX_CAP = 2_000_000
 CAP_ENV_VAR = "CRYSTAL_POP_CAP"
@@ -258,13 +258,12 @@ def generate_crystal(shape: Partition, cap: Optional[int] = None) -> CrystalGrap
     return graph
 
 
-@dataclass(frozen=True)
-class DualCrystal:
+class DualCrystal(Frozen):
     """The dual crystal together with the forced vertex bijection from the
     original graph (to_dual[v] is the dual id of vertex v)."""
 
-    graph: CrystalGraph
-    to_dual: tuple[int, ...]
+    def __init__(self, graph: CrystalGraph, to_dual: tuple[int, ...]):
+        vars(self).update(graph=graph, to_dual=to_dual)
 
     def from_dual(self) -> tuple[int, ...]:
         inv = [0] * len(self.to_dual)

@@ -15,8 +15,6 @@ violation there falsifies the construction rather than the caller.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .crystal import CrystalGraph, stabilizer_colors, weyl_reflect
 from .perm import (
     CheckReport,
@@ -30,6 +28,7 @@ from .perm import (
     weak_leq,
 )
 from .pop import _pop_crystal
+from .values import Value
 
 
 class InconsistentFamily(RuntimeError):
@@ -40,14 +39,13 @@ class NonUniqueMinimum(RuntimeError):
     """The membership filter of some vertex has no unique minimum."""
 
 
-@dataclass
-class DemazureFamily:
+class DemazureFamily(Value):
     """Vertex bitsets indexed by the parabolic quotient; members and extremal
     both list it in weak-order BFS layers (by length, then one-line order),
     and extremal[w] is the vertex u_w that embeds w in the crystal."""
 
-    members: dict[Permutation, int]
-    extremal: dict[Permutation, int]
+    def __init__(self, members: dict[Permutation, int], extremal: dict[Permutation, int]):
+        self.members, self.extremal = members, extremal
 
 
 def _closure(succ, bits: int, i: int) -> int:

@@ -42,19 +42,28 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass
 from functools import cached_property
+
+from .values import Ordered, Value
 
 MAX_LEMMA_M = 8
 
 
-@dataclass(frozen=True, order=True)
-class Permutation:
-    one_line: tuple[int, ...]
+class Permutation(Ordered):
+    # Specialised: the key map makes thousands of these calls per run, and
+    # object.__setattr__ keeps reads fast (a self.__dict__ write slows them).
+    def __init__(self, one_line: tuple[int, ...]):
+        if sorted(one_line) != list(range(1, len(one_line) + 1)):
+            raise ValueError(f"not a permutation of [m]: {one_line}")
+        object.__setattr__(self, "one_line", one_line)
 
-    def __post_init__(self):
-        if sorted(self.one_line) != list(range(1, len(self.one_line) + 1)):
-            raise ValueError(f"not a permutation of [m]: {self.one_line}")
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.one_line == other.one_line
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.one_line,))
 
     @property
     def m(self) -> int:
@@ -228,12 +237,11 @@ def _descents_commute(line: tuple[int, ...]) -> bool:
     return not any(map(operator.and_, desc, desc[1:]))
 
 
-@dataclass
-class CheckReport:
+class CheckReport(Value):
     """Outcome of a property suite: how many checks ran and what failed."""
 
-    checked: int
-    violations: list[str]
+    def __init__(self, checked: int, violations: list[str]):
+        self.checked, self.violations = checked, violations
 
     @property
     def ok(self) -> bool:

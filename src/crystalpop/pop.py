@@ -5,12 +5,12 @@ pass per color set, that every such source is unique."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 from .crystal import CrystalGraph
 from .perm import Permutation, coxeter_pop
 from .poset import MeetUndefined, ReachabilityIndex, meet
+from .values import Frozen
 
 MAX_POPPABLE_COLORS = 12
 
@@ -19,12 +19,12 @@ class NonTermination(RuntimeError):
     pass
 
 
-@dataclass(frozen=True)
-class OrbitReport:
+class OrbitReport(Frozen):
     """Forward orbit of a vertex: the trajectory up to and including the
     first fixed point. length is the orbit size |O|."""
 
-    trajectory: tuple[int, ...]
+    def __init__(self, trajectory: tuple[int, ...]):
+        vars(self).update(trajectory=trajectory)
 
     @property
     def length(self) -> int:

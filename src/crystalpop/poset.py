@@ -14,27 +14,24 @@ or `find_bowtie`), so no query here builds the graph's E_i table.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import repeat
 from typing import Iterator, Optional
 
 from .crystal import CrystalGraph
+from .values import Frozen
 
 
 class MeetUndefined(RuntimeError):
     pass
 
 
-@dataclass(frozen=True)
-class BowtieCertificate:
+class BowtieCertificate(Frozen):
     """Quadruple witnessing that t1 and t2 have no join: t1, t2 incomparable;
     u1, u2 incomparable; t1 covered by u1; and t1 <= u2, t2 <= u1, t2 <= u2."""
 
-    t1: int
-    t2: int
-    u1: int
-    u2: int
+    def __init__(self, t1: int, t2: int, u1: int, u2: int):
+        vars(self).update(t1=t1, t2=t2, u1=u1, u2=u2)
 
 
 class ReachabilityIndex:

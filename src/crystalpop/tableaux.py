@@ -6,8 +6,9 @@ column j (left to right). Entries of a tableau of rank n lie in [1, n+1].
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from itertools import accumulate, chain
+from itertools import accumulate, chain, combinations
+
+from .values import Ordered
 
 
 class TableauError(ValueError):
@@ -36,28 +37,24 @@ class EntryOutOfRange(TableauError):
         self.cell = cell
 
 
-@dataclass(frozen=True, order=True)
-class Partition:
+class Partition(Ordered):
     """A weakly decreasing tuple of positive parts together with the crystal
     rank n. Trailing zeros are stripped on construction; the same parts give
     different crystals for different n, so n travels with the shape."""
 
-    parts: tuple[int, ...]
-    n: int
-
-    def __post_init__(self):
-        parts = tuple(self.parts)
+    def __init__(self, parts: tuple[int, ...], n: int):
+        parts = tuple(parts)
         while parts and parts[-1] == 0:
             parts = parts[:-1]
-        object.__setattr__(self, "parts", parts)
-        if self.n < 1:
-            raise ShapeMismatch(f"rank n must be positive, got {self.n}")
+        vars(self).update(parts=parts, n=n)
+        if n < 1:
+            raise ShapeMismatch(f"rank n must be positive, got {n}")
         if any(p <= 0 for p in parts):
             raise ShapeMismatch(f"parts must be positive: {parts}")
         if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
             raise ShapeMismatch(f"parts must be weakly decreasing: {parts}")
-        if len(parts) > self.n:
-            raise ShapeMismatch(f"at most n={self.n} parts allowed, got {len(parts)}")
+        if len(parts) > n:
+            raise ShapeMismatch(f"at most n={n} parts allowed, got {len(parts)}")
 
     def __len__(self):
         return len(self.parts)
@@ -91,12 +88,11 @@ def dual_shape(shape: Partition) -> Partition:
     return Partition(parts, n)
 
 
-@dataclass(frozen=True, order=True)
-class Tableau:
+class Tableau(Ordered):
     """Immutable semistandard filling of a partition shape."""
 
-    shape: Partition
-    rows: tuple[tuple[int, ...], ...]
+    def __init__(self, shape: Partition, rows: tuple[tuple[int, ...], ...]):
+        vars(self).update(shape=shape, rows=rows)
 
     def with_entry(self, i: int, j: int, value: int) -> "Tableau":
         """Copy with one cell replaced; revalidates the filling."""
@@ -170,17 +166,15 @@ def parse_tableau(text: str, n: int) -> Tableau:
 
 def hook_content_count(shape: Partition) -> int:
     """Number of semistandard tableaux of this shape with entries at most
-    n+1, by the hook-content product."""
-    parts = shape.parts
-    if not parts:
-        return 1
-    conj = [sum(1 for p in parts if p >= j) for j in range(1, parts[0] + 1)]
+    n+1, by Weyl's dimension formula (Fulton and Harris, *Representation
+    Theory*, Thm. 6.3): O(n^2) factors (l_i - l_j + j - i) / (j - i) over
+    1 <= i < j <= n+1, l the parts padded with zeros, not one per cell."""
+    parts = [shape.part(i) for i in range(1, shape.n + 2)]
     num = den = 1
-    for i, width in enumerate(parts, start=1):
-        for j in range(1, width + 1):
-            num *= shape.n + 1 + j - i  # n+1 plus the content
-            den *= (width - j) + (conj[j - 1] - i) + 1  # the hook length
+    for i, j in combinations(range(shape.n + 1), 2):
+        num *= parts[i] - parts[j] + j - i
+        den *= j - i
     count, rem = divmod(num, den)
     if rem:
-        raise ArithmeticError("hook-content product is not integral")
+        raise ArithmeticError("Weyl dimension product is not integral")
     return count

@@ -8,12 +8,13 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field, make_dataclass
 from typing import Optional
 
+from crystalpop.classifier import Classification, SweepReport, SweepRow
 from crystalpop.crystal import (
-    CrystalGraph, IsomorphismFailure, SizeLimitExceeded, default_cap, stabilizer_colors,
-    weyl_reflect,
+    CrystalGraph, DualCrystal, IsomorphismFailure, SizeLimitExceeded, default_cap,
+    stabilizer_colors, weyl_reflect,
 )
 from crystalpop.key import DemazureFamily, NonUniqueMinimum
 from crystalpop.perm import (
@@ -22,7 +23,7 @@ from crystalpop.perm import (
     min_coset_rep, permutation_lines, right_descents, weak_leq,
 )
 from crystalpop.poset import BowtieCertificate, LatticeResult, ReachabilityIndex, join
-from crystalpop.pop import MAX_POPPABLE_COLORS, pop_crystal
+from crystalpop.pop import MAX_POPPABLE_COLORS, OrbitReport, pop_crystal
 from crystalpop.tableaux import (
     ColumnViolation, EntryOutOfRange, Partition, RowViolation, Tableau, format_rows,
     highest_weight_tableau, hook_content_count, reading_cells, reading_word,
@@ -64,6 +65,25 @@ def weight(t: Tableau) -> tuple[int, ...]:
         for val in row:
             counts[val - 1] += 1
     return tuple(counts)
+
+
+def hook_content_count_by_product(shape: Partition) -> int:
+    """Number of semistandard tableaux of this shape with entries at most
+    n+1, by the hook-content product: one factor per cell into two
+    factorial-sized ints, so quadratic in the size of the shape."""
+    parts = shape.parts
+    if not parts:
+        return 1
+    conj = [sum(1 for p in parts if p >= j) for j in range(1, parts[0] + 1)]
+    num = den = 1
+    for i, width in enumerate(parts, start=1):
+        for j in range(1, width + 1):
+            num *= shape.n + 1 + j - i  # n+1 plus the content
+            den *= (width - j) + (conj[j - 1] - i) + 1  # the hook length
+    count, rem = divmod(num, den)
+    if rem:
+        raise ArithmeticError("hook-content product is not integral")
+    return count
 
 
 def lowering_by_cells(t: Tableau, i: int) -> Optional[Tableau]:
@@ -779,3 +799,24 @@ def verify_section3_lemmas_by_pairs(m: int) -> CheckReport:
             if not descents_commute(v):
                 violations.append(f"non-commuting descents along orbit of s={s}: {v}")
     return CheckReport(checked=checked, violations=violations)
+
+
+# The dataclass each record class of crystalpop replaced, with its name,
+# fields and flags and nothing else: no __post_init__ check and no methods.
+DATACLASS_TWINS = {
+    Partition: make_dataclass("Partition", ["parts", "n"], frozen=True, order=True),
+    Tableau: make_dataclass("Tableau", ["shape", "rows"], frozen=True, order=True),
+    Permutation: make_dataclass("Permutation", ["one_line"], frozen=True, order=True),
+    CheckReport: make_dataclass("CheckReport", ["checked", "violations"]),
+    DualCrystal: make_dataclass("DualCrystal", ["graph", "to_dual"], frozen=True),
+    BowtieCertificate: make_dataclass("BowtieCertificate", ["t1", "t2", "u1", "u2"],
+                                      frozen=True),
+    OrbitReport: make_dataclass("OrbitReport", ["trajectory"], frozen=True),
+    DemazureFamily: make_dataclass("DemazureFamily", ["members", "extremal"]),
+    Classification: make_dataclass(
+        "Classification", ["shape", "is_lattice_predicted", "matched_clause"], frozen=True),
+    SweepRow: make_dataclass("SweepRow", [
+        "parts", "n", "predicted", "clause", "brute_force", "vertices", "millis",
+        ("skipped", bool, field(default=False))]),
+    SweepReport: make_dataclass("SweepReport", ["rows"]),
+}

@@ -1,5 +1,4 @@
 import csv
-import dataclasses
 import hashlib
 import io
 import json
@@ -8,7 +7,7 @@ import sys
 import pytest
 
 from crystalpop import classifier, cli, key, perm, pop
-from crystalpop.classifier import sweep_pairs
+from crystalpop.classifier import Classification, sweep_pairs
 from crystalpop.cli import main
 from crystalpop.crystal import generate_crystal, weyl_reflect
 from crystalpop.tableaux import Partition, Tableau
@@ -270,7 +269,7 @@ def flip_one_box_prediction(monkeypatch):
     def flip_one_box(shape):
         c = predict(shape)
         if (shape.parts, shape.n) == ((1,), 1):
-            return dataclasses.replace(c, is_lattice_predicted=not c.is_lattice_predicted)
+            return Classification(c.shape, not c.is_lattice_predicted, c.matched_clause)
         return c
 
     monkeypatch.setattr(classifier, "predict_lattice", flip_one_box)
@@ -545,6 +544,14 @@ def test_cap_flag_enforced(capsys):
     code, _, err = run(capsys, "gen", "--shape", "3,1", "--n", "3", "--cap", "10")
     assert code == 2
     assert "exceeds cap" in err
+
+
+def test_cap_check_on_a_huge_row_is_immediate(capsys, monkeypatch):
+    # Counting the 3,000,001 tableaux by the hook-content product took ~56 s;
+    # Weyl's formula takes one product at n = 1.
+    monkeypatch.delenv("CRYSTAL_POP_CAP", raising=False)
+    assert run(capsys, "gen", "--shape", "3000000", "--n", "1") == (
+        2, "", "invalid input: crystal for (3000000,) at n=1 exceeds cap 2000000\n")
 
 
 def test_cap_env_var_applies_to_every_command(capsys, monkeypatch):

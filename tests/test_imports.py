@@ -2,8 +2,9 @@
 top-level def or class has a user outside itself, and so has every method
 or property of a class. The package's __init__.py is skipped: its imports
 are re-exports. Every module attribute the benchmark's tracer wraps
-exists. Importing the CLI loads no process-pool module. Every module
-parses as the oldest Python that pyproject.toml allows."""
+exists. Importing the CLI loads no process-pool module and neither
+dataclasses nor inspect. Every module parses as the oldest Python that
+pyproject.toml allows."""
 
 import ast
 import importlib
@@ -179,9 +180,9 @@ def test_every_member_has_a_user():
     assert unreferenced_members(sources, perfbench) == []
 
 
-def test_cli_import_loads_no_process_pool():
-    """A run without --jobs above 1 never forks, so importing the CLI must
-    not load the pool's modules; sys.modules is compared before and after
+def modules_loaded_by_cli_import(packages: tuple[str, ...]) -> str:
+    """The modules of the given top-level packages that a fresh interpreter's
+    `import crystalpop.cli` adds; sys.modules is compared before and after
     so that the interpreter's own start-up imports do not count."""
     probe = (
         "import sys\n"
@@ -189,12 +190,24 @@ def test_cli_import_loads_no_process_pool():
         "before = set(sys.modules)\n"
         "import crystalpop.cli\n"
         "print(sorted(m for m in set(sys.modules) - before\n"
-        "             if m.split('.')[0] in ('concurrent', 'multiprocessing')))\n"
+        f"             if m.split('.')[0] in {packages!r}))\n"
     )
     src = str(Path(crystalpop.__file__).resolve().parent.parent)
-    out = subprocess.run([sys.executable, "-c", probe, src], check=True,
-                         capture_output=True, text=True).stdout
-    assert out == "[]\n"
+    return subprocess.run([sys.executable, "-c", probe, src], check=True,
+                          capture_output=True, text=True).stdout
+
+
+def test_cli_import_loads_no_process_pool():
+    """A run without --jobs above 1 never forks, so importing the CLI must
+    not load the pool's modules."""
+    assert modules_loaded_by_cli_import(("concurrent", "multiprocessing")) == "[]\n"
+
+
+def test_cli_import_loads_no_dataclasses_or_inspect():
+    """Every process imports the CLI: the record classes are plain classes,
+    since `dataclasses` loads inspect, ast and dis and execs the methods it
+    generates."""
+    assert modules_loaded_by_cli_import(("dataclasses", "inspect", "ast", "dis")) == "[]\n"
 
 
 def test_the_version_check_rejects_newer_syntax():

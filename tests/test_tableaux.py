@@ -1,6 +1,9 @@
+import math
+
 import pytest
 from hypothesis import given, strategies as st
 
+from crystalpop.classifier import sweep_pairs
 from crystalpop.tableaux import (
     ColumnViolation,
     EntryOutOfRange,
@@ -16,7 +19,7 @@ from crystalpop.tableaux import (
     row_slices,
     validate_tableau,
 )
-from oracles import enumerate_ssyt, weight
+from oracles import enumerate_ssyt, hook_content_count_by_product, weight
 
 
 def test_partition_basics():
@@ -123,6 +126,20 @@ def test_hook_content_matches_enumeration(parts, n):
 def test_hook_content_single_box():
     # one box: entries 1..n+1
     assert hook_content_count(Partition((1,), 5)) == 6
+
+
+@pytest.mark.parametrize("max_n,max_cells", [(5, 6), (6, 8)])
+def test_weyl_count_matches_the_hook_content_product(max_n, max_cells):
+    pairs = sweep_pairs(max_n, max_cells) + [((), n) for n in range(1, max_n + 1)]
+    for parts, n in pairs:
+        shape = Partition(parts, n)
+        assert hook_content_count(shape) == hook_content_count_by_product(shape)
+
+
+def test_weyl_count_of_a_huge_row_is_immediate():
+    # a row of k boxes with entries up to n+1: C(k+n, n) fillings
+    assert hook_content_count(Partition((3_000_000,), 1)) == 3_000_001
+    assert hook_content_count(Partition((3_000_000,), 2)) == math.comb(3_000_002, 2)
 
 
 @given(st.integers(1, 4), st.data())
