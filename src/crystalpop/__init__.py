@@ -20,6 +20,8 @@ from .crystal import (
     generate_crystal,
     lowering_F,
     raising_E,
+    to_dot,
+    to_json,
 )
 from .key import all_keys, build_demazure_family
 from .perm import Permutation, coxeter_pop, parse_permutation
@@ -65,4 +67,6 @@ __all__ = [
     "predict_lattice",
     "raising_E",
     "semilattice_pop",
+    "to_dot",
+    "to_json",
 ]

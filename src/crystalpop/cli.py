@@ -4,6 +4,13 @@ sweeps, and verification suites.
 Exit codes: 0 success, 1 a mathematical property check failed, 2 invalid
 input. Output is byte-deterministic for fixed inputs, except the millis
 column of classify, the wall time spent on each shape.
+
+Each command returns its output as a list or generator of text blocks, and
+_emit writes them in order: the whole-graph outputs (gen, pop --format csv)
+are built a block of crystal.BLOCK vertices at a time, so only one block's
+line and edge strings live at once. A command generates its crystal and
+runs every check that can fail before it returns, so a failing command
+opens no output.
 """
 
 from __future__ import annotations
@@ -14,10 +21,14 @@ import io
 import json
 import sys
 from functools import cache
-from typing import Optional
+from itertools import chain, count, islice
+from typing import Iterable, Optional
 
 from .classifier import classification_sweep, predict_lattice
-from .crystal import SizeLimitExceeded, default_cap, generate_crystal, to_dot, to_json
+from .crystal import (
+    BLOCK, SizeLimitExceeded, default_cap, dot_blocks, edge_blocks, generate_crystal, json_blocks,
+    vertex_blocks,
+)
 from .key import (
     InconsistentFamily,
     NonUniqueMinimum,
@@ -45,24 +56,30 @@ class PropertyFailure(RuntimeError):
     """A mathematical check came out false; maps to exit code 1."""
 
 
-def _emit(text: str, out: Optional[str]) -> None:
+def _emit(blocks: Iterable[str], out: Optional[str]) -> None:
+    """Write blocks in order to the file out, or to stdout if out is None."""
     if out:
         try:
             with open(out, "w") as fh:
-                fh.write(text)
+                fh.writelines(blocks)
         except OSError as exc:
             raise ValueError(f"cannot write {out}: {exc.strerror}") from exc
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(blocks)
 
 
-def _csv(header: list[str], rows) -> str:
-    """The header and rows as csv.writer text, with its CRLF line endings."""
+def _csv(header: list[str], rows) -> Iterable[str]:
+    """The header and rows as csv.writer text, with its CRLF line endings, a
+    block of BLOCK rows at a time."""
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue()
+    rows = iter(rows)
+    while block := buf.getvalue():
+        yield block
+        buf.seek(0)
+        buf.truncate()
+        writer.writerows(islice(rows, BLOCK))
 
 
 def _graph(args):
@@ -72,21 +89,21 @@ def _graph(args):
     return generate_crystal(shape, cap=args.cap)
 
 
-def cmd_gen(args) -> str:
+def cmd_gen(args) -> Iterable[str]:
     graph = _graph(args)
     if args.format == "dot":
-        return to_dot(graph)
+        return dot_blocks(graph)
     if args.format == "json":
-        return to_json(graph)
+        return json_blocks(graph)
+    colors = range(1, graph.n + 1)
     if args.format == "csv":
-        return _csv(["src", "dst", "color"], graph.edges())
-    lines = [f"crystal {args.shape} n={graph.n}: {graph.num_vertices} vertices"]
-    lines += [f"  {v}: {text}" for v, text in enumerate(graph.texts())]
-    lines += [f"  {src} -> {dst} (F{c})" for src, dst, c in graph.edges()]
-    return "\n".join(lines) + "\n"
+        return chain(["src,dst,color\r\n"], edge_blocks(graph, "%d,", [f",{c}\r\n" for c in colors]))
+    return chain([f"crystal {args.shape} n={graph.n}: {graph.num_vertices} vertices\n"],
+                 vertex_blocks(graph, "  %d: %s\n"),
+                 edge_blocks(graph, "  %d -> ", [f" (F{c})\n" for c in colors]))
 
 
-def cmd_pop(args) -> str:
+def cmd_pop(args) -> Iterable[str]:
     graph = _graph(args)
     if args.element:
         t = parse_tableau(args.element, graph.n)
@@ -94,12 +111,10 @@ def cmd_pop(args) -> str:
             raise TableauError(f"element has shape {t.shape.parts}, crystal has {graph.shape.parts}")
         rep = orbit(graph, graph.vertex_id(t))
         lines = [format_rows(graph.rows(v)) for v in rep.trajectory]
-        return "\n".join(lines) + f"\norbit length {rep.length}\n"
+        return ["\n".join(lines) + f"\norbit length {rep.length}\n"]
     if args.format == "csv":
-        return _csv(["id", "tableau", "orbit_length"], (
-            (v, text, size)
-            for v, (text, size) in enumerate(zip(graph.texts(), orbit_lengths(graph)))
-        ))
+        lengths = orbit_lengths(graph)
+        return _csv(["id", "tableau", "orbit_length"], zip(count(), graph.texts(), lengths))
     size, witness = max_orbit_size(graph)
     if args.format == "json":
         payload = {
@@ -109,19 +124,19 @@ def cmd_pop(args) -> str:
             "coxeter_number": graph.n + 1,
             "witness": format_rows(graph.rows(witness)),
         }
-        return json.dumps(payload, indent=2) + "\n"
-    return (
+        return [json.dumps(payload, indent=2) + "\n"]
+    return [
         f"max orbit {size} (coxeter number {graph.n + 1}), "
         f"witness {format_rows(graph.rows(witness))}\n"
-    )
+    ]
 
 
-def cmd_perm_pop(args) -> str:
+def cmd_perm_pop(args) -> list[str]:
     lines = [str(w) for w in forward_orbit(parse_permutation(args.element), pop_permutation)]
-    return "\n".join(lines) + f"\norbit length {len(lines)}\n"
+    return ["\n".join(lines) + f"\norbit length {len(lines)}\n"]
 
 
-def cmd_lattice(args) -> str:
+def cmd_lattice(args) -> list[str]:
     graph = _graph(args)
     prediction = predict_lattice(graph.shape)
     result = is_lattice(graph)
@@ -141,29 +156,29 @@ def cmd_lattice(args) -> str:
             raise PropertyFailure("non-lattice without a verifiable bowtie")
         for name, v in (("t1", cert.t1), ("t2", cert.t2), ("u1", cert.u1), ("u2", cert.u2)):
             lines.append(f"bowtie {name}: {format_rows(graph.rows(v))}")
-    return "\n".join(lines) + "\n"
+    return ["\n".join(lines) + "\n"]
 
 
-def cmd_classify(args) -> str:
+def cmd_classify(args) -> list[str]:
     report = classification_sweep(args.max_n, args.max_cells, vertex_cap=args.cap, jobs=args.jobs)
-    text = _csv(["lambda", "n", "predicted", "brute_force", "clause", "vertices", "millis"], (
+    blocks = [*_csv(["lambda", "n", "predicted", "brute_force", "clause", "vertices", "millis"], (
         (",".join(map(str, row.parts)), row.n, row.predicted,
          "skipped" if row.skipped else row.brute_force,
          row.clause or "", row.vertices if row.vertices is not None else "",
          f"{row.millis:.1f}")
         for row in report.rows
-    ))
+    ))]
     for row in report.skipped:
         # Same line ending as the csv.writer rows above.
-        text += f"# skipped over cap: {row.parts} n={row.n}\r\n"
+        blocks.append(f"# skipped over cap: {row.parts} n={row.n}\r\n")
     if report.disagreements:
-        _emit(text, args.out)
+        _emit(blocks, args.out)
         bad = report.disagreements[0]
         raise PropertyFailure(f"classification disagrees at {bad.parts}, n={bad.n}")
-    return text
+    return blocks
 
 
-def cmd_verify(args) -> str:
+def cmd_verify(args) -> list[str]:
     lines = []
     if args.m is not None:
         report = verify_section3_lemmas(args.m)
@@ -172,7 +187,7 @@ def cmd_verify(args) -> str:
             lines.extend(report.violations)
             raise PropertyFailure("\n".join(lines))
         lines.append("all pass")
-        return "\n".join(lines) + "\n"
+        return ["\n".join(lines) + "\n"]
     graph = _graph(args)
     lines.append(f"crystal {args.shape} n={graph.n}: {graph.num_vertices} vertices")
     failures = []
@@ -193,7 +208,7 @@ def cmd_verify(args) -> str:
         failures.extend(report.violations)
     if failures:
         raise PropertyFailure("\n".join(lines + failures))
-    return "\n".join(lines) + "\n"
+    return ["\n".join(lines) + "\n"]
 
 
 @cache  # built by the first main call: argparse keeps no state between parses

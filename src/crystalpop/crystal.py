@@ -24,8 +24,12 @@ is larger and only the entry below it, read from the code, is compared, per
 edge. Generation fills only codes and succ (pred waits for its first read),
 and no output builds a Tableau. Full outputs read graph.texts(), which
 formats each distinct row code once; outputs for one vertex format
-graph.rows(v), code v decoded and cut by tableaux.row_slices. to_json writes
-the json.dumps(indent=2) layout from fixed templates.
+graph.rows(v), code v decoded and cut by tableaux.row_slices. json_blocks
+and dot_blocks yield the JSON (the json.dumps(indent=2) layout) and DOT
+exports a block of BLOCK vertex ids at a time, vertex blocks then edge
+blocks, each item filled into a fixed template; so a caller that writes each
+block as it comes holds the vertex texts and one block's strings, never a
+string per edge. to_json and to_dot join the blocks.
 """
 
 from __future__ import annotations
@@ -321,35 +325,75 @@ def stabilizer_colors(shape: Partition) -> frozenset[int]:
     return frozenset(i for i in range(1, shape.n + 1) if shape.part(i) == shape.part(i + 1))
 
 
-_JSON_VERTEX = '{\n      "id": %d,\n      "rows": "%s"\n    }'
-_JSON_EDGE_HEAD = '{\n      "src": %d,\n      "dst": '
+BLOCK = 1024  # vertex ids per block of a whole-graph output
+
+
+def vertex_blocks(graph: CrystalGraph, line: str) -> Iterator[str]:
+    """line % (v, text) for every vertex v and its text, joined a block of
+    BLOCK ids at a time."""
+    texts = graph.texts()
+    for start in range(0, len(texts), BLOCK):
+        yield "".join([line % pair for pair in enumerate(texts[start:start + BLOCK], start)])
+
+
+def edge_blocks(graph: CrystalGraph, head: str, tails: list[str]) -> Iterator[str]:
+    """head % v + str(w) + tails[i - 1] for every edge w = F_i(v) in id order,
+    joined a block of BLOCK source ids at a time ("" if it has no edge)."""
+    succ = graph.succ
+    for start in range(0, len(succ), BLOCK):
+        items: list[str] = []
+        for v, row in enumerate(succ[start:start + BLOCK], start):
+            h = head % v
+            items += [h + str(w) + tail for w, tail in zip(row, tails) if w is not None]
+        yield "".join(items)
+
+
+def _json_array(blocks) -> Iterator[str]:
+    """blocks, whose items each begin with a comma, as an array one level
+    deep in the json.dumps(indent=2) layout: "[]" if they hold no item."""
+    first = True
+    for block in blocks:
+        if block:
+            yield "[" + block[1:] if first else block
+            first = False
+    yield "[]" if first else "\n  ]"
+
+
+_JSON_VERTEX = ',\n    {\n      "id": %d,\n      "rows": "%s"\n    }'
+_JSON_EDGE_HEAD = ',\n    {\n      "src": %d,\n      "dst": '
 _JSON_EDGE_TAIL = ',\n      "color": %d\n    }'
+
+
+def json_blocks(graph: CrystalGraph) -> Iterator[str]:
+    """to_json(graph), a block of BLOCK vertex ids at a time."""
+    parts = "".join(_json_array([f",\n    {p}" for p in graph.shape.parts]))
+    yield f'{{\n  "lambda": {parts},\n  "n": {graph.n},\n  "vertices": '
+    yield from _json_array(vertex_blocks(graph, _JSON_VERTEX))
+    yield ',\n  "edges": '
+    tails = [_JSON_EDGE_TAIL % c for c in range(1, graph.n + 1)]
+    yield from _json_array(edge_blocks(graph, _JSON_EDGE_HEAD, tails))
+    yield "\n}"
 
 
 def to_json(graph: CrystalGraph) -> str:
     """{"lambda", "n", "vertices": [{"id", "rows"}], "edges": [{"src", "dst",
     "color"}]} in the json.dumps(indent=2) layout. A vertex text holds only
     digits, ',' and '/', so it is written between quotes as it is."""
-    def array(items: list[str]) -> str:
-        return "[\n    " + ",\n    ".join(items) + "\n  ]" if items else "[]"
-    vertices = [_JSON_VERTEX % pair for pair in enumerate(graph.texts())]
-    tails = [_JSON_EDGE_TAIL % c for c in range(1, graph.n + 1)]
-    edges = []
-    for v, row in enumerate(graph.succ):
-        head = _JSON_EDGE_HEAD % v
-        edges += [head + str(w) + tail for w, tail in zip(row, tails) if w is not None]
-    return (f'{{\n  "lambda": {array([str(p) for p in graph.shape.parts])},\n  "n": {graph.n},'
-            f'\n  "vertices": {array(vertices)},\n  "edges": {array(edges)}\n}}')
+    return "".join(json_blocks(graph))
 
 
 _DOT_PALETTE = ["red", "blue", "green3", "orange", "purple", "brown", "cyan3", "magenta"]
 
 
+def dot_blocks(graph: CrystalGraph) -> Iterator[str]:
+    """to_dot(graph), a block of BLOCK vertex ids at a time."""
+    tails = [f' [label="F{c}", color={_DOT_PALETTE[(c - 1) % len(_DOT_PALETTE)]}];\n'
+             for c in range(1, graph.n + 1)]
+    yield "digraph crystal {\n  rankdir=BT;\n"
+    yield from vertex_blocks(graph, '  v%d [label="%s"];\n')
+    yield from edge_blocks(graph, "  v%d -> v", tails)
+    yield "}\n"
+
+
 def to_dot(graph: CrystalGraph) -> str:
-    lines = ["digraph crystal {", "  rankdir=BT;"]
-    lines += [f'  v{v} [label="{text}"];' for v, text in enumerate(graph.texts())]
-    for src, dst, color in graph.edges():
-        pen = _DOT_PALETTE[(color - 1) % len(_DOT_PALETTE)]
-        lines.append(f'  v{src} -> v{dst} [label="F{color}", color={pen}];')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    return "".join(dot_blocks(graph))

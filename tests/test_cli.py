@@ -2,11 +2,15 @@ import csv
 import hashlib
 import io
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
-from crystalpop import classifier, cli, key, perm, pop
+import crystalpop
+from crystalpop import classifier, cli, crystal, key, perm, pop
 from crystalpop.classifier import Classification, sweep_pairs
 from crystalpop.cli import main
 from crystalpop.crystal import generate_crystal, weyl_reflect
@@ -110,6 +114,58 @@ def test_gen_json_bytes_are_frozen(tmp_path, capsys, args, size, digest):
     target = tmp_path / "output"
     assert run(capsys, *args, "--out", str(target)) == (0, "", "")
     assert target.read_bytes() == data
+
+
+@pytest.mark.parametrize("block", [1, 3])
+@pytest.mark.parametrize("args,size,digest", FROZEN_OUTPUTS)
+def test_frozen_outputs_at_small_block_sizes(tmp_path, capsys, monkeypatch, args, size, digest,
+                                             block):
+    # The default block size is the test above; these put a block edge
+    # after every vertex, or after every third.
+    for module in (crystal, cli):
+        monkeypatch.setattr(module, "BLOCK", block)
+    test_gen_json_bytes_are_frozen(tmp_path, capsys, args, size, digest)
+
+
+@pytest.mark.slow
+def test_gen_json_at_rank_five_holds_no_string_per_edge(tmp_path):
+    # 62,370 vertices: the command peaked at 96 MB while it built the
+    # document as one string, and at about 35 MB writing it in blocks. A
+    # wrapper process reads the peak of its one child, so no earlier child
+    # of the test process counts.
+    wrapper = ("import resource, subprocess, sys\n"
+               "subprocess.run(sys.argv[1:], check=True)\n"
+               "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)\n")
+    target = tmp_path / "crystal.json"
+    src = str(Path(crystalpop.__file__).resolve().parent.parent)
+    argv = [sys.executable, "-m", "crystalpop.cli", "gen", "--shape", "6,4,2", "--n", "5",
+            "--format", "json", "--out", str(target)]
+    peak_kb = subprocess.run([sys.executable, "-c", wrapper, *argv], check=True, text=True,
+                             capture_output=True, env=dict(os.environ, PYTHONPATH=src)).stdout
+    assert int(peak_kb) < 60 * 1024
+    data = target.read_bytes()
+    assert len(data) == 18_566_654
+    assert hashlib.sha256(data).hexdigest() == (
+        "284573210999e1a4f640539ebff9f5368f8ea0d4c45194fc0196ac8de0dc6de3")
+
+
+@pytest.mark.parametrize("fmt", ["json", "dot", "csv", "text"])
+def test_gen_over_the_cap_opens_no_output(tmp_path, capsys, monkeypatch, fmt):
+    monkeypatch.delenv("CRYSTAL_POP_CAP", raising=False)
+    target = tmp_path / "crystal.out"
+    assert run(capsys, "gen", "--shape", "3000000", "--n", "1", "--format", fmt,
+               "--out", str(target)) == (
+        2, "", "invalid input: crystal for (3000000,) at n=1 exceeds cap 2000000\n")
+    assert not target.exists()
+
+
+def test_pop_csv_that_fails_its_check_opens_no_output(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(pop, "_pop_crystal", lambda pred, v: v + 1)
+    target = tmp_path / "orbits.csv"
+    for out in ((), ("--out", str(target))):
+        assert run(capsys, "pop", "--shape", "2,1", "--n", "2", "--format", "csv", *out) == (
+            1, "", "property check failed: pop moved vertex 0 up to 1\n")
+    assert not target.exists()
 
 
 @pytest.mark.parametrize("args", [
