@@ -27,7 +27,7 @@ from .perm import (
     right_descents,
     weak_leq,
 )
-from .pop import _pop_crystal
+from .pop import _popper
 from .values import Value
 
 
@@ -175,8 +175,8 @@ def verify_pop_key_inequality(graph: CrystalGraph, kappa: list[Permutation]) -> 
     all_keys(graph, family). Each distinct pair of sides is compared once."""
     keys, number = _numbered(kappa)
     popped = [coxeter_pop(w) for w in keys]
-    pred = graph.pred
-    below = [number[_pop_crystal(pred, v)] for v in range(graph.num_vertices)]
+    pop = _popper(graph)
+    below = [number[pop(v)] for v in range(graph.num_vertices)]
     failing = _weak_failures(set(zip(below, number)), keys, popped)
     violations = [
         f"pop/key inequality fails at vertex {v}"

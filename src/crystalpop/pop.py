@@ -1,11 +1,16 @@
 """Pop-stack sorting dynamics on crystals and permutations. The crystal pop
-sends a vertex to the unique source of its component in the crystal
-restricted to its descent colors; is_poppable checks, with one labelling
-pass per color set, that every such source is unique."""
+sends a vertex v to the unique source of its component in the crystal
+restricted to its descent colors D(v). It rests on one hypothesis: every
+component of every color restriction has one source. is_poppable checks it,
+with one labelling pass per color set, and every B_lambda satisfies it.
+Under it, components of restrictions to nested color sets nest, so a pop
+may continue from a lower cover's pop when that cover's descents lie inside
+v's (the nesting lemma, see pop_crystal). Every pop reader goes through
+_popper, which keeps each graph's pops in CrystalGraph.pop_memo."""
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Callable, Optional
 
 from .crystal import CrystalGraph
 from .perm import Permutation, coxeter_pop
@@ -32,25 +37,57 @@ class OrbitReport(Frozen):
 
 
 def pop_crystal(graph: CrystalGraph, v: int) -> int:
-    """Descent walk: repeatedly pick a color that is both a descent of the
-    starting vertex and of the current one, and raise along it to
-    exhaustion. The fixed point is the source of the restricted component,
-    so the walk order does not matter; we take the smallest color."""
-    return _pop_crystal(graph.pred, v)
+    """The source of v's component in the crystal restricted to D(v), by a
+    descent walk: repeatedly pick a color of D(v) that is also a descent of
+    the current vertex, and raise along it to exhaustion; we take the
+    smallest. The walk stays in v's D(v)-component and ends at a source of
+    it. Every component of every color restriction has one source
+    (is_poppable checks this hypothesis, and every B_lambda satisfies it), so
+    the walk ends at the pop whatever vertex of the component it starts from.
+    Hence the nesting lemma: for a lower cover u = E_i(v) (so i is in D(v))
+    with D(u) a subset of D(v), u's D(u)-component lies in u's
+    D(v)-component, which is v's; so pop(u) lies in it too, and the walk may
+    start from pop(u) in place of v. Pops are memoized on the graph, and a
+    vertex whose pop is not yet known starts from the first lower cover in
+    color order whose pop is known and whose descents lie inside its own."""
+    return _popper(graph)(v)
 
 
-def _pop_crystal(pred: list[list[Optional[int]]], v: int) -> int:
-    """pop_crystal on the E_i table, for callers that read graph.pred once."""
-    target = [i for i, w in enumerate(pred[v]) if w is not None]
-    while True:
+def _popper(graph: CrystalGraph) -> Callable[[int], int]:
+    """pop_crystal(graph, .), reading and filling graph.pop_memo."""
+    pred, n = graph.pred, graph.n
+    pops, masks = graph.pop_memo
+    bits = [1 << i for i in range(n)]
+    targets: dict[int, list[int]] = {}  # mask of D(v) -> i for each color i + 1 in D(v)
+
+    def pop(v: int) -> int:
+        if (x := pops[v]) >= 0:
+            return x
         row = pred[v]
+        mask = 0
+        for b, w in zip(bits, row):
+            if w is not None:
+                mask |= b
+        if (target := targets.get(mask)) is None:
+            target = targets[mask] = [i for i in range(n) if mask >> i & 1]
+        x = v
         for i in target:
-            if row[i] is not None:
+            u = row[i]
+            if not masks[u] & ~mask and (p := pops[u]) >= 0:
+                x = p
                 break
-        else:
-            return v
-        while (w := pred[v][i]) is not None:
-            v = w
+        while True:
+            up = pred[x]
+            for i in target:
+                if up[i] is not None:
+                    break
+            else:
+                pops[v] = x
+                masks[v] = mask
+                return x
+            while (w := pred[x][i]) is not None:
+                x = w
+    return pop
 
 
 def forward_orbit(start, step) -> tuple:
@@ -68,16 +105,15 @@ def forward_orbit(start, step) -> tuple:
 
 
 def orbit(graph: CrystalGraph, v: int) -> OrbitReport:
-    pred = graph.pred
-    return OrbitReport(trajectory=forward_orbit(v, lambda w: _pop_crystal(pred, w)))
+    return OrbitReport(trajectory=forward_orbit(v, _popper(graph)))
 
 
 def orbit_lengths(graph: CrystalGraph) -> list[int]:
     """orbit(graph, v).length for every v, one pop each: pop_crystal moves to
     a smaller id or stays fixed, so the lengths fill in id order."""
-    lengths, pred = [0] * graph.num_vertices, graph.pred
+    lengths, pop = [0] * graph.num_vertices, _popper(graph)
     for v in range(graph.num_vertices):
-        w = _pop_crystal(pred, v)
+        w = pop(v)
         if w > v:
             raise NonTermination(f"pop moved vertex {v} up to {w}")
         lengths[v] = 1 if w == v else 1 + lengths[w]
@@ -142,5 +178,5 @@ def is_poppable(graph) -> bool:
 def pop_agreement_on_quotient(graph: CrystalGraph, embedding: dict[Permutation, int]) -> bool:
     """Crystal pop agrees with the Coxeter pop on the embedded parabolic
     quotient; embedding is build_demazure_family(graph).extremal."""
-    pred = graph.pred
-    return all(_pop_crystal(pred, v) == embedding[coxeter_pop(w)] for w, v in embedding.items())
+    pop = _popper(graph)
+    return all(pop(v) == embedding[coxeter_pop(w)] for w, v in embedding.items())

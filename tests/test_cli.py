@@ -83,6 +83,14 @@ FROZEN_OUTPUTS = [
         "ecae7b3d399562144e3fbe6a55e07af4fde7b28dd7435e3c8a6fcd07e747968b", id="gen_text",
     ),
     pytest.param(
+        ("pop", "--shape", "5,3,1", "--n", "5", "--format", "text"), 58,
+        "6945363d2ae03ccf9462d673021861976278a28cfa80278f18ab0aceba205827", id="pop_text_n5",
+    ),
+    pytest.param(
+        ("pop", "--shape", "5,3,1", "--n", "5", "--format", "csv"), 317_775,
+        "070af3a220ed2e3144e7a2798a64b040d53174db32ec85d640e976297e5b9692", id="pop_csv_n5",
+    ),
+    pytest.param(
         ("pop", "--shape", "5,3,1", "--n", "4", "--format", "csv"), 66_955,
         "00a7a32bf96b1b769a29a39388525c2a4fd5fb406f12f4d8d9059aff0a85ff31", id="pop_csv",
     ),
@@ -127,26 +135,45 @@ def test_frozen_outputs_at_small_block_sizes(tmp_path, capsys, monkeypatch, args
     test_gen_json_bytes_are_frozen(tmp_path, capsys, args, size, digest)
 
 
-@pytest.mark.slow
-def test_gen_json_at_rank_five_holds_no_string_per_edge(tmp_path):
-    # 62,370 vertices: the command peaked at 96 MB while it built the
-    # document as one string, and at about 35 MB writing it in blocks. A
-    # wrapper process reads the peak of its one child, so no earlier child
-    # of the test process counts.
+def peak_rss_kb(*args: str) -> int:
+    """Peak RSS of `crystal-pop args` in KB. A wrapper process reads the
+    peak of its one child, so no earlier child of the test process counts."""
     wrapper = ("import resource, subprocess, sys\n"
                "subprocess.run(sys.argv[1:], check=True)\n"
                "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)\n")
-    target = tmp_path / "crystal.json"
     src = str(Path(crystalpop.__file__).resolve().parent.parent)
-    argv = [sys.executable, "-m", "crystalpop.cli", "gen", "--shape", "6,4,2", "--n", "5",
-            "--format", "json", "--out", str(target)]
-    peak_kb = subprocess.run([sys.executable, "-c", wrapper, *argv], check=True, text=True,
-                             capture_output=True, env=dict(os.environ, PYTHONPATH=src)).stdout
-    assert int(peak_kb) < 60 * 1024
+    argv = [sys.executable, "-m", "crystalpop.cli", *args]
+    return int(subprocess.run([sys.executable, "-c", wrapper, *argv], check=True, text=True,
+                              capture_output=True, env=dict(os.environ, PYTHONPATH=src)).stdout)
+
+
+@pytest.mark.slow
+def test_gen_json_at_rank_five_holds_no_string_per_edge(tmp_path):
+    # 62,370 vertices: the command peaked at 96 MB while it built the
+    # document as one string, and at about 35 MB writing it in blocks.
+    target = tmp_path / "crystal.json"
+    peak_kb = peak_rss_kb("gen", "--shape", "6,4,2", "--n", "5", "--format", "json",
+                          "--out", str(target))
+    assert peak_kb < 60 * 1024
     data = target.read_bytes()
     assert len(data) == 18_566_654
     assert hashlib.sha256(data).hexdigest() == (
         "284573210999e1a4f640539ebff9f5368f8ea0d4c45194fc0196ac8de0dc6de3")
+
+
+@pytest.mark.slow
+def test_pop_csv_at_rank_five_holds_its_pop_memo_in_arrays(tmp_path):
+    # 42.4-43.0 MB with a pop and a descent mask per vertex in two typed
+    # arrays (12 bytes a vertex), 42.7-42.8 MB with the memo in two lists,
+    # and 42.2-42.4 MB with no memo.
+    target = tmp_path / "orbits.csv"
+    peak_kb = peak_rss_kb("pop", "--shape", "6,4,2", "--n", "5", "--format", "csv",
+                          "--out", str(target))
+    assert peak_kb < 45 * 1024
+    data = target.read_bytes()
+    assert len(data) == 2_171_865
+    assert hashlib.sha256(data).hexdigest() == (
+        "1a1e8ddcf04e180e5e6a896309160e23fa48aa56282d95229d5143cc74504080")
 
 
 @pytest.mark.parametrize("fmt", ["json", "dot", "csv", "text"])
@@ -160,7 +187,7 @@ def test_gen_over_the_cap_opens_no_output(tmp_path, capsys, monkeypatch, fmt):
 
 
 def test_pop_csv_that_fails_its_check_opens_no_output(tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(pop, "_pop_crystal", lambda pred, v: v + 1)
+    monkeypatch.setattr(pop, "_popper", lambda graph: lambda v: v + 1)
     target = tmp_path / "orbits.csv"
     for out in ((), ("--out", str(target))):
         assert run(capsys, "pop", "--shape", "2,1", "--n", "2", "--format", "csv", *out) == (
@@ -250,7 +277,7 @@ def test_cycling_orbits_fail_the_property_check(capsys, monkeypatch):
     code, out, err = run(capsys, "perm-pop", "--element", "123")
     assert (code, out) == (1, "")
     assert "property check failed" in err
-    monkeypatch.setattr(pop, "_pop_crystal", lambda pred, v: v ^ 1)
+    monkeypatch.setattr(pop, "_popper", lambda graph: lambda v: v ^ 1)
     code, out, err = run(capsys, "pop", "--shape", "2,1", "--n", "2", "--element", "1,1/2")
     assert (code, out) == (1, "")
     assert "property check failed" in err

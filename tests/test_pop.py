@@ -1,3 +1,4 @@
+import random
 from types import SimpleNamespace
 
 import pytest
@@ -58,6 +59,50 @@ def test_pop_crystal_matches_color_set_reference():
             assert pop_crystal(graph, v) == pop_crystal_by_color_sets(graph, v), (parts, n, v)
 
 
+def test_memoized_pop_matches_both_references_in_any_query_order():
+    # In id order every lower cover's pop is known when a vertex is asked,
+    # so pops continue from a cover's pop where the nesting lemma allows; in
+    # reverse order none is, and every pop is a plain walk; a seeded shuffle
+    # mixes the two. Each order runs on a fresh graph.
+    for parts, n in sweep_pairs(4, 7):
+        graph = generate_crystal(Partition(parts, n))
+        size = graph.num_vertices
+        expected = [pop_crystal_by_components(graph, v) for v in range(size)]
+        assert expected == [pop_crystal_by_color_sets(graph, v) for v in range(size)]
+        for order in (range(size), range(size - 1, -1, -1),
+                      random.Random(size).sample(range(size), size)):
+            fresh = generate_crystal(Partition(parts, n))
+            for v in order:
+                assert pop_crystal(fresh, v) == expected[v], (parts, n, v)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("parts", [(5, 3, 1), (6, 4, 2)])
+def test_memoized_pop_matches_the_reference_at_rank_five(parts):
+    graph = generate_crystal(Partition(parts, 5))
+    max_orbit_size(graph)
+    for v in range(graph.num_vertices):
+        assert pop_crystal(graph, v) == pop_crystal_by_color_sets(graph, v), v
+
+
+def test_one_orbit_computes_only_the_pops_it_walks():
+    graph = generate_crystal(Partition((5, 3, 1), 4))
+    trajectory = orbit(graph, graph.num_vertices - 1).trajectory
+    pops, masks = graph.pop_memo
+    assert [v for v, p in enumerate(pops) if p >= 0] == sorted(trajectory)
+    assert [pops[v] for v in trajectory] == [*trajectory[1:], 0]
+    assert [masks[v] for v in trajectory] == [
+        sum(1 << (i - 1) for i in down_colors(graph, v)) for v in trajectory]
+
+
+def test_pop_past_sixty_four_colors():
+    # A single box at n = 70 is the chain 1 -> 2 -> ... -> 71, and the
+    # descent masks no longer fit in 64 bits.
+    graph = generate_crystal(Partition((1,), 70))
+    assert max_orbit_size(graph) == (71, 70)
+    assert orbit(graph, 70).trajectory == tuple(range(70, -1, -1))
+
+
 def test_pop_fixes_only_minimum():
     for parts, n in SHAPES:
         graph = generate_crystal(Partition(parts, n))
@@ -101,7 +146,7 @@ def test_orbit_matches_the_orbit_of_pop_crystal():
 
 def test_orbit_lengths_reject_a_pop_that_moves_up(monkeypatch):
     graph = generate_crystal(Partition((2, 1), 2))
-    monkeypatch.setattr(pop, "_pop_crystal", lambda pred, v: v + 1)
+    monkeypatch.setattr(pop, "_popper", lambda graph: lambda v: v + 1)
     with pytest.raises(NonTermination):
         orbit_lengths(graph)
 
