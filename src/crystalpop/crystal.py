@@ -38,7 +38,7 @@ import os
 from bisect import bisect_right
 from functools import cached_property
 from itertools import repeat
-from typing import Iterator, MutableSequence, Optional
+from typing import Iterator, Optional
 
 from .tableaux import (
     Partition, Tableau, dual_shape, highest_weight_tableau, hook_content_count,
@@ -120,9 +120,10 @@ class CrystalGraph:
     E_i counterpart. Ids are breadth-first order from vertex 0, the
     highest-weight tableau, and each edge adds one to the entry sum: vertex 0
     is the minimum, every predecessor has a smaller id (ids are a topological
-    order) and the edges are exactly the covers. pred and pop_memo are built
-    on first read, sized to the vertices found so far, so neither may be read
-    while crystal_levels is still growing the graph."""
+    order) and the edges are exactly the covers. pred, and the pop memo that
+    crystalpop.pop keeps in the graph's __dict__, are built on first use,
+    sized to the vertices found so far, so neither may be read while
+    crystal_levels is still growing the graph."""
 
     def __init__(self, shape: Partition, codes: list[int], succ: list[list[Optional[int]]]):
         self.shape, self.codes, self.succ = shape, codes, succ
@@ -148,16 +149,6 @@ class CrystalGraph:
                     ids[w] = w
                 i += 1
         return pred
-
-    @cached_property
-    def pop_memo(self) -> tuple[memoryview, MutableSequence[int]]:
-        """crystalpop.pop's memo, empty on first read: each vertex's pop (-1
-        until computed) and, once it is, the bit mask of its descent colors.
-        Both are C arrays cast from a bytearray (all-one bytes read as -1), so
-        no array module is loaded; past 64 colors the masks are a list."""
-        size = len(self.codes)
-        masks = memoryview(bytearray(8 * size)).cast("Q") if self.n <= 64 else [0] * size
-        return memoryview(bytearray(b"\xff") * (4 * size)).cast("i"), masks
 
     def rows(self, v: int) -> tuple[tuple[int, ...], ...]:
         """The rows of vertex v's tableau, top row first: its code decoded and cut."""

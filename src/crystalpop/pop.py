@@ -6,7 +6,8 @@ with one labelling pass per color set, and every B_lambda satisfies it.
 Under it, components of restrictions to nested color sets nest, so a pop
 may continue from a lower cover's pop when that cover's descents lie inside
 v's (the nesting lemma, see pop_crystal). Every pop reader goes through
-_popper, which keeps each graph's pops in CrystalGraph.pop_memo."""
+_popper, whose pop function and memo are made on a graph's first pop and
+kept in its __dict__."""
 
 from __future__ import annotations
 
@@ -54,9 +55,14 @@ def pop_crystal(graph: CrystalGraph, v: int) -> int:
 
 
 def _popper(graph: CrystalGraph) -> Callable[[int], int]:
-    """pop_crystal(graph, .), reading and filling graph.pop_memo."""
+    """pop_crystal(graph, .), made on the graph's first pop and kept in
+    graph.__dict__ with its memo, as cached_property keeps pred: each
+    vertex's pop (-1 until computed) and, once it is, the bit mask of its
+    descent colors."""
+    if (memo := vars(graph).get("_pop_memo")) is not None:
+        return memo[0]
     pred, n = graph.pred, graph.n
-    pops, masks = graph.pop_memo
+    pops, masks = [-1] * graph.num_vertices, [0] * graph.num_vertices
     bits = [1 << i for i in range(n)]
     targets: dict[int, list[int]] = {}  # mask of D(v) -> i for each color i + 1 in D(v)
 
@@ -87,6 +93,7 @@ def _popper(graph: CrystalGraph) -> Callable[[int], int]:
                 return x
             while (w := pred[x][i]) is not None:
                 x = w
+    vars(graph)["_pop_memo"] = pop, pops, masks
     return pop
 
 

@@ -162,10 +162,9 @@ def test_gen_json_at_rank_five_holds_no_string_per_edge(tmp_path):
 
 
 @pytest.mark.slow
-def test_pop_csv_at_rank_five_holds_its_pop_memo_in_arrays(tmp_path):
-    # 42.4-43.0 MB with a pop and a descent mask per vertex in two typed
-    # arrays (12 bytes a vertex), 42.7-42.8 MB with the memo in two lists,
-    # and 42.2-42.4 MB with no memo.
+def test_pop_csv_at_rank_five_stays_under_its_peak_rss(tmp_path):
+    # 62,370 vertices: about 42.2-42.4 MB without a pop memo, and about
+    # 0.5 MB more with one pop and one descent mask per vertex.
     target = tmp_path / "orbits.csv"
     peak_kb = peak_rss_kb("pop", "--shape", "6,4,2", "--n", "5", "--format", "csv",
                           "--out", str(target))

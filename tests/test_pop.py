@@ -46,29 +46,21 @@ def test_down_colors():
 
 
 def test_pop_crystal_matches_component_definition():
-    for parts, n in SHAPES:
+    for parts, n in sweep_pairs(4, 7):
         graph = generate_crystal(Partition(parts, n))
         for v in range(graph.num_vertices):
-            assert pop_crystal(graph, v) == pop_crystal_by_components(graph, v)
+            assert pop_crystal(graph, v) == pop_crystal_by_components(graph, v), (parts, n, v)
 
 
 def test_pop_crystal_matches_color_set_reference():
+    # Each query order runs on a fresh graph. In id order every lower
+    # cover's pop is known when a vertex is asked, so pops continue from a
+    # cover's pop where the nesting lemma allows; in reverse order none is,
+    # and every pop is a plain walk; a seeded shuffle mixes the two.
     for parts, n in sweep_pairs(4, 7) + [((5, 3, 1), 4)]:
         graph = generate_crystal(Partition(parts, n))
-        for v in range(graph.num_vertices):
-            assert pop_crystal(graph, v) == pop_crystal_by_color_sets(graph, v), (parts, n, v)
-
-
-def test_memoized_pop_matches_both_references_in_any_query_order():
-    # In id order every lower cover's pop is known when a vertex is asked,
-    # so pops continue from a cover's pop where the nesting lemma allows; in
-    # reverse order none is, and every pop is a plain walk; a seeded shuffle
-    # mixes the two. Each order runs on a fresh graph.
-    for parts, n in sweep_pairs(4, 7):
-        graph = generate_crystal(Partition(parts, n))
         size = graph.num_vertices
-        expected = [pop_crystal_by_components(graph, v) for v in range(size)]
-        assert expected == [pop_crystal_by_color_sets(graph, v) for v in range(size)]
+        expected = [pop_crystal_by_color_sets(graph, v) for v in range(size)]
         for order in (range(size), range(size - 1, -1, -1),
                       random.Random(size).sample(range(size), size)):
             fresh = generate_crystal(Partition(parts, n))
@@ -88,7 +80,7 @@ def test_memoized_pop_matches_the_reference_at_rank_five(parts):
 def test_one_orbit_computes_only_the_pops_it_walks():
     graph = generate_crystal(Partition((5, 3, 1), 4))
     trajectory = orbit(graph, graph.num_vertices - 1).trajectory
-    pops, masks = graph.pop_memo
+    _, pops, masks = vars(graph)["_pop_memo"]
     assert [v for v, p in enumerate(pops) if p >= 0] == sorted(trajectory)
     assert [pops[v] for v in trajectory] == [*trajectory[1:], 0]
     assert [masks[v] for v in trajectory] == [
@@ -96,8 +88,8 @@ def test_one_orbit_computes_only_the_pops_it_walks():
 
 
 def test_pop_past_sixty_four_colors():
-    # A single box at n = 70 is the chain 1 -> 2 -> ... -> 71, and the
-    # descent masks no longer fit in 64 bits.
+    # A single box at n = 70 is the chain 1 -> 2 -> ... -> 71, whose
+    # descent masks do not fit in 64 bits.
     graph = generate_crystal(Partition((1,), 70))
     assert max_orbit_size(graph) == (71, 70)
     assert orbit(graph, 70).trajectory == tuple(range(70, -1, -1))
