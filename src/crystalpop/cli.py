@@ -19,6 +19,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
 from functools import cache
 from itertools import chain, count, islice
@@ -27,7 +28,7 @@ from typing import Iterable, Optional
 from .classifier import classification_sweep, predict_lattice
 from .crystal import (
     BLOCK, SizeLimitExceeded, default_cap, dot_blocks, edge_blocks, generate_crystal, json_blocks,
-    vertex_blocks,
+    text_columns, vertex_blocks,
 )
 from .key import (
     InconsistentFamily,
@@ -65,7 +66,12 @@ def _emit(blocks: Iterable[str], out: Optional[str]) -> None:
         except OSError as exc:
             raise ValueError(f"cannot write {out}: {exc.strerror}") from exc
     else:
-        sys.stdout.writelines(blocks)
+        try:
+            sys.stdout.writelines(blocks)
+            sys.stdout.flush()
+        except BrokenPipeError:  # the reader left: drop the rest, here and at exit
+            with open(os.devnull, "w") as devnull:
+                os.dup2(devnull.fileno(), sys.stdout.fileno())
 
 
 def _csv(header: list[str], rows) -> Iterable[str]:
@@ -97,10 +103,11 @@ def cmd_gen(args) -> Iterable[str]:
         return json_blocks(graph)
     colors = range(1, graph.n + 1)
     if args.format == "csv":
-        return chain(["src,dst,color\r\n"], edge_blocks(graph, "%d,", [f",{c}\r\n" for c in colors]))
+        tails = [f",{c}\r\n" for c in colors]
+        return chain(["src,dst,color\r\n"], edge_blocks(graph, "", ",", tails))
     return chain([f"crystal {args.shape} n={graph.n}: {graph.num_vertices} vertices\n"],
-                 vertex_blocks(graph, "  %d: %s\n"),
-                 edge_blocks(graph, "  %d -> ", [f" (F{c})\n" for c in colors]))
+                 vertex_blocks(graph, "  ", ": ", "\n"),
+                 edge_blocks(graph, "  ", " -> ", [f" (F{c})\n" for c in colors]))
 
 
 def cmd_pop(args) -> Iterable[str]:
@@ -114,7 +121,8 @@ def cmd_pop(args) -> Iterable[str]:
         return ["\n".join(lines) + f"\norbit length {rep.length}\n"]
     if args.format == "csv":
         lengths = orbit_lengths(graph)
-        return _csv(["id", "tableau", "orbit_length"], zip(count(), graph.texts(), lengths))
+        texts = chain.from_iterable(map(str.__add__, *pair) for pair in text_columns(graph))
+        return _csv(["id", "tableau", "orbit_length"], zip(count(), texts, lengths))
     size, witness = max_orbit_size(graph)
     if args.format == "json":
         payload = {

@@ -22,22 +22,23 @@ when its memo entry is built (the one time a word is decoded), and a bad one
 is stored as ~p. A top-row target ends its block, so the entry to its right
 is larger and only the entry below it, read from the code, is compared, per
 edge. Generation fills only codes and succ (pred waits for its first read),
-and no output builds a Tableau. Full outputs read graph.texts(), which
-formats each distinct row code once; outputs for one vertex format
-graph.rows(v), code v decoded and cut by tableaux.row_slices. json_blocks
-and dot_blocks yield the JSON (the json.dumps(indent=2) layout) and DOT
-exports a block of BLOCK vertex ids at a time, vertex blocks then edge
-blocks, each item filled into a fixed template; so a caller that writes each
-block as it comes holds the vertex texts and one block's strings, never a
-string per edge. to_json and to_dot join the blocks.
+and no output builds a Tableau. Outputs for one vertex format graph.rows(v),
+code v decoded and cut by tableaux.row_slices. Whole-graph outputs (json_blocks,
+dot_blocks) come a block of BLOCK vertex ids at a time, vertex blocks then edge
+blocks, each one "".join of fixed strings, id strings and row texts:
+text_columns formats each distinct top row and lower-rows code once (the
+search's split), and an edge line is its source's head, built once per
+source, its destination's id string and its color's tail. A caller that
+writes each block as it comes holds the row memos and one block's strings,
+never a string per vertex or per edge. to_json and to_dot join the blocks.
 """
 
 from __future__ import annotations
 
 import os
 from bisect import bisect_right
-from functools import cached_property
-from itertools import repeat
+from functools import cache, cached_property
+from itertools import chain, count, repeat
 from typing import Iterator, Optional
 
 from .tableaux import (
@@ -154,25 +155,6 @@ class CrystalGraph:
         """The rows of vertex v's tableau, top row first: its code decoded and cut."""
         word = _decode(self.codes[v], (self.n + 1).bit_length(), sum(self.shape.parts))
         return tuple(map(word.__getitem__, row_slices(self.shape)))
-
-    def texts(self) -> list[str]:
-        """format_rows(self.rows(v)) for every v, a row slice at a time: each
-        row is cut out of the code with a shift and a mask, and each distinct
-        row code is formatted once."""
-        width = (self.n + 1).bit_length()
-        columns = []
-        for cut in row_slices(self.shape):
-            lo, size = width * cut.start, cut.stop - cut.start
-            mask = (1 << width * size) - 1
-            memo: dict[int, str] = {}
-            column = []
-            for code in self.codes:
-                row = code >> lo & mask
-                if row not in memo:
-                    memo[row] = ",".join(map(str, _decode(row, width, size)))
-                column.append(memo[row])
-            columns.append(column)
-        return list(map("/".join, zip(*columns))) if columns else [""] * self.num_vertices
 
     def tableau(self, v: int) -> Tableau:
         return Tableau(self.shape, self.rows(v))
@@ -331,23 +313,62 @@ def stabilizer_colors(shape: Partition) -> frozenset[int]:
 BLOCK = 1024  # vertex ids per block of a whole-graph output
 
 
-def vertex_blocks(graph: CrystalGraph, line: str) -> Iterator[str]:
-    """line % (v, text) for every vertex v and its text, joined a block of
-    BLOCK ids at a time."""
-    texts = graph.texts()
-    for start in range(0, len(texts), BLOCK):
-        yield "".join([line % pair for pair in enumerate(texts[start:start + BLOCK], start)])
+def text_columns(graph: CrystalGraph) -> Iterator[tuple[Iterator[str], Iterator[str]]]:
+    """The texts of each block of BLOCK ids as two columns, the top rows and
+    the rest ("/" before each lower row): format_rows(graph.rows(v)) is the
+    two joined. Each distinct top row and lower-rows code is formatted once."""
+    shape, codes = graph.shape, graph.codes
+    width = (graph.n + 1).bit_length()
+    low = sum(shape.parts) - shape.part(1)
+    shift, mask, lower_rows = width * low, (1 << width * low) - 1, row_slices(shape)[1:]
+
+    @cache
+    def top(code: int) -> str:
+        return ",".join(map(str, _decode(code, width, shape.part(1))))
+
+    @cache
+    def lower(code: int) -> str:
+        word = _decode(code, width, low)
+        return "".join(["/" + ",".join(map(str, word[row])) for row in lower_rows])
+
+    for start in range(0, len(codes), BLOCK):
+        block = codes[start:start + BLOCK]
+        yield map(top, map(shift.__rrshift__, block)), map(lower, map(mask.__and__, block))
 
 
-def edge_blocks(graph: CrystalGraph, head: str, tails: list[str]) -> Iterator[str]:
-    """head % v + str(w) + tails[i - 1] for every edge w = F_i(v) in id order,
-    joined a block of BLOCK source ids at a time ("" if it has no edge)."""
+def vertex_blocks(graph: CrystalGraph, pre: str, mid: str, post: str) -> Iterator[str]:
+    """pre + str(v) + mid + text + post for every vertex v and its text,
+    joined a block of BLOCK ids at a time."""
+    for start, (tops, lowers) in zip(count(0, BLOCK), text_columns(graph)):
+        ids = map(str, count(start))
+        yield "".join(chain.from_iterable(
+            zip(repeat(pre), ids, repeat(mid), tops, lowers, repeat(post))))
+
+
+def edge_blocks(graph: CrystalGraph, pre: str, mid: str, tails: list[str]) -> Iterator[str]:
+    """pre + str(v) + mid + str(w) + tails[i - 1] for every edge w = F_i(v) in
+    id order, joined a block of BLOCK source ids at a time ("" if it has no
+    edge). The id strings come from a window that moves forward with the
+    blocks, from a block's first source to its last destination (an edge
+    raises the id, so no destination comes before the block)."""
     succ = graph.succ
+    ids: list[str] = []  # str(v) for v from the block's first source on
+    end = 0  # the id after the window's last
     for start in range(0, len(succ), BLOCK):
+        rows = succ[start:start + BLOCK]
+        del ids[:len(ids) - (end - start)]
+        last = max(filter(None, chain.from_iterable(rows)), default=0)  # no edge ends at 0
+        end = max(end, start + len(rows), last + 1)
+        ids += map(str, range(start + len(ids), end))
         items: list[str] = []
-        for v, row in enumerate(succ[start:start + BLOCK], start):
-            h = head % v
-            items += [h + str(w) + tail for w, tail in zip(row, tails) if w is not None]
+        add = items.append
+        for row, v in zip(rows, ids):
+            head = pre + v + mid
+            for w, tail in zip(row, tails):
+                if w is not None:
+                    add(head)
+                    add(ids[w - start])
+                    add(tail)
         yield "".join(items)
 
 
@@ -362,19 +383,18 @@ def _json_array(blocks) -> Iterator[str]:
     yield "[]" if first else "\n  ]"
 
 
-_JSON_VERTEX = ',\n    {\n      "id": %d,\n      "rows": "%s"\n    }'
-_JSON_EDGE_HEAD = ',\n    {\n      "src": %d,\n      "dst": '
-_JSON_EDGE_TAIL = ',\n      "color": %d\n    }'
+_JSON_VERTEX = ',\n    {\n      "id": ', ',\n      "rows": "', '"\n    }'
+_JSON_EDGE = ',\n    {\n      "src": ', ',\n      "dst": '
 
 
 def json_blocks(graph: CrystalGraph) -> Iterator[str]:
     """to_json(graph), a block of BLOCK vertex ids at a time."""
     parts = "".join(_json_array([f",\n    {p}" for p in graph.shape.parts]))
     yield f'{{\n  "lambda": {parts},\n  "n": {graph.n},\n  "vertices": '
-    yield from _json_array(vertex_blocks(graph, _JSON_VERTEX))
+    yield from _json_array(vertex_blocks(graph, *_JSON_VERTEX))
     yield ',\n  "edges": '
-    tails = [_JSON_EDGE_TAIL % c for c in range(1, graph.n + 1)]
-    yield from _json_array(edge_blocks(graph, _JSON_EDGE_HEAD, tails))
+    tails = [f',\n      "color": {c}\n    }}' for c in range(1, graph.n + 1)]
+    yield from _json_array(edge_blocks(graph, *_JSON_EDGE, tails))
     yield "\n}"
 
 
@@ -393,8 +413,8 @@ def dot_blocks(graph: CrystalGraph) -> Iterator[str]:
     tails = [f' [label="F{c}", color={_DOT_PALETTE[(c - 1) % len(_DOT_PALETTE)]}];\n'
              for c in range(1, graph.n + 1)]
     yield "digraph crystal {\n  rankdir=BT;\n"
-    yield from vertex_blocks(graph, '  v%d [label="%s"];\n')
-    yield from edge_blocks(graph, "  v%d -> v", tails)
+    yield from vertex_blocks(graph, "  v", ' [label="', '"];\n')
+    yield from edge_blocks(graph, "  v", " -> v", tails)
     yield "}\n"
 
 

@@ -6,11 +6,14 @@ with no shared code paths with the library internals they check.
 
 from __future__ import annotations
 
+import csv
+import io
 import itertools
 import json
 from dataclasses import dataclass, field, make_dataclass
 from typing import Optional
 
+from crystalpop import crystal
 from crystalpop.classifier import Classification, SweepReport, SweepRow
 from crystalpop.crystal import (
     CrystalGraph, DualCrystal, IsomorphismFailure, SizeLimitExceeded, default_cap,
@@ -26,7 +29,7 @@ from crystalpop.poset import BowtieCertificate, LatticeResult, ReachabilityIndex
 from crystalpop.pop import MAX_POPPABLE_COLORS, OrbitReport, pop_crystal
 from crystalpop.tableaux import (
     ColumnViolation, EntryOutOfRange, Partition, RowViolation, Tableau, format_rows,
-    highest_weight_tableau, hook_content_count, reading_cells, reading_word,
+    highest_weight_tableau, hook_content_count, reading_cells, reading_word, row_slices,
 )
 
 
@@ -259,6 +262,75 @@ def to_dot_by_format_rows(graph: CrystalGraph) -> str:
         lines.append(f'  v{src} -> v{dst} [label="F{color}", color={pen}];')
     lines.append("}")
     return "\n".join(lines) + "\n"
+
+
+def texts_by_row_memos(graph: CrystalGraph) -> list[str]:
+    """format_rows(graph.rows(v)) for every v, a row slice at a time: each row
+    is cut out of the code with a shift and a mask, and each distinct row
+    code is formatted once."""
+    width = (graph.n + 1).bit_length()
+    columns = []
+    for cut in row_slices(graph.shape):
+        lo, size = width * cut.start, cut.stop - cut.start
+        mask = (1 << width * size) - 1
+        memo: dict[int, str] = {}
+        column = []
+        for code in graph.codes:
+            row = code >> lo & mask
+            if row not in memo:
+                memo[row] = ",".join(str(row >> width * p & (1 << width) - 1) for p in range(size))
+            column.append(memo[row])
+        columns.append(column)
+    return list(map("/".join, zip(*columns))) if columns else [""] * graph.num_vertices
+
+
+def vertex_blocks_by_templates(graph: CrystalGraph, line: str):
+    """line % (v, text) for every vertex v and its text, joined a block of
+    crystal.BLOCK ids at a time."""
+    texts, block = texts_by_row_memos(graph), crystal.BLOCK
+    for start in range(0, len(texts), block):
+        yield "".join([line % pair for pair in enumerate(texts[start:start + block], start)])
+
+
+def edge_blocks_by_templates(graph: CrystalGraph, head: str, tails: list[str]):
+    """head % v + str(w) + tails[i - 1] for every edge w = F_i(v) in id order,
+    joined a block of crystal.BLOCK source ids at a time."""
+    succ, block = graph.succ, crystal.BLOCK
+    for start in range(0, len(succ), block):
+        items: list[str] = []
+        for v, row in enumerate(succ[start:start + block], start):
+            h = head % v
+            items += [h + str(w) + tail for w, tail in zip(row, tails) if w is not None]
+        yield "".join(items)
+
+
+def gen_csv_by_writer(graph: CrystalGraph) -> str:
+    """gen --format csv: a csv.writer row per edge."""
+    buf = io.StringIO()
+    csv.writer(buf).writerows([("src", "dst", "color"), *graph.edges()])
+    return buf.getvalue()
+
+
+def gen_text_by_format_rows(graph: CrystalGraph, shape_text: str) -> str:
+    """gen --format text, each vertex formatted from its own rows."""
+    lines = [f"crystal {shape_text} n={graph.n}: {graph.num_vertices} vertices"]
+    lines += [f"  {v}: {format_rows(graph.rows(v))}" for v in range(graph.num_vertices)]
+    lines += [f"  {v} -> {w} (F{c})" for v, w, c in graph.edges()]
+    return "\n".join(lines) + "\n"
+
+
+def pop_csv_by_color_sets(graph: CrystalGraph) -> str:
+    """pop --format csv: a csv.writer row of id, text and orbit length per
+    vertex, each orbit walked with pop_crystal_by_color_sets."""
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(["id", "tableau", "orbit_length"])
+    for v in range(graph.num_vertices):
+        length, w = 1, v
+        while (u := pop_crystal_by_color_sets(graph, w)) != w:
+            length, w = length + 1, u
+        writer.writerow([v, format_rows(graph.rows(v)), length])
+    return buf.getvalue()
 
 
 def weyl_act(graph: CrystalGraph, v: int, word) -> int:

@@ -15,7 +15,10 @@ from crystalpop.classifier import Classification, sweep_pairs
 from crystalpop.cli import main
 from crystalpop.crystal import generate_crystal, weyl_reflect
 from crystalpop.tableaux import Partition, Tableau
-from oracles import find_bowtie_by_candidates
+from oracles import (
+    find_bowtie_by_candidates, gen_csv_by_writer, gen_text_by_format_rows, pop_csv_by_color_sets,
+    to_dot_by_format_rows, to_json_by_dumps,
+)
 
 
 def run(capsys, *argv):
@@ -147,6 +150,42 @@ def peak_rss_kb(*args: str) -> int:
                               capture_output=True, env=dict(os.environ, PYTHONPATH=src)).stdout)
 
 
+def test_whole_graph_outputs_match_the_references(capsys, monkeypatch):
+    # At a block per vertex, a block edge after every third and the default.
+    for parts, n in sweep_pairs(4, 7) + [((1,), 1), ((2, 1), 9)]:
+        graph = generate_crystal(Partition(parts, n))
+        shape = ",".join(map(str, parts))
+        references = {
+            ("gen", "json"): to_json_by_dumps(graph),
+            ("gen", "dot"): to_dot_by_format_rows(graph),
+            ("gen", "csv"): gen_csv_by_writer(graph),
+            ("gen", "text"): gen_text_by_format_rows(graph, shape),
+            ("pop", "csv"): pop_csv_by_color_sets(graph),
+        }
+        for block in (1, 3, crystal.BLOCK):
+            for module in (crystal, cli):
+                monkeypatch.setattr(module, "BLOCK", block)
+            for (command, fmt), reference in references.items():
+                got = run(capsys, command, "--shape", shape, "--n", str(n), "--format", fmt)
+                assert got == (0, reference, ""), (command, fmt, parts, n, block)
+
+
+def test_gen_into_a_pipe_closed_early_exits_cleanly(tmp_path):
+    # The 566,779-byte export outgrows the pipe, so the command is still
+    # writing when the reader leaves after one line.
+    src = str(Path(crystalpop.__file__).resolve().parent.parent)
+    with open(tmp_path / "stderr", "w+") as err:
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "crystalpop.cli", "gen", "--shape", "5,3,1", "--n", "4",
+             "--format", "json"], stdout=subprocess.PIPE, stderr=err,
+            env=dict(os.environ, PYTHONPATH=src))
+        assert proc.stdout.readline() == b"{\n"
+        proc.stdout.close()
+        assert proc.wait(timeout=60) == 0
+        err.seek(0)
+        assert err.read() == ""
+
+
 @pytest.mark.slow
 def test_gen_json_at_rank_five_holds_no_string_per_edge(tmp_path):
     # 62,370 vertices: the command peaked at 96 MB while it built the
@@ -163,12 +202,12 @@ def test_gen_json_at_rank_five_holds_no_string_per_edge(tmp_path):
 
 @pytest.mark.slow
 def test_pop_csv_at_rank_five_stays_under_its_peak_rss(tmp_path):
-    # 62,370 vertices: about 42.2-42.4 MB without a pop memo, and about
-    # 0.5 MB more with one pop and one descent mask per vertex.
+    # 62,370 vertices: about 42.8-43.9 MB with every vertex's text in one
+    # list, about 36.3 MB with the texts joined per vertex from row memos.
     target = tmp_path / "orbits.csv"
     peak_kb = peak_rss_kb("pop", "--shape", "6,4,2", "--n", "5", "--format", "csv",
                           "--out", str(target))
-    assert peak_kb < 45 * 1024
+    assert peak_kb < 39 * 1024
     data = target.read_bytes()
     assert len(data) == 2_171_865
     assert hashlib.sha256(data).hexdigest() == (

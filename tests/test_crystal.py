@@ -11,13 +11,16 @@ from crystalpop.crystal import (
     crystal_levels,
     default_cap,
     dual_crystal,
+    edge_blocks,
     generate_crystal,
     json_blocks,
     lowering_F,
     raising_E,
     stabilizer_colors,
+    text_columns,
     to_dot,
     to_json,
+    vertex_blocks,
     weyl_reflect,
 )
 from crystalpop.key import build_demazure_family
@@ -36,6 +39,7 @@ from crystalpop.tableaux import (
 )
 import oracles
 from oracles import (
+    edge_blocks_by_templates,
     enumerate_ssyt,
     generate_crystal_by_tableaux,
     generate_crystal_by_words,
@@ -44,9 +48,11 @@ from oracles import (
     lowering_by_cells,
     parabolic_quotient_by_filter,
     raising_by_cells,
+    texts_by_row_memos,
     to_dot_by_format_rows,
     to_json_by_dumps,
     unique_sink,
+    vertex_blocks_by_templates,
     weight,
 )
 
@@ -175,7 +181,7 @@ def test_generation_index_lattice_verdict_and_exports_leave_pred_unbuilt():
         assert is_lattice(graph).is_lattice
         to_json(graph)
         to_dot(graph)
-        graph.texts()
+        column_texts(graph)
         list(graph.edges())
         assert "pred" not in vars(graph)
         top = graph.num_vertices - 1
@@ -357,36 +363,104 @@ def test_json_export_matches_dumps_reference():
     assert '"lambda": []' in empty and '"edges": []' in empty
 
 
+# Whole-graph outputs are checked on these crystals at each of these block
+# sizes: a block per vertex, a block edge after every third, and the default.
+EXPORT_PAIRS = sweep_pairs(4, 7) + [((), 1), ((1,), 1), ((2, 1), 9)]
+BLOCKS = [1, 3, crystal.BLOCK]
+
+# The vertex and edge lines of the json, dot, text and csv exports, as the
+# (pre, mid, post) or (pre, mid) strings around the ids and texts.
+VERTEX_LINES = [crystal._JSON_VERTEX, ("  v", ' [label="', '"];\n'), ("  ", ": ", "\n")]
+EDGE_LINES = [(crystal._JSON_EDGE, ",\n      \"color\": {}\n    }}"),
+              (("  v", " -> v"), ' [label="F{}", color=red];\n'),
+              (("  ", " -> "), " (F{})\n"), (("", ","), ",{}\r\n")]
+
+
+def column_texts(graph) -> list[str]:
+    """Every vertex's text, read from text_columns."""
+    return [top + lower for tops, lowers in text_columns(graph) for top, lower in zip(tops, lowers)]
+
+
 def test_exports_match_the_references_with_a_block_per_vertex(monkeypatch):
     monkeypatch.setattr(crystal, "BLOCK", 1)
-    for parts, n in sweep_pairs(4, 7) + [((), 1), ((2, 1), 9)]:
+    for parts, n in EXPORT_PAIRS:
         graph = generate_crystal(Partition(parts, n))
-        assert len(list(crystal.vertex_blocks(graph, "%d %s\n"))) == graph.num_vertices
+        assert len(list(vertex_blocks(graph, "", " ", "\n"))) == graph.num_vertices
         assert to_json(graph) == to_json_by_dumps(graph), (parts, n)
         assert to_dot(graph) == to_dot_by_format_rows(graph), (parts, n)
 
 
-def test_json_blocks_hold_less_than_the_document():
-    # Built as one list of item strings, the 3.03 MB document took a
-    # 10.9 MB peak; block by block, the vertex texts and a few blocks.
-    graph = generate_crystal(Partition((5, 3, 1), 5))
+@pytest.mark.parametrize("block", BLOCKS)
+def test_line_blocks_match_the_template_references(monkeypatch, block):
+    monkeypatch.setattr(crystal, "BLOCK", block)
+    reach = 0  # the most block edges an edge crosses: past 1, the window outgrows a block
+    for parts, n in EXPORT_PAIRS:
+        graph = generate_crystal(Partition(parts, n))
+        reach = max([reach] + [w // block - v // block for v, w, _ in graph.edges()])
+        for pre, mid, post in VERTEX_LINES:
+            assert list(vertex_blocks(graph, pre, mid, post)) == list(
+                vertex_blocks_by_templates(graph, f"{pre}%d{mid}%s{post}")), (parts, n)
+        for (pre, mid), tail in EDGE_LINES:
+            tails = [tail.format(c) for c in range(1, n + 1)]
+            assert list(edge_blocks(graph, pre, mid, tails)) == list(
+                edge_blocks_by_templates(graph, f"{pre}%d{mid}", tails)), (parts, n)
+    assert reach > 1 or block == BLOCKS[-1]
+
+
+@pytest.fixture(scope="module")
+def rank_five_graph():
+    return generate_crystal(Partition((6, 4, 2), 5))
+
+
+def traced_peak(blocks) -> tuple[int, int]:
+    """The characters in blocks and tracemalloc's peak bytes while they are built."""
     tracemalloc.start()
     try:
-        size = sum(map(len, json_blocks(graph)))
-        peak = tracemalloc.get_traced_memory()[1]
+        return sum(map(len, blocks)), tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def test_json_blocks_hold_less_than_the_document():
+    # Built as one list of item strings, the 3.03 MB document took a
+    # 10.9 MB peak; block by block, the row memos and a few blocks.
+    graph = generate_crystal(Partition((5, 3, 1), 5))
+    size, peak = traced_peak(json_blocks(graph))
     assert size == 3_033_874
     assert peak < size
 
 
-def test_texts_match_format_rows():
-    for parts, n in sweep_pairs(4, 7) + [((), 1), ((2, 1), 9)]:
-        graph = generate_crystal(Partition(parts, n))
-        texts = graph.texts()
-        assert texts == [format_rows(graph.rows(v)) for v in range(graph.num_vertices)], (parts, n)
-        assert graph.texts() is not texts
-    assert generate_crystal(Partition((), 1)).texts() == [""]
+@pytest.mark.slow
+def test_json_blocks_hold_no_text_per_vertex(rank_five_graph):
+    # 62,370 vertices: 6.52 MB with every vertex's text in one list (4.99 MB
+    # of it), about 1.0 MB with the row memos and one block's strings.
+    size, peak = traced_peak(json_blocks(rank_five_graph))
+    assert size == 18_566_654
+    assert peak < 2.5e6
+
+
+@pytest.mark.slow
+def test_csv_edge_blocks_hold_no_id_table(rank_five_graph):
+    # About 0.51 MB with a window of id strings from a block's first source
+    # to its last destination, 4.06 MB with one for every vertex.
+    tails = [f",{c}\r\n" for c in range(1, 6)]
+    size, peak = traced_peak(edge_blocks(rank_five_graph, "", ",", tails))
+    assert size == 2_964_386
+    assert peak < 1e6
+
+
+def test_texts_match_format_rows(monkeypatch):
+    for block in BLOCKS:
+        monkeypatch.setattr(crystal, "BLOCK", block)
+        for parts, n in EXPORT_PAIRS:
+            graph = generate_crystal(Partition(parts, n))
+            size = graph.num_vertices
+            texts = column_texts(graph)
+            assert texts == [format_rows(graph.rows(v)) for v in range(size)], (parts, n, block)
+            assert texts == texts_by_row_memos(graph), (parts, n, block)
+            assert [len(list(tops)) for tops, _ in text_columns(graph)] == [
+                min(block, size - start) for start in range(0, size, block)]
+    assert column_texts(generate_crystal(Partition((), 1))) == [""]
 
 
 def test_dot_export_matches_format_rows_reference():
