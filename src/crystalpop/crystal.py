@@ -28,9 +28,10 @@ dot_blocks) come a block of BLOCK vertex ids at a time, vertex blocks then edge
 blocks, each one "".join of fixed strings, id strings and row texts:
 text_columns formats each distinct top row and lower-rows code once (the
 search's split), and an edge line is its source's head, built once per
-source, its destination's id string and its color's tail. A caller that
-writes each block as it comes holds the row memos and one block's strings,
-never a string per vertex or per edge. to_json and to_dot join the blocks.
+source, str of its destination, made as the edge is reached, and its
+color's tail. A caller that writes each block as it comes holds the row
+memos and one block's strings, never a string for every vertex or edge of
+the graph. to_json and to_dot join the blocks.
 """
 
 from __future__ import annotations
@@ -348,26 +349,17 @@ def vertex_blocks(graph: CrystalGraph, pre: str, mid: str, post: str) -> Iterato
 def edge_blocks(graph: CrystalGraph, pre: str, mid: str, tails: list[str]) -> Iterator[str]:
     """pre + str(v) + mid + str(w) + tails[i - 1] for every edge w = F_i(v) in
     id order, joined a block of BLOCK source ids at a time ("" if it has no
-    edge). The id strings come from a window that moves forward with the
-    blocks, from a block's first source to its last destination (an edge
-    raises the id, so no destination comes before the block)."""
+    edge); a source's head pre + str(v) + mid is built once."""
     succ = graph.succ
-    ids: list[str] = []  # str(v) for v from the block's first source on
-    end = 0  # the id after the window's last
     for start in range(0, len(succ), BLOCK):
-        rows = succ[start:start + BLOCK]
-        del ids[:len(ids) - (end - start)]
-        last = max(filter(None, chain.from_iterable(rows)), default=0)  # no edge ends at 0
-        end = max(end, start + len(rows), last + 1)
-        ids += map(str, range(start + len(ids), end))
         items: list[str] = []
         add = items.append
-        for row, v in zip(rows, ids):
-            head = pre + v + mid
+        for v, row in enumerate(succ[start:start + BLOCK], start):
+            head = pre + str(v) + mid
             for w, tail in zip(row, tails):
                 if w is not None:
                     add(head)
-                    add(ids[w - start])
+                    add(str(w))
                     add(tail)
         yield "".join(items)
 

@@ -1,5 +1,5 @@
 """Symmetric-group machinery: weak and Bruhat orders, descents, parabolic
-quotients, the longest element and the Coxeter pop.
+quotients and the Coxeter pop.
 
 A permutation of [m] is stored in one-line notation. Generators are named
 by their index: i stands for the adjacent transposition swapping i and i+1,
@@ -19,8 +19,10 @@ one-line tuple, which a Permutation calls once and caches:
   the entrywise comparison is one bitwise containment test as well.
 
 The exhaustive lemma suite works on one-line tuples indexed in
-lexicographic order, and builds no Permutation per element: the
-invariants, the pop and the commuting-descent test run on the tuples.
+lexicographic order, and builds a Permutation only to name a violation:
+the invariants, the pop, the commuting-descent test and the sorting-time
+walk run on the tuples, and the walk starts from each w0^J as the coset
+tables give it.
 Weak-order monotonicity is tested on covers only (a map preserves the
 order iff it preserves every cover). The coset representatives of each
 generator subset come from those of its parent subset by a walk along left
@@ -139,11 +141,6 @@ def permutation_lines(m: int) -> itertools.permutations:
     return itertools.permutations(range(1, m + 1))
 
 
-def length(w: Permutation) -> int:
-    """Coxeter length = inversion count."""
-    return w.inversion_mask.bit_count()
-
-
 def right_descents(w: Permutation) -> frozenset[int]:
     line = w.one_line
     return frozenset(i for i in range(1, len(line)) if line[i - 1] > line[i])
@@ -161,29 +158,6 @@ def bruhat_leq(u: Permutation, w: Permutation) -> bool:
     if len(u.one_line) != len(w.one_line):
         raise ValueError("permutations act on different sets")
     return not u.bruhat_ranks & ~w.bruhat_ranks
-
-
-def longest_element(m: int) -> Permutation:
-    return Permutation(tuple(range(m, 0, -1)))
-
-
-def min_coset_rep(w: Permutation, gens: frozenset[int] | set[int]) -> Permutation:
-    """Minimum-length representative of the left coset W_J w. W_J acts on
-    values and permutes each block {i, ..., k+1}, for a maximal run i..k of
-    generators in J, freely: the representative writes each block's values
-    in increasing order of position. Generators outside [1, m-1] are ignored."""
-    m = w.m
-    block = list(range(m + 1))  # block[a] = the smallest value in a's block
-    for i in sorted(gens):
-        if 0 < i < m:
-            block[i + 1] = block[i]
-    nxt = list(range(m + 1))  # nxt[b] = the next value block b hands out
-    out = []
-    for a in w.one_line:
-        b = block[a]
-        out.append(nxt[b])
-        nxt[b] += 1
-    return Permutation(tuple(out))
 
 
 def parabolic_quotient(gens: frozenset[int] | set[int], m: int) -> list[Permutation]:
@@ -226,13 +200,8 @@ def _pop_line(line: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(out)
 
 
-def descents_commute(w: Permutation) -> bool:
-    """True iff no two right descents are adjacent (no double descent)."""
-    return _descents_commute(w.one_line)
-
-
 def _descents_commute(line: tuple[int, ...]) -> bool:
-    """descents_commute on a one-line tuple: no w(i) > w(i+1) > w(i+2)."""
+    """True iff no two right descents are adjacent: no w(i) > w(i+1) > w(i+2)."""
     desc = list(map(operator.gt, line, line[1:]))
     return not any(map(operator.and_, desc, desc[1:]))
 
@@ -316,9 +285,12 @@ def weak_covers(lines: list[tuple[int, ...]],
 
 def coset_rep_tables(lines: list[tuple[int, ...]], masks: list[int]):
     """Yield (J, rep) for each generator subset J of S_m, by size, then in
-    lexicographic order, where rep[w] is the index of min_coset_rep(w, J),
-    lines is all of S_m in lexicographic order and masks their inversion
-    masks.
+    lexicographic order, where rep[w] is the index of the minimum-length
+    representative of the left coset W_J w, lines is all of S_m in
+    lexicographic order and masks their inversion masks. W_J permutes the
+    values of each block {a, ..., k+1}, for a maximal run a..k of J, so the
+    representative writes each block's values in increasing order of
+    position.
 
     For J' = J - {k}, k = max J, W_J' w lies in W_J w, so rep_J = rep_J o
     rep_J': the step below runs only on the distinct values x of the table
@@ -390,7 +362,9 @@ def verify_section3_lemmas(m: int) -> CheckReport:
     decoded from its low bit up, which is the pairwise scan's order, so
     counts and messages are those of the pairwise scan. The weak part makes
     (m-1)/2 m! cover tests per J where a pairwise scan makes m!^2 order
-    tests; the coset representatives come from coset_rep_tables."""
+    tests; the coset representatives come from coset_rep_tables, whose
+    tables for |J| = m-2 also give the sorting-time walk its start, w0^J,
+    as the representative of w0, the last line."""
     if m < 1:
         raise ValueError(f"the lemma suite needs m >= 1, got {m}")
     if m > MAX_LEMMA_M:
@@ -405,7 +379,7 @@ def verify_section3_lemmas(m: int) -> CheckReport:
     ranks = list(map(_bruhat_ranks, lines))
     pop = list(map(index.__getitem__, map(_pop_line, lines)))
     everything = (1 << len(lines)) - 1
-    universe = longest_element(m).inversion_mask  # w0 has every inversion
+    universe = masks[-1]  # w0, the last line, has every inversion
     outside = [universe ^ mask for mask in masks]
     violations = []
     checked = 0
@@ -414,7 +388,10 @@ def verify_section3_lemmas(m: int) -> CheckReport:
     # one up-set at a time, each dropped once counted
     weak_pairs = sum((everything & ~_lacking(outside_cols, gap)).bit_count() for gap in outside)
     lower, upper = weak_covers(lines, index)
+    tops = {}  # w0^J, the last line's representative, for |J| = m-2
     for j, rep in coset_rep_tables(lines, masks):
+        if len(j) == m - 2:
+            tops[j] = lines[rep[-1]]
         checked += weak_pairs
         held = list(map(masks.__getitem__, rep))  # Inv(rep(y))
         missed = list(map(outside.__getitem__, rep))  # the inversions rep(y) lacks
@@ -450,18 +427,17 @@ def verify_section3_lemmas(m: int) -> CheckReport:
 
     full = frozenset(range(1, m))
     for s in range(1, m):
-        j = full - {s}
-        w = min_coset_rep(longest_element(m), j)
-        trajectory = [w]
-        while length(trajectory[-1]) > 0 and len(trajectory) <= m:
-            trajectory.append(coxeter_pop(trajectory[-1]))
+        trajectory = [tops[full - {s}]]
+        while trajectory[-1] != lines[0] and len(trajectory) <= m:
+            trajectory.append(_pop_line(trajectory[-1]))
         checked += 1
-        steps = len(trajectory) - 1 if length(trajectory[-1]) == 0 else f"over {m}"
+        steps = len(trajectory) - 1 if trajectory[-1] == lines[0] else f"over {m}"
         if steps != m - 1:
             violations.append(f"sorting time of quotient-maximal element is {steps}, "
                               f"expected {m - 1} (s={s})")
         for v in trajectory:
             checked += 1
-            if not descents_commute(v):
-                violations.append(f"non-commuting descents along orbit of s={s}: {v}")
+            if not _descents_commute(v):
+                violations.append(f"non-commuting descents along orbit of s={s}: "
+                                  f"{Permutation(v)}")
     return CheckReport(checked=checked, violations=violations)

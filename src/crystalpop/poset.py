@@ -19,7 +19,7 @@ from itertools import repeat
 from typing import Iterator, Optional
 
 from .crystal import CrystalGraph
-from .values import Frozen
+from .values import Frozen, Value
 
 
 class MeetUndefined(RuntimeError):
@@ -119,7 +119,7 @@ def _first_joinless_pair(up: list[int]) -> Optional[tuple[int, int]]:
     return None
 
 
-class LatticeResult:
+class LatticeResult(Value):
     """The verdict of is_lattice. A non-lattice's witness, the first joinless
     pair in id order, is found on its first read (after draining any levels
     left) from the index is_lattice was given, or from one built then."""
@@ -141,14 +141,6 @@ class LatticeResult:
             raise RuntimeError(f"{failure} but the pair scan finds none")
         self._source = None  # so the result keeps neither the graph nor the index
         return witness
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, LatticeResult):
-            return NotImplemented
-        return (self.is_lattice, self.witness) == (other.is_lattice, other.witness)
-
-    def __repr__(self) -> str:
-        return f"LatticeResult(is_lattice={self.is_lattice}, witness={self.witness})"
 
 
 def is_lattice(graph: CrystalGraph, index: Optional[ReachabilityIndex] = None, *,

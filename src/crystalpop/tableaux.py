@@ -6,7 +6,7 @@ column j (left to right). Entries of a tableau of rank n lie in [1, n+1].
 
 from __future__ import annotations
 
-from itertools import accumulate, chain, combinations
+from itertools import accumulate, chain
 
 from .values import Ordered
 
@@ -167,14 +167,20 @@ def parse_tableau(text: str, n: int) -> Tableau:
 def hook_content_count(shape: Partition) -> int:
     """Number of semistandard tableaux of this shape with entries at most
     n+1, by Weyl's dimension formula (Fulton and Harris, *Representation
-    Theory*, Thm. 6.3): O(n^2) factors (l_i - l_j + j - i) / (j - i) over
-    1 <= i < j <= n+1, l the parts padded with zeros, not one per cell."""
+    Theory*, Thm. 6.3): the product of (l_i - l_j + j - i) / (j - i) over
+    1 <= i < j <= n+1, l the parts padded with zeros, not one factor per
+    cell. It is taken one j at a time, and each step is exact: the first j
+    parts give the dimension for GL_j, an integer. A pair of equal parts
+    gives the factor 1 and is skipped, so no product spans all O(n^2) pairs."""
     parts = [shape.part(i) for i in range(1, shape.n + 2)]
-    num = den = 1
-    for i, j in combinations(range(shape.n + 1), 2):
-        num *= parts[i] - parts[j] + j - i
-        den *= j - i
-    count, rem = divmod(num, den)
-    if rem:
-        raise ArithmeticError("Weyl dimension product is not integral")
+    count = 1
+    for j, low in enumerate(parts):
+        num = den = 1
+        for i, high in enumerate(parts[:j]):
+            if high != low:
+                num *= high - low + j - i
+                den *= j - i
+        count, rem = divmod(count * num, den)
+        if rem:
+            raise ArithmeticError("Weyl dimension product is not integral")
     return count

@@ -21,9 +21,8 @@ from crystalpop.crystal import (
 )
 from crystalpop.key import DemazureFamily, NonUniqueMinimum
 from crystalpop.perm import (
-    CheckReport, Permutation, bruhat_leq, coxeter_pop,
-    descents_commute, identity, length, longest_element,
-    min_coset_rep, permutation_lines, right_descents, weak_leq,
+    CheckReport, Permutation, bruhat_leq, coxeter_pop, identity, permutation_lines,
+    right_descents, weak_leq,
 )
 from crystalpop.poset import BowtieCertificate, LatticeResult, ReachabilityIndex, join
 from crystalpop.pop import MAX_POPPABLE_COLORS, OrbitReport, pop_crystal
@@ -583,6 +582,21 @@ def inversion_count(p: Permutation) -> int:
     )
 
 
+def length(w: Permutation) -> int:
+    """Coxeter length: the popcount of the inversion mask."""
+    return w.inversion_mask.bit_count()
+
+
+def longest_element(m: int) -> Permutation:
+    return Permutation(tuple(range(m, 0, -1)))
+
+
+def descents_commute(w: Permutation) -> bool:
+    """True iff no two right descents are adjacent (no double descent)."""
+    desc = right_descents(w)
+    return all(i + 1 not in desc for i in desc)
+
+
 def weak_leq_by_length(u: Permutation, w: Permutation) -> bool:
     """Right weak order: u <= w iff lengths add along u^{-1}w."""
     inv = [0] * u.m
@@ -775,9 +789,10 @@ def min_coset_rep_by_descents(w: Permutation, gens) -> Permutation:
 
 
 def min_coset_line(line: tuple[int, ...], gens) -> tuple[int, ...]:
-    """min_coset_rep on a one-line tuple: number the values of each block
-    {i, ..., k+1}, for a maximal run i..k of generators in J, in order of
-    position."""
+    """min_coset_rep on a one-line tuple. W_J acts on values and permutes
+    each block {i, ..., k+1}, for a maximal run i..k of generators in J,
+    freely: the representative numbers each block's values in order of
+    position. Generators outside [1, m-1] are ignored."""
     m = len(line)
     block = list(range(m + 1))  # block[a] = the smallest value in a's block
     for i in sorted(gens):
@@ -790,6 +805,11 @@ def min_coset_line(line: tuple[int, ...], gens) -> tuple[int, ...]:
         out.append(nxt[b])
         nxt[b] += 1
     return tuple(out)
+
+
+def min_coset_rep(w: Permutation, gens) -> Permutation:
+    """Minimum-length representative of the left coset W_J w."""
+    return Permutation(min_coset_line(w.one_line, gens))
 
 
 def coset_rep_tables_by_rewrite(lines: list[tuple[int, ...]], line_rep=min_coset_line):

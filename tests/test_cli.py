@@ -186,6 +186,17 @@ def test_gen_into_a_pipe_closed_early_exits_cleanly(tmp_path):
         assert err.read() == ""
 
 
+def test_gen_at_rank_one_thousand_checks_its_cap_at_once():
+    # 1,001 vertices. The cap check took over 80 s when it multiplied the
+    # factors of all 500,500 pairs of the Weyl formula into two integers.
+    src = str(Path(crystalpop.__file__).resolve().parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-m", "crystalpop.cli", "gen", "--shape", "1", "--n", "1000",
+         "--format", "csv"], capture_output=True, timeout=20, env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 0
+    assert proc.stdout.count(b"\n") == 1001
+
+
 @pytest.mark.slow
 def test_gen_json_at_rank_five_holds_no_string_per_edge(tmp_path):
     # 62,370 vertices: the command peaked at 96 MB while it built the

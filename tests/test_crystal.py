@@ -24,7 +24,6 @@ from crystalpop.crystal import (
     weyl_reflect,
 )
 from crystalpop.key import build_demazure_family
-from crystalpop.perm import length
 from crystalpop.poset import ReachabilityIndex, is_lattice
 from crystalpop.tableaux import (
     ColumnViolation,
@@ -44,6 +43,7 @@ from oracles import (
     generate_crystal_by_tableaux,
     generate_crystal_by_words,
     graph_words,
+    length,
     levi_restrict,
     lowering_by_cells,
     parabolic_quotient_by_filter,
@@ -393,7 +393,7 @@ def test_exports_match_the_references_with_a_block_per_vertex(monkeypatch):
 @pytest.mark.parametrize("block", BLOCKS)
 def test_line_blocks_match_the_template_references(monkeypatch, block):
     monkeypatch.setattr(crystal, "BLOCK", block)
-    reach = 0  # the most block edges an edge crosses: past 1, the window outgrows a block
+    reach = 0  # the most block edges an edge crosses: past 1, it skips a whole block
     for parts, n in EXPORT_PAIRS:
         graph = generate_crystal(Partition(parts, n))
         reach = max([reach] + [w // block - v // block for v, w, _ in graph.edges()])
@@ -441,8 +441,9 @@ def test_json_blocks_hold_no_text_per_vertex(rank_five_graph):
 
 @pytest.mark.slow
 def test_csv_edge_blocks_hold_no_id_table(rank_five_graph):
-    # About 0.51 MB with a window of id strings from a block's first source
-    # to its last destination, 4.06 MB with one for every vertex.
+    # About 0.40 MB with one block's strings, each destination's id made as
+    # its edge is reached; 0.51 MB with a window of id strings from a block's
+    # first source to its last destination, 4.06 MB with one for every vertex.
     tails = [f",{c}\r\n" for c in range(1, 6)]
     size, peak = traced_peak(edge_blocks(rank_five_graph, "", ",", tails))
     assert size == 2_964_386

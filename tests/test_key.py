@@ -13,12 +13,13 @@ from crystalpop.key import (
     verify_key_properties,
     verify_pop_key_inequality,
 )
-from crystalpop.perm import identity, length, parse_permutation, weak_leq
+from crystalpop.perm import identity, parse_permutation, weak_leq
 from crystalpop.tableaux import Partition
 from oracles import (
     closure_by_frontier,
     embed_parabolic_quotient_by_words,
     key_map_by_filter,
+    length,
     parabolic_quotient_by_filter,
     verify_key_properties_by_edges,
     verify_pop_key_inequality_by_vertices,

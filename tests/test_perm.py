@@ -10,11 +10,7 @@ from crystalpop.perm import (
     bruhat_leq,
     coset_rep_tables,
     coxeter_pop,
-    descents_commute,
     identity,
-    length,
-    longest_element,
-    min_coset_rep,
     parabolic_quotient,
     parse_permutation,
     right_descents,
@@ -28,10 +24,14 @@ from oracles import (
     bruhat_lower_interval,
     coset_rep_tables_by_rewrite,
     coxeter_pop_by_longest_parabolic,
+    descents_commute,
     inversion_count,
     left_descents,
     left_mult_gen,
+    length,
+    longest_element,
     min_coset_line,
+    min_coset_rep,
     min_coset_rep_by_descents,
     parabolic_quotient_by_filter,
     verify_section3_lemmas_by_pairs,
@@ -378,15 +378,13 @@ def test_unary_lacking_matches_every_bit_query_on_random_fields(width, count, da
 def use_reps(monkeypatch, line_rep):
     """Make both suites take their coset representatives from line_rep: the
     bitset suite through perm.coset_rep_tables, here the rewrite tables
-    built on line_rep, and perm.min_coset_rep, the pairwise scan through its
-    min_coset_rep."""
+    built on line_rep, and the pairwise scan through oracles.min_coset_rep."""
     monkeypatch.setattr(
         perm, "coset_rep_tables", lambda lines, masks: coset_rep_tables_by_rewrite(lines, line_rep)
     )
-    for module in (perm, oracles):
-        monkeypatch.setattr(
-            module, "min_coset_rep", lambda w, gens: Permutation(line_rep(w.one_line, gens))
-        )
+    monkeypatch.setattr(
+        oracles, "min_coset_rep", lambda w, gens: Permutation(line_rep(w.one_line, gens))
+    )
 
 
 def use_pop(monkeypatch, line_pop):
@@ -481,3 +479,35 @@ def test_lemma_suite_reports_a_pop_that_does_not_sort(monkeypatch):
     assert not report.ok and not expected.ok
     assert (report.checked, report.violations) == (expected.checked, expected.violations)
     assert "sorting time of quotient-maximal element is over 4, expected 3 (s=3)" in report.violations
+
+
+def test_lemma_suite_reads_sorting_starts_from_the_coset_tables(monkeypatch):
+    """Representatives wrong only at w0 for |J| = m-2, given to the bitset
+    suite through its coset tables alone: each w0^J becomes w0, which one
+    pop sorts, and both suites must report the same sorting times."""
+    true_tables, true_rep = perm.coset_rep_tables, oracles.min_coset_rep
+
+    def wrong_tables(lines, masks):
+        for j, rep in true_tables(lines, masks):
+            yield j, rep[:-1] + [len(lines) - 1] if len(j) == len(lines[0]) - 2 else rep
+
+    def wrong_rep(w, gens):
+        return w if len(gens) == w.m - 2 and w == longest_element(w.m) else true_rep(w, gens)
+
+    monkeypatch.setattr(perm, "coset_rep_tables", wrong_tables)
+    monkeypatch.setattr(oracles, "min_coset_rep", wrong_rep)
+    for m in (3, 4, 5):
+        report = assert_suites_agree(m)
+        assert [v for v in report.violations if v.startswith("sorting time")] == [
+            f"sorting time of quotient-maximal element is 1, expected {m - 1} (s={s})"
+            for s in range(1, m)
+        ]
+
+
+def test_passing_lemma_suite_builds_no_permutation(monkeypatch):
+    def refuse(self, one_line):
+        raise AssertionError(f"built a Permutation of {one_line}")
+
+    monkeypatch.setattr(Permutation, "__init__", refuse)
+    report = verify_section3_lemmas(5)
+    assert report.ok and report.checked == 33889

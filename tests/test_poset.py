@@ -227,6 +227,7 @@ def test_staged_verdict_stops_generating_a_non_lattice_at_its_first_meetless_pai
     monkeypatch.undo()
     # Reading the witness drains the generator first.
     assert result.witness == (1, 22) and graph.num_vertices == 11340
+    assert repr(result) == "LatticeResult(is_lattice=False, witness=(1, 22))"
     assert result == is_lattice(generate_crystal(shape))
 
 
@@ -234,6 +235,7 @@ def test_staged_verdict_generates_all_of_a_lattice():
     shape = Partition((3, 2, 1), 3)
     result, graph, levels = staged_verdict(shape)
     assert result == LatticeResult(True) and next(levels, None) is None
+    assert repr(result) == "LatticeResult(is_lattice=True, witness=None)"
     full = generate_crystal(shape)
     assert (graph.codes, graph.succ) == (full.codes, full.succ)
 

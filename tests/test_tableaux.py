@@ -136,6 +136,15 @@ def test_weyl_count_matches_the_hook_content_product(max_n, max_cells):
         assert hook_content_count(shape) == hook_content_count_by_product(shape)
 
 
+@pytest.mark.parametrize("parts,n", [
+    ((1,), 1000), ((1,) * 500, 1000), ((2, 1), 600), ((3, 3, 2, 2, 1), 400),
+    ((4,) * 20 + (1,) * 30, 300),
+])
+def test_weyl_count_at_high_rank_matches_the_hook_content_product(parts, n):
+    shape = Partition(parts, n)
+    assert hook_content_count(shape) == hook_content_count_by_product(shape)
+
+
 def test_weyl_count_of_a_huge_row_is_immediate():
     # a row of k boxes with entries up to n+1: C(k+n, n) fillings
     assert hook_content_count(Partition((3_000_000,), 1)) == 3_000_001
