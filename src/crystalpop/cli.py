@@ -111,6 +111,8 @@ def cmd_gen(args) -> Iterable[str]:
 
 
 def cmd_pop(args) -> Iterable[str]:
+    if args.element and args.format != "text":
+        raise ValueError(f"--element prints a text trajectory, not --format {args.format}")
     graph = _graph(args)
     if args.element:
         t = parse_tableau(args.element, graph.n)

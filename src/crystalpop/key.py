@@ -11,21 +11,19 @@ have two weak-minimal elements, yet its Bruhat minimum is unique).
 The defining properties of the key map (how it interacts with E_i/F_i and
 with descents) are checked wholesale by verify_key_properties; any
 violation there falsifies the construction rather than the caller.
+
+Both key checks number the distinct keys once, by one-line tuple in
+first-seen order, and compare key numbers, read from per-key tables built
+on the tuples; each distinct pair of keys is tested for the weak order
+once, and no Permutation is built per vertex or per key s_i. The family
+finds each lower cover by its swapped one-line tuple, too.
 """
 
 from __future__ import annotations
 
 from .crystal import CrystalGraph, stabilizer_colors, weyl_reflect
 from .perm import (
-    CheckReport,
-    Permutation,
-    _set_bits,
-    bruhat_leq,
-    coxeter_pop,
-    identity,
-    parabolic_quotient,
-    right_descents,
-    weak_leq,
+    CheckReport, Permutation, _set_bits, bruhat_leq, coxeter_pop, parabolic_quotient, weak_leq,
 )
 from .pop import _popper
 from .values import Value
@@ -64,26 +62,26 @@ def _closure(succ, bits: int, i: int) -> int:
 
 def build_demazure_family(graph: CrystalGraph) -> DemazureFamily:
     """Build the closure family over the quotient by the stabilizer of the
-    shape, with the embedded quotient. Every lower cover of an element is
-    used and the subsets and reflected vertices must agree; a mismatch
-    raises InconsistentFamily."""
-    kset = stabilizer_colors(graph.shape)
-    order = parabolic_quotient(kset, graph.n + 1)
-    e = identity(graph.n + 1)
-    members: dict[Permutation, int] = {e: 1 << 0}
-    extremal: dict[Permutation, int] = {e: 0}
+    shape, with the embedded quotient. Every lower cover w s_i, one per
+    right descent i of w, is looked up by its one-line tuple; the subsets
+    and reflected vertices of all covers must agree, and a mismatch raises
+    InconsistentFamily."""
+    order = parabolic_quotient(stabilizer_colors(graph.shape), graph.n + 1)
+    index = {w.one_line: k for k, w in enumerate(order)}
+    found = [(1 << 0, 0)]  # (subset, u_w) in quotient order, the identity's first
     for w in order[1:]:
-        value = None
-        for i in sorted(right_descents(w)):
-            below = w.right_mult_gen(i)
-            found = (_closure(graph.succ, members[below], i),
-                     weyl_reflect(graph, extremal[below], i))
-            if value is None:
-                value = found
-            elif value != found:
-                raise InconsistentFamily(f"cover paths disagree at {w} (color {i})")
-        members[w], extremal[w] = value  # type: ignore[misc]
-    return DemazureFamily(members=members, extremal=extremal)
+        line, value = w.one_line, None
+        for i in range(1, len(line)):
+            if line[i - 1] > line[i]:
+                bits, u = found[index[line[:i - 1] + (line[i], line[i - 1]) + line[i + 1:]]]
+                cover = (_closure(graph.succ, bits, i), weyl_reflect(graph, u, i))
+                if value is None:
+                    value = cover
+                elif value != cover:
+                    raise InconsistentFamily(f"cover paths disagree at {w} (color {i})")
+        found.append(value)  # type: ignore[arg-type]
+    members, extremal = zip(*found)
+    return DemazureFamily(members=dict(zip(order, members)), extremal=dict(zip(order, extremal)))
 
 
 def all_keys(graph: CrystalGraph, family: DemazureFamily) -> list[Permutation]:
@@ -120,66 +118,67 @@ def _weak_failures(pairs: set[tuple[int, int]], left: list[Permutation],
     return {(a, b) for a, b in pairs if not weak_leq(left[a], right[b])}
 
 
-def _numbered(kappa: list[Permutation]) -> tuple[list[Permutation], list[int]]:
-    """The distinct keys in first-seen order, and each vertex's position
-    among them."""
-    ids: dict[Permutation, int] = {}
-    numbers = [ids.setdefault(w, len(ids)) for w in kappa]
-    return list(ids), numbers
+def _numbered(kappa: list[Permutation]):
+    """The distinct keys numbered in first-seen order: a dict from each one's
+    one-line tuple to its number, one Permutation of kappa for each, and each
+    vertex's number. Tuples hash in C, where a Permutation calls __hash__."""
+    ids: dict[tuple[int, ...], int] = {}
+    numbers = [ids.setdefault(w.one_line, len(ids)) for w in kappa]
+    return ids, list(dict(zip(numbers, kappa)).values()), numbers
 
 
 def verify_key_properties(graph: CrystalGraph, kappa: list[Permutation]) -> CheckReport:
     """Check the four defining properties of the key map plus order
     preservation along every cover edge; kappa is all_keys(graph, family).
-    One walk over the edges compares key numbers and keys with the tabled
-    products key * s_i, and collects the distinct pairs (kappa(src),
-    kappa(dst)), each tested for the order once; the edges are walked again
-    only to list the failing ones."""
-    e = identity(graph.n + 1)
-    keys, number = _numbered(kappa)
-    descent_sets = [right_descents(w) for w in keys]
-    shifted = [[w.right_mult_gen(i) for i in range(1, graph.n + 1)] for w in keys]
+    One walk over the edges compares key numbers, read from two per-key
+    tables: the right-descent bitmask (the identity is the key with none)
+    and, for each color i, the number of key * s_i, or -1 if that is no
+    key. It collects the distinct pairs (kappa(src), kappa(dst)), each
+    tested for the order once; the edges are walked again only to list the
+    failing ones. checked is 2E + V(n+1): per edge its chain property and
+    its order, per vertex one descent test per color and the identity test."""
+    ids, keys, number = _numbered(kappa)
+    n = graph.n
+    descents = [sum(1 << i for i in range(n) if line[i] > line[i + 1]) for line in ids]
+    shifted = [[ids.get(line[:i] + (line[i + 1], line[i]) + line[i + 2:], -1) for i in range(n)]
+               for line in ids]
     pairs = set()
     violations = []
-    checked = 0
+    edges = 0
     for v, (out, into) in enumerate(zip(graph.succ, graph.pred)):
         k = number[v]
-        descents = descent_sets[k]
-        for i, w, u in zip(range(1, graph.n + 1), out, into):
+        mask = descents[k]
+        for i, w, u, s in zip(range(1, n + 1), out, into, shifted[k]):
             if w is not None:
-                checked += 2  # the chain property here, order preservation below
+                edges += 1
                 kw = number[w]
                 pairs.add((k, kw))
                 if kw != k and u is not None:
                     violations.append(f"interior of an {i}-chain moved the key at vertex {v}")
-                elif kw != k and keys[kw] != shifted[k][i - 1]:
-                    violations.append(
-                        f"bottom of an {i}-chain: key of F_{i}({v}) is neither "
-                        f"kappa(v) nor kappa(v)s_{i}"
-                    )
-            checked += 1
-            if i in descents and u is None:
+                elif kw != k and kw != s:
+                    violations.append(f"bottom of an {i}-chain: key of F_{i}({v}) is neither "
+                                      f"kappa(v) nor kappa(v)s_{i}")
+            if u is None and mask >> i - 1 & 1:
                 violations.append(f"descent {i} of the key of vertex {v} without an incoming edge")
-        checked += 1
-        if kappa[v] == e and v != 0:
+        if not mask and v:
             violations.append(f"identity key at non-minimal vertex {v}")
     failing = _weak_failures(pairs, keys, keys)
     if failing:
         violations += [f"order preservation fails on edge {src} -> {dst}"
                        for src, dst, _ in graph.edges() if (number[src], number[dst]) in failing]
-    return CheckReport(checked=checked, violations=violations)
+    return CheckReport(checked=2 * edges + len(number) * (n + 1), violations=violations)
 
 
 def verify_pop_key_inequality(graph: CrystalGraph, kappa: list[Permutation]) -> CheckReport:
     """key(pop(v)) is weakly below pop(key(v)), for every vertex; kappa is
-    all_keys(graph, family). Each distinct pair of sides is compared once."""
-    keys, number = _numbered(kappa)
+    all_keys(graph, family). The keys are numbered as for
+    verify_key_properties, coxeter_pop runs once per distinct key, and each
+    distinct pair of sides is compared once; checked is V."""
+    _, keys, number = _numbered(kappa)
     popped = [coxeter_pop(w) for w in keys]
     pop = _popper(graph)
-    below = [number[pop(v)] for v in range(graph.num_vertices)]
+    below = [number[pop(v)] for v in range(len(number))]
     failing = _weak_failures(set(zip(below, number)), keys, popped)
-    violations = [
-        f"pop/key inequality fails at vertex {v}"
-        for v, pair in enumerate(zip(below, number)) if pair in failing
-    ]
+    violations = [f"pop/key inequality fails at vertex {v}"
+                  for v, pair in enumerate(zip(below, number)) if pair in failing]
     return CheckReport(checked=len(below), violations=violations)

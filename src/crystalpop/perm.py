@@ -71,12 +71,6 @@ class Permutation(Ordered):
     def m(self) -> int:
         return len(self.one_line)
 
-    def right_mult_gen(self, i: int) -> "Permutation":
-        """self * s_i: swap the entries in positions i and i+1."""
-        w = list(self.one_line)
-        w[i - 1], w[i] = w[i], w[i - 1]
-        return Permutation(tuple(w))
-
     @cached_property
     def inversion_mask(self) -> int:
         return _inversion_mask(self.one_line)
@@ -123,10 +117,6 @@ def _bruhat_ranks(line: tuple[int, ...]) -> int:
     return packed
 
 
-def identity(m: int) -> Permutation:
-    return Permutation(tuple(range(1, m + 1)))
-
-
 def parse_permutation(text: str) -> Permutation:
     text = text.strip()
     if not text:
@@ -139,11 +129,6 @@ def parse_permutation(text: str) -> Permutation:
 def permutation_lines(m: int) -> itertools.permutations:
     """All of S_m as one-line tuples, in lexicographic order."""
     return itertools.permutations(range(1, m + 1))
-
-
-def right_descents(w: Permutation) -> frozenset[int]:
-    line = w.one_line
-    return frozenset(i for i in range(1, len(line)) if line[i - 1] > line[i])
 
 
 def weak_leq(u: Permutation, w: Permutation) -> bool:

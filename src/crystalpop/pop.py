@@ -14,7 +14,7 @@ from __future__ import annotations
 from typing import Callable, Optional
 
 from .crystal import CrystalGraph
-from .perm import Permutation, coxeter_pop
+from .perm import Permutation, _pop_line, coxeter_pop
 from .poset import MeetUndefined, ReachabilityIndex, meet
 from .values import Frozen
 
@@ -184,6 +184,9 @@ def is_poppable(graph) -> bool:
 
 def pop_agreement_on_quotient(graph: CrystalGraph, embedding: dict[Permutation, int]) -> bool:
     """Crystal pop agrees with the Coxeter pop on the embedded parabolic
-    quotient; embedding is build_demazure_family(graph).extremal."""
+    quotient; embedding is build_demazure_family(graph).extremal. The
+    Coxeter pop runs on one-line tuples, and the embedding is read by
+    one-line tuple."""
     pop = _popper(graph)
-    return all(pop(v) == embedding[coxeter_pop(w)] for w, v in embedding.items())
+    at = {w.one_line: v for w, v in embedding.items()}
+    return all(pop(v) == at[_pop_line(line)] for line, v in at.items())

@@ -21,8 +21,7 @@ from crystalpop.crystal import (
 )
 from crystalpop.key import DemazureFamily, NonUniqueMinimum
 from crystalpop.perm import (
-    CheckReport, Permutation, bruhat_leq, coxeter_pop, identity, permutation_lines,
-    right_descents, weak_leq,
+    CheckReport, Permutation, bruhat_leq, coxeter_pop, permutation_lines, weak_leq,
 )
 from crystalpop.poset import BowtieCertificate, LatticeResult, ReachabilityIndex, join
 from crystalpop.pop import MAX_POPPABLE_COLORS, OrbitReport, pop_crystal
@@ -629,7 +628,7 @@ def reduced_word(w: Permutation) -> tuple[int, ...]:
         if not desc:
             break
         i = min(desc)
-        cur = cur.right_mult_gen(i)
+        cur = right_mult_gen(cur, i)
         word.append(i)
     word.reverse()
     return tuple(word)
@@ -641,7 +640,7 @@ def bruhat_lower_interval(w: Permutation) -> set[Permutation]:
     interval)."""
     products = {identity(w.m)}
     for i in reduced_word(w):
-        products |= {x.right_mult_gen(i) for x in products}
+        products |= {right_mult_gen(x, i) for x in products}
     return products
 
 
@@ -652,7 +651,7 @@ def weak_order_pairs(perms) -> set[tuple[Permutation, Permutation]]:
     for w in sorted(perms, key=inversion_count):
         acc = {w}
         for i in range(1, w.m):
-            u = w.right_mult_gen(i)
+            u = right_mult_gen(w, i)
             if inversion_count(u) < inversion_count(w):
                 acc |= below[u]
         below[w] = acc
@@ -674,6 +673,23 @@ def parabolic_quotient_by_filter(gens, m: int) -> list[Permutation]:
     return out
 
 
+def identity(m: int) -> Permutation:
+    return Permutation(tuple(range(1, m + 1)))
+
+
+def right_descents(w: Permutation) -> frozenset[int]:
+    """The i such that w(i) > w(i+1)."""
+    line = w.one_line
+    return frozenset(i for i in range(1, len(line)) if line[i - 1] > line[i])
+
+
+def right_mult_gen(w: Permutation, i: int) -> Permutation:
+    """w * s_i: swap the entries in positions i and i+1."""
+    line = list(w.one_line)
+    line[i - 1], line[i] = line[i], line[i - 1]
+    return Permutation(tuple(line))
+
+
 def left_mult_gen(w: Permutation, i: int) -> Permutation:
     """s_i * w: swap the values i and i+1."""
     line = list(w.one_line)
@@ -691,7 +707,7 @@ def coxeter_pop_by_longest_parabolic(w: Permutation) -> Permutation:
     gens = right_descents(w)
     w0 = identity(w.m)
     while climb := sorted(gens - right_descents(w0)):
-        w0 = w0.right_mult_gen(climb[0])
+        w0 = right_mult_gen(w0, climb[0])
     return Permutation(tuple(w.one_line[j - 1] for j in w0.one_line))
 
 
@@ -706,6 +722,36 @@ def key_map_by_filter(family: DemazureFamily, v: int) -> Permutation:
         if not bruhat_leq(best, w):
             raise NonUniqueMinimum(f"vertex {v}: {best} and {w} are incomparable")
     return best
+
+
+def right_key_content(rows, n: int) -> tuple[int, ...]:
+    """The content of the right key K_+(T) of the tableau T with these rows
+    (top row first, entries in [1, n+1]): entry i-1 counts the i's.
+
+    K_+(T) is the key tableau of Lascoux and Schützenberger ("Keys &
+    standard bases", 1990): T lies in the Demazure crystal B_w(λ) iff
+    K_+(T) is at most the key of w·λ, so the key w of T's vertex, taken in
+    W^J, has content(K_+(T)) = w·λ. It is computed from T alone by the
+    scanning method of Willis ("A direct way to find the right key of a
+    semistandard Young tableau", Ann. Comb. 17, 2013), in this form: column
+    j of K_+(T) has one entry per entry of column j of T. The entries of
+    column j are scanned bottom-up. Each starts a path at its own value x
+    and moves right through every later column in turn; in each, it takes
+    the largest entry that is at least x and that no earlier path from
+    column j has taken, and that entry becomes x; a column with no such
+    entry is passed with x kept. The path's value after the last column is
+    its entry of K_+(T). The last column of T is its own."""
+    columns = [[row[c] for row in rows if c < len(row)] for c in range(len(rows[0]))]
+    content = [0] * (n + 1)
+    for j, column in enumerate(columns):
+        free = [list(later) for later in columns[j + 1:]]  # not yet taken from column j
+        for x in reversed(column):
+            for entries in free:
+                if fits := [y for y in entries if y >= x]:
+                    x = max(fits)
+                    entries.remove(x)
+            content[x - 1] += 1
+    return tuple(content)
 
 
 def closure_by_frontier(succ, bits: int, i: int) -> int:
@@ -742,7 +788,7 @@ def verify_key_properties_by_edges(graph: CrystalGraph, kappa: list[Permutation]
                             f"interior of an {i}-chain moved the key at vertex {v}"
                         )
                 else:
-                    if kappa[w] not in (kappa[v], kappa[v].right_mult_gen(i)):
+                    if kappa[w] not in (kappa[v], right_mult_gen(kappa[v], i)):
                         violations.append(
                             f"bottom of an {i}-chain: key of F_{i}({v}) is neither "
                             f"kappa(v) nor kappa(v)s_{i}"

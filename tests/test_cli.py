@@ -17,7 +17,7 @@ from crystalpop.crystal import generate_crystal, weyl_reflect
 from crystalpop.tableaux import Partition, Tableau
 from oracles import (
     find_bowtie_by_candidates, gen_csv_by_writer, gen_text_by_format_rows, pop_csv_by_color_sets,
-    to_dot_by_format_rows, to_json_by_dumps,
+    right_mult_gen, to_dot_by_format_rows, to_json_by_dumps,
 )
 
 
@@ -281,6 +281,8 @@ def test_pop_single_element(capsys):
                        "--element", "1,1/2")
     assert code == 0
     assert out.strip().splitlines() == ["1,1/2", "orbit length 1"]
+    assert run(capsys, "pop", "--shape", "2,1", "--n", "2", "--element", "1,1/2",
+               "--format", "text") == (0, out, "")
 
 
 def test_pop_csv_orbit_table(capsys):
@@ -289,6 +291,14 @@ def test_pop_csv_orbit_table(capsys):
     lines = out.strip().splitlines()
     assert lines[0] == "id,tableau,orbit_length"
     assert len(lines) == 9
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_pop_element_rejects_a_csv_or_json_format(capsys, fmt):
+    # The trajectory is text only: a csv or json request is invalid input.
+    assert run(capsys, "pop", "--shape", "2,1", "--n", "2", "--element", "1,3/2",
+               "--format", fmt) == (
+        2, "", f"invalid input: --element prints a text trajectory, not --format {fmt}\n")
 
 
 def test_pop_element_wrong_shape(capsys):
@@ -322,7 +332,7 @@ def test_perm_pop_identity_fixed(capsys):
 
 
 def test_cycling_orbits_fail_the_property_check(capsys, monkeypatch):
-    monkeypatch.setattr(cli, "pop_permutation", lambda w: w.right_mult_gen(1))
+    monkeypatch.setattr(cli, "pop_permutation", lambda w: right_mult_gen(w, 1))
     code, out, err = run(capsys, "perm-pop", "--element", "123")
     assert (code, out) == (1, "")
     assert "property check failed" in err
@@ -563,6 +573,16 @@ def test_verify_rank_five_crystal_stdout_is_frozen(capsys):
         "crystal 5,3,1 n=5: 11340 vertices\npoppable: pass\n"
         "pop agreement on embedded quotient: pass\n"
         "key properties: pass (135540 checks)\npop-key inequality: pass (11340 checks)\n"
+    ), "")
+
+
+@pytest.mark.slow
+def test_verify_six_four_two_at_rank_five_stdout_is_frozen(capsys):
+    # 62,370 vertices, 202,230 edges: checked is 2E + V(n+1), then V.
+    assert run(capsys, "verify", "--shape", "6,4,2", "--n", "5") == (0, (
+        "crystal 6,4,2 n=5: 62370 vertices\npoppable: pass\n"
+        "pop agreement on embedded quotient: pass\n"
+        "key properties: pass (778680 checks)\npop-key inequality: pass (62370 checks)\n"
     ), "")
 
 

@@ -13,14 +13,16 @@ from crystalpop.key import (
     verify_key_properties,
     verify_pop_key_inequality,
 )
-from crystalpop.perm import identity, parse_permutation, weak_leq
+from crystalpop.perm import Permutation, parse_permutation, weak_leq
 from crystalpop.tableaux import Partition
 from oracles import (
     closure_by_frontier,
     embed_parabolic_quotient_by_words,
+    identity,
     key_map_by_filter,
     length,
     parabolic_quotient_by_filter,
+    right_key_content,
     verify_key_properties_by_edges,
     verify_pop_key_inequality_by_vertices,
 )
@@ -112,6 +114,26 @@ def test_extremal_matches_reduced_word_embedding():
         assert list(family.members) == list(family.extremal) == quotient, (parts, n)
 
 
+def assert_keys_match_right_keys(pairs):
+    """content(K_+(T)) = w·λ for the key w of each vertex T: entry i-1 of
+    the content counts the i's, and is λ_{w(i)}."""
+    for parts, n in pairs:
+        graph, family = built(parts, n)
+        lam = parts + (0,) * (n + 1 - len(parts))
+        for v, w in enumerate(all_keys(graph, family)):
+            assert right_key_content(graph.rows(v), n) == tuple(
+                lam[x - 1] for x in w.one_line), (parts, n, v)
+
+
+def test_all_keys_match_right_keys_by_scanning():
+    assert_keys_match_right_keys(sweep_pairs(4, 7))
+
+
+@pytest.mark.slow
+def test_all_keys_match_right_keys_by_scanning_through_eight_cells():
+    assert_keys_match_right_keys(sweep_pairs(5, 8))
+
+
 def test_key_fixes_embedded_quotient():
     for parts, n in SHAPES:
         graph, family = built(parts, n)
@@ -144,16 +166,19 @@ def test_pop_key_inequality():
 
 def test_key_checks_match_per_edge_and_per_vertex_forms():
     """Testing each distinct key pair once reports what one test per edge
-    or vertex reports, also for corrupted keys (every third vertex takes
-    the key of its mirror id), which fail every kind of check."""
+    or vertex reports, for the true keys, for corrupted keys (every third
+    vertex takes the key of its mirror id), which fail every kind of check,
+    and for fresh equal copies (one Permutation per vertex), which the
+    checks must number by value."""
     messages = set()
-    for parts, n in SHAPES + [((3, 2, 1), 3), ((4, 2), 3)]:
+    for parts, n in sweep_pairs(4, 6):
         graph, family = built(parts, n)
         kappa = all_keys(graph, family)
         corrupted = [
             kappa[-1 - v] if v % 3 == 1 else w for v, w in enumerate(kappa)
         ]
-        for keys in (kappa, corrupted):
+        copies = [Permutation(w.one_line) for w in kappa]
+        for keys in (kappa, corrupted, copies):
             for check, oracle in ((verify_key_properties, verify_key_properties_by_edges),
                                   (verify_pop_key_inequality,
                                    verify_pop_key_inequality_by_vertices)):

@@ -10,10 +10,8 @@ from crystalpop.perm import (
     bruhat_leq,
     coset_rep_tables,
     coxeter_pop,
-    identity,
     parabolic_quotient,
     parse_permutation,
-    right_descents,
     verify_section3_lemmas,
     weak_covers,
     weak_leq,
@@ -25,6 +23,7 @@ from oracles import (
     coset_rep_tables_by_rewrite,
     coxeter_pop_by_longest_parabolic,
     descents_commute,
+    identity,
     inversion_count,
     left_descents,
     left_mult_gen,
@@ -34,6 +33,8 @@ from oracles import (
     min_coset_rep,
     min_coset_rep_by_descents,
     parabolic_quotient_by_filter,
+    right_descents,
+    right_mult_gen,
     verify_section3_lemmas_by_pairs,
     weak_leq_by_length,
     weak_order_pairs,
@@ -49,7 +50,7 @@ def test_permutation_validation():
 
 def test_generator_multiplications():
     w = parse_permutation("231")
-    assert w.right_mult_gen(1).one_line == (3, 2, 1)
+    assert right_mult_gen(w, 1).one_line == (3, 2, 1)
     assert left_mult_gen(w, 1).one_line == (1, 3, 2)
 
 
@@ -177,7 +178,7 @@ def test_reduced_word_reconstructs():
         assert len(word) == length(w)
         acc = identity(4)
         for i in word:
-            acc = acc.right_mult_gen(i)
+            acc = right_mult_gen(acc, i)
         assert acc == w
 
 

@@ -6,7 +6,7 @@ import pytest
 from crystalpop.classifier import sweep_pairs
 from crystalpop.crystal import generate_crystal
 from crystalpop.key import build_demazure_family
-from crystalpop.perm import coxeter_pop, identity, parse_permutation
+from crystalpop.perm import coxeter_pop, parse_permutation
 from crystalpop import pop
 from crystalpop.pop import (
     MAX_POPPABLE_COLORS,
@@ -27,6 +27,7 @@ from oracles import (
     all_permutations,
     coxeter_pop_by_longest_parabolic,
     down_colors,
+    identity,
     is_poppable_by_components,
     pop_crystal_by_color_sets,
     pop_crystal_by_components,
