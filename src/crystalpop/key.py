@@ -2,9 +2,10 @@
 
 The carrier is the family of lowering-closure subsets: starting from the
 singleton containing the minimum, the subset for w is the closure of the
-subset for any lower cover w s_i under F_i. The same pass embeds the
-quotient: the vertex u_w is S_i(u_{w s_i}) for any such cover, S_i the
-crystal's Weyl-group reflection (Kashiwara, Duke 1993). The key of a vertex
+subset for any lower cover w s_i under F_i; the first cover is closed. The
+same pass embeds the quotient: the vertex u_w is S_i(u_{w s_i}) for every
+such cover, S_i the crystal's Weyl-group reflection (Kashiwara, Duke
+1993). The key of a vertex
 is then the Bruhat-order minimum among the quotient elements whose subset
 contains it (the weak order does not suffice: the membership filter can
 have two weak-minimal elements, yet its Bruhat minimum is unique).
@@ -30,7 +31,8 @@ from .values import Value
 
 
 class InconsistentFamily(RuntimeError):
-    """Two cover paths to the same quotient element yield different sets."""
+    """Two cover paths to the same quotient element reflect to different
+    vertices, or a cover's subset does not lie inside the member."""
 
 
 class NonUniqueMinimum(RuntimeError):
@@ -63,24 +65,28 @@ def _closure(succ, bits: int, i: int) -> int:
 def build_demazure_family(graph: CrystalGraph) -> DemazureFamily:
     """Build the closure family over the quotient by the stabilizer of the
     shape, with the embedded quotient. Every lower cover w s_i, one per
-    right descent i of w, is looked up by its one-line tuple; the subsets
-    and reflected vertices of all covers must agree, and a mismatch raises
-    InconsistentFamily."""
+    right descent i of w, is looked up by its one-line tuple. B_w is the
+    F_i-closure of B_{w s_i} for every descent i (Kashiwara, Duke 1993), so
+    only the first cover, in descent order, is closed: the closures of the
+    other covers are not compared, and the key checks catch a corrupted
+    subset that changes a key. The reflected vertices S_i(u_{w s_i}) of all
+    covers must agree, and each cover's subset must lie inside B_w; a
+    mismatch raises InconsistentFamily."""
     order = parabolic_quotient(stabilizer_colors(graph.shape), graph.n + 1)
     index = {w.one_line: k for k, w in enumerate(order)}
-    found = [(1 << 0, 0)]  # (subset, u_w) in quotient order, the identity's first
+    members, extremal = [1 << 0], [0]  # in quotient order, the identity's first
     for w in order[1:]:
-        line, value = w.one_line, None
+        line, u = w.one_line, None
         for i in range(1, len(line)):
             if line[i - 1] > line[i]:
-                bits, u = found[index[line[:i - 1] + (line[i], line[i - 1]) + line[i + 1:]]]
-                cover = (_closure(graph.succ, bits, i), weyl_reflect(graph, u, i))
-                if value is None:
-                    value = cover
-                elif value != cover:
+                k = index[line[:i - 1] + (line[i], line[i - 1]) + line[i + 1:]]
+                x = weyl_reflect(graph, extremal[k], i)
+                if u is None:
+                    members.append(_closure(graph.succ, members[k], i))
+                    u = x
+                elif x != u or members[k] & ~members[-1]:
                     raise InconsistentFamily(f"cover paths disagree at {w} (color {i})")
-        found.append(value)  # type: ignore[arg-type]
-    members, extremal = zip(*found)
+        extremal.append(u)
     return DemazureFamily(members=dict(zip(order, members)), extremal=dict(zip(order, extremal)))
 
 

@@ -13,15 +13,16 @@ import json
 from dataclasses import dataclass, field, make_dataclass
 from typing import Optional
 
-from crystalpop import crystal
+from crystalpop import crystal, key
 from crystalpop.classifier import Classification, SweepReport, SweepRow
 from crystalpop.crystal import (
     CrystalGraph, DualCrystal, IsomorphismFailure, SizeLimitExceeded, default_cap,
     stabilizer_colors, weyl_reflect,
 )
-from crystalpop.key import DemazureFamily, NonUniqueMinimum
+from crystalpop.key import DemazureFamily, InconsistentFamily, NonUniqueMinimum
 from crystalpop.perm import (
-    CheckReport, Permutation, bruhat_leq, coxeter_pop, permutation_lines, weak_leq,
+    CheckReport, Permutation, bruhat_leq, coxeter_pop, parabolic_quotient, permutation_lines,
+    weak_leq,
 )
 from crystalpop.poset import BowtieCertificate, LatticeResult, ReachabilityIndex, join
 from crystalpop.pop import MAX_POPPABLE_COLORS, OrbitReport, pop_crystal
@@ -531,6 +532,31 @@ def is_poppable_by_components(graph) -> bool:
     return True
 
 
+def is_poppable_by_subsets(graph) -> bool:
+    """Every component of every color restriction has a unique source, by
+    one labelling pass in id order per nonempty color set, 2^n - 1 of them:
+    a vertex with no J-predecessor is its own label, any other takes the
+    label of its J-predecessors, and the check fails when two differ."""
+    n = graph.n
+    if n > MAX_POPPABLE_COLORS:
+        raise ValueError(f"2^{n} color subsets is past the practical limit")
+    for mask in range(1, 1 << n):
+        colors = [i for i in range(n) if mask >> i & 1]
+        label = list(range(graph.num_vertices))
+        for v, row in enumerate(graph.pred):
+            mine = None
+            for i in colors:
+                w = row[i]
+                if w is not None:
+                    if mine is None:
+                        mine = label[w]
+                    elif label[w] != mine:
+                        return False
+            if mine is not None:
+                label[v] = mine
+    return True
+
+
 def pop_crystal_by_components(graph: CrystalGraph, v: int) -> int:
     """Defining form of the crystal pop: the unique source of the component
     of v in the crystal restricted to the down-colors of v."""
@@ -766,6 +792,28 @@ def closure_by_frontier(succ, bits: int, i: int) -> int:
             bits |= 1 << w
             frontier |= 1 << w
     return bits
+
+
+def build_demazure_family_by_all_covers(graph: CrystalGraph) -> DemazureFamily:
+    """The closure family with every lower cover w s_i of each member closed
+    under F_i and reflected by S_i; the subsets and reflected vertices of all
+    covers must agree, and a mismatch raises InconsistentFamily."""
+    order = parabolic_quotient(stabilizer_colors(graph.shape), graph.n + 1)
+    index = {w.one_line: k for k, w in enumerate(order)}
+    found = [(1 << 0, 0)]  # (subset, u_w) in quotient order, the identity's first
+    for w in order[1:]:
+        line, value = w.one_line, None
+        for i in range(1, len(line)):
+            if line[i - 1] > line[i]:
+                bits, u = found[index[line[:i - 1] + (line[i], line[i - 1]) + line[i + 1:]]]
+                cover = (key._closure(graph.succ, bits, i), weyl_reflect(graph, u, i))
+                if value is None:
+                    value = cover
+                elif value != cover:
+                    raise InconsistentFamily(f"cover paths disagree at {w} (color {i})")
+        found.append(value)
+    members, extremal = zip(*found)
+    return DemazureFamily(members=dict(zip(order, members)), extremal=dict(zip(order, extremal)))
 
 
 def verify_key_properties_by_edges(graph: CrystalGraph, kappa: list[Permutation]) -> CheckReport:

@@ -635,6 +635,58 @@ def test_verify_crystal_inconsistent_family_fails_the_property_check(capsys, mon
     assert err == "property check failed: cover paths disagree at 321 (color 2)\n"
 
 
+def drop_from_closure(monkeypatch, call: int) -> None:
+    """Drop the lowest vertex that the call-th _closure call adds."""
+    closure, calls = key._closure, []
+
+    def dropping(succ, bits, i):
+        closed = closure(succ, bits, i)
+        calls.append(i)
+        if len(calls) == call:
+            added = closed & ~bits
+            closed ^= added & -added
+        return closed
+
+    monkeypatch.setattr(key, "_closure", dropping)
+
+
+def test_verify_crystal_with_a_vertex_dropped_from_one_closure_fails(capsys, monkeypatch):
+    # The first closure is s_2's member, closed under F_2. Comparing every
+    # cover's closure catches the drop, and so do the key checks.
+    drop_from_closure(monkeypatch, 1)
+    code, out, err = run(capsys, "verify", "--shape", "4,2", "--n", "4")
+    assert (code, out) == (1, "")
+    assert err.startswith("property check failed: ")
+
+
+def test_verify_crystal_with_a_cover_outside_its_member_fails(capsys, monkeypatch):
+    # The fourth closure, 23145's member, loses a vertex. 32145 closes that
+    # member, and its other cover, 31245, holds the vertex. Every key stays
+    # right, so only the containment of each cover's subset in the member
+    # catches it.
+    drop_from_closure(monkeypatch, 4)
+    assert run(capsys, "verify", "--shape", "4,2", "--n", "4") == (
+        1, "", "property check failed: cover paths disagree at 32145 (color 2)\n")
+
+
+def test_verify_crystal_closes_each_member_once_and_labels_each_interval_once(
+        capsys, monkeypatch):
+    counts = {}
+    for module, name in ((key, "_closure"), (pop, "_one_source")):
+        calls = counts[name] = []
+
+        def counted(*args, original=getattr(module, name), calls=calls):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(module, name, counted)
+    assert run(capsys, "verify", "--shape", "4,2", "--n", "4")[0] == 0
+    # |W^J| = 20: one closure per member but the identity. n = 4 colors: one
+    # labelling pass per interval of at least two, 3 + 2 + 1.
+    assert len(counts["_closure"]) == 19
+    assert len(counts["_one_source"]) == 6
+
+
 def test_verify_crystal_without_a_unique_key_fails_the_property_check(capsys, monkeypatch):
     monkeypatch.setattr(key, "bruhat_leq", lambda u, w: False)
     code, out, err = run(capsys, "verify", "--shape", "2,1", "--n", "2")

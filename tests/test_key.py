@@ -16,6 +16,7 @@ from crystalpop.key import (
 from crystalpop.perm import Permutation, parse_permutation, weak_leq
 from crystalpop.tableaux import Partition
 from oracles import (
+    build_demazure_family_by_all_covers,
     closure_by_frontier,
     embed_parabolic_quotient_by_words,
     identity,
@@ -238,6 +239,23 @@ def test_family_matches_family_built_by_frontier_closure(monkeypatch):
         assert family.members == reference.members, (parts, n)
         assert family.extremal == reference.extremal, (parts, n)
         assert list(family.members) == list(reference.members), (parts, n)
+
+
+def assert_family_matches_all_covers(pairs):
+    for parts, n in pairs:
+        graph, family = built(parts, n)
+        reference = build_demazure_family_by_all_covers(graph)
+        assert family.members == reference.members, (parts, n)
+        assert family.extremal == reference.extremal, (parts, n)
+
+
+def test_family_matches_family_closing_every_cover():
+    assert_family_matches_all_covers(sweep_pairs(4, 7))
+
+
+@pytest.mark.slow
+def test_family_matches_family_closing_every_cover_at_rank_five():
+    assert_family_matches_all_covers([((6, 4, 2), 5)])
 
 
 class CountingRows(list):

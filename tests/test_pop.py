@@ -29,6 +29,7 @@ from oracles import (
     down_colors,
     identity,
     is_poppable_by_components,
+    is_poppable_by_subsets,
     pop_crystal_by_color_sets,
     pop_crystal_by_components,
 )
@@ -218,6 +219,64 @@ def test_two_sources_in_one_component_are_not_poppable():
     )
     assert not is_poppable(graph)
     assert not is_poppable_by_components(graph)
+
+
+def test_is_poppable_matches_one_pass_per_color_set():
+    for parts, n in sweep_pairs(4, 7):
+        graph = generate_crystal(Partition(parts, n))
+        assert is_poppable(graph) == is_poppable_by_subsets(graph), (parts, n)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("parts", [(5, 3, 1), (6, 4, 2)])
+def test_is_poppable_matches_one_pass_per_color_set_at_rank_five(parts):
+    graph = generate_crystal(Partition(parts, 5))
+    assert is_poppable(graph) == is_poppable_by_subsets(graph)
+
+
+def test_far_colors_commute_on_every_crystal():
+    # So a crystal takes the interval passes, and a broken local check
+    # cannot fall back to every color set unseen.
+    for parts, n in sweep_pairs(4, 7):
+        graph = generate_crystal(Partition(parts, n))
+        assert pop._far_colors_commute(graph.pred, n), (parts, n)
+
+
+def graph_of(size: int, edges) -> SimpleNamespace:
+    """A rank-3 graph on ids 0..size-1 from its edges (v, color, F_color(v))."""
+    pred, succ = [[None] * 3 for _ in range(size)], [[None] * 3 for _ in range(size)]
+    for v, i, w in edges:
+        succ[v][i - 1], pred[w][i - 1] = w, v
+    return SimpleNamespace(n=3, num_vertices=size, pred=pred, succ=succ)
+
+
+@pytest.mark.parametrize("edges", [
+    # E_1 and E_3 are defined at 2, and E_3 E_1 at 2 is not.
+    [(0, 1, 2), (1, 3, 2), (0, 2, 1)],
+    # E_3 E_1 at 4 is 0, and E_1 E_3 at 4 is 1.
+    [(0, 3, 2), (2, 1, 4), (1, 1, 3), (3, 3, 4), (0, 2, 1)],
+])
+def test_far_colors_that_do_not_commute_check_every_color_set(edges):
+    # Each interval {1, 2}, {2, 3} and {1, 2, 3} has components with one
+    # source each, but the {1, 3}-component of 0 has sources 0 and 1.
+    graph = graph_of(max(w for _, _, w in edges) + 1, edges)
+    assert all(pop._one_source(graph.pred, colors) for colors in ([0, 1], [1, 2], [0, 1, 2]))
+    assert not pop._far_colors_commute(graph.pred, 3)
+    assert not is_poppable(graph)
+    assert not is_poppable_by_subsets(graph)
+    assert not is_poppable_by_components(graph)
+
+
+@pytest.mark.parametrize("first,second", [(1, 3), (3, 1)])
+def test_far_colors_that_do_not_commute_on_a_poppable_chain(first, second):
+    # F_1(0) = 1 and F_3(1) = 2, or F_3 then F_1: the second edge makes the
+    # first color's E undefined, so the local check fails, yet every color
+    # restriction is a chain with one source.
+    graph = graph_of(3, [(0, first, 1), (1, second, 2)])
+    assert not pop._far_colors_commute(graph.pred, 3)
+    assert is_poppable(graph)
+    assert is_poppable_by_subsets(graph)
+    assert is_poppable_by_components(graph)
 
 
 def test_pop_agreement_on_quotient():
