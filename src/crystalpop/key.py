@@ -32,7 +32,7 @@ from .values import Value
 
 class InconsistentFamily(RuntimeError):
     """Two cover paths to the same quotient element reflect to different
-    vertices, or a cover's subset does not lie inside the member."""
+    vertices, or a Bruhat cover's subset does not lie inside the member."""
 
 
 class NonUniqueMinimum(RuntimeError):
@@ -70,8 +70,13 @@ def build_demazure_family(graph: CrystalGraph) -> DemazureFamily:
     only the first cover, in descent order, is closed: the closures of the
     other covers are not compared, and the key checks catch a corrupted
     subset that changes a key. The reflected vertices S_i(u_{w s_i}) of all
-    covers must agree, and each cover's subset must lie inside B_w; a
-    mismatch raises InconsistentFamily."""
+    covers must agree, and each cover's subset must lie inside B_w. Once
+    every member is built, one more pass requires the same containment for
+    each Bruhat lower cover of w in the quotient that is not a weak cover:
+    w with positions a < b - 1 swapped, where w(a) > w(b) and no position
+    between holds a value between them (subsets grow with the Bruhat order),
+    so a subset that loses a vertex and no key still fails. A mismatch
+    raises InconsistentFamily."""
     order = parabolic_quotient(stabilizer_colors(graph.shape), graph.n + 1)
     index = {w.one_line: k for k, w in enumerate(order)}
     members, extremal = [1 << 0], [0]  # in quotient order, the identity's first
@@ -87,6 +92,17 @@ def build_demazure_family(graph: CrystalGraph) -> DemazureFamily:
                 elif x != u or members[k] & ~members[-1]:
                     raise InconsistentFamily(f"cover paths disagree at {w} (color {i})")
         extremal.append(u)
+    for w, bits in zip(order, members):
+        line = w.one_line
+        for a, top in enumerate(line[:-2]):
+            floor = line[a + 1] if line[a + 1] < top else 0  # largest below top between a and b
+            for b in range(a + 2, len(line)):
+                if floor < line[b] < top:
+                    floor = line[b]
+                    k = index.get(line[:a] + (line[b],) + line[a + 1:b] + (top,) + line[b + 1:])
+                    if k is not None and members[k] & ~bits:
+                        raise InconsistentFamily(f"{w} covers {order[k]} in the Bruhat order, "
+                                                 f"but {order[k]}'s subset is not inside {w}'s")
     return DemazureFamily(members=dict(zip(order, members)), extremal=dict(zip(order, extremal)))
 
 

@@ -52,20 +52,10 @@ MAX_LEMMA_M = 8
 
 
 class Permutation(Ordered):
-    # Specialised: the key map makes thousands of these calls per run, and
-    # object.__setattr__ keeps reads fast (a self.__dict__ write slows them).
     def __init__(self, one_line: tuple[int, ...]):
         if sorted(one_line) != list(range(1, len(one_line) + 1)):
             raise ValueError(f"not a permutation of [m]: {one_line}")
-        object.__setattr__(self, "one_line", one_line)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.one_line == other.one_line
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.one_line,))
+        vars(self).update(one_line=one_line)
 
     @property
     def m(self) -> int:

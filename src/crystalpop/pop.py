@@ -1,9 +1,9 @@
 """Pop-stack sorting dynamics on crystals and permutations. The crystal pop
 sends a vertex v to the unique source of its component in the crystal
 restricted to its descent colors D(v). It rests on one hypothesis: every
-component of every color restriction has one source. is_poppable checks it,
-with one labelling pass per interval of colors once far colors are found to
-commute, and every B_lambda satisfies it.
+component of every color restriction has one source. is_poppable checks it
+exactly, with one labelling pass per pair of colors (Newman's lemma lifts the
+pairs to every color set), and every B_lambda satisfies it.
 Under it, components of restrictions to nested color sets nest, so a pop
 may continue from a lower cover's pop when that cover's descents lie inside
 v's (the nesting lemma, see pop_crystal). Every pop reader goes through
@@ -153,36 +153,25 @@ def semilattice_pop(graph: CrystalGraph, v: int,
 
 
 def is_poppable(graph) -> bool:
-    """Every component of every color restriction has a unique source.
-
-    One labelling pass over graph.pred checks a color set J (_one_source).
-    A single color needs none: each vertex has at most one i-predecessor, so
-    an i-component of k vertices, having at least k - 1 edges, has one
-    source. When far colors commute (_far_colors_commute), the passes over
-    the n(n-1)/2 intervals of at least two colors decide every J, by the
-    lemma below and induction on J's maximal intervals (B the last, A the
-    rest). Otherwise every J of at least two colors gets its pass, so the
-    answer is exact on any graph.
-
-    Lemma. Let far colors commute, J be the union of disjoint A and B with
-    no color of A adjacent to one of B, A and B be poppable, and r_A(v) the
-    source of v's A-component. Then rho = r_B r_A is constant on J-components and fixes
-    each J-source, so a J-component has one source. Proof: a J-source is an
-    A- and a B-source, so rho fixes it. An edge u -> v of a color of A keeps
-    r_A. If v = F_c u with c in B, walk v up to r_A(v) by steps E_a, a in A:
-    E_c is defined along the walk and commutes with each step, so E_c of the
-    walk is an A-walk from u. It ends at E_c r_A(v), which has no E_a since
-    F_c keeps E_a undefined, so it is r_A(u): r_A(u) and r_A(v) are joined
-    by a c-edge, in one B-component, and r_B agrees on them."""
+    """Every component of every color restriction has a unique source: one
+    labelling pass over graph.pred per pair of colors (_one_source), n(n-1)/2
+    of them. A single color needs none: each vertex has at most one
+    i-predecessor, so an i-component of k vertices, having at least k - 1
+    edges, has one source. The pairs decide every color set J, on any graph
+    with one E_i per color and ids in topological order:
+    - Raising within J (v -> E_c v, c in J) strictly lowers ids, so it
+      terminates. Its normal forms are the J-sources.
+    - If every pair is poppable, E_i v and E_j v both raise within {i, j}
+      to the one source of their {i, j}-component. So raising within J is
+      locally confluent, and by Newman's lemma (Ann. of Math. 43, 1942) it
+      is confluent: each vertex has one normal form.
+    - An edge u -> F_c u keeps the normal form. So the normal form is
+      constant on each J-component, and each J-source is its own normal
+      form: a J-component has one source."""
     n = graph.n
     if n > MAX_POPPABLE_COLORS:
-        raise ValueError(f"2^{n} color subsets is past the practical limit")
-    if _far_colors_commute(graph.pred, n):
-        sets = [range(a, b) for a in range(n) for b in range(a + 2, n + 1)]
-    else:
-        sets = [[i for i in range(n) if mask >> i & 1]
-                for mask in range(1, 1 << n) if mask & mask - 1]
-    return all(_one_source(graph.pred, colors) for colors in sets)
+        raise ValueError(f"is_poppable takes at most {MAX_POPPABLE_COLORS} colors, got {n}")
+    return all(_one_source(graph.pred, (i, j)) for i in range(n) for j in range(i + 1, n))
 
 
 def _one_source(pred, colors) -> bool:
@@ -205,26 +194,6 @@ def _one_source(pred, colors) -> bool:
                     return False
         if mine is not None:
             label[v] = mine
-    return True
-
-
-def _far_colors_commute(pred, n: int) -> bool:
-    """Stembridge's local axioms for colors i, j with |i - j| >= 2 (Trans.
-    AMS 355, 2003), read from pred at every vertex v: E_j E_i v and E_i E_j v
-    agree (undefined counting as equal), and are defined where E_i v and E_j v
-    are. So F_j keeps E_i defined or undefined as it was, and vice versa."""
-    pairs = [(i, j) for i in range(n) for j in range(i + 2, n)]
-    for row in pred:
-        for i, j in pairs:
-            a, b = row[i], row[j]
-            if a is not None:
-                if b is not None:
-                    if (c := pred[a][j]) is None or c != pred[b][i]:
-                        return False
-                elif pred[a][j] is not None:
-                    return False
-            elif b is not None and pred[b][i] is not None:
-                return False
     return True
 
 

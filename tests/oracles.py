@@ -557,6 +557,26 @@ def is_poppable_by_subsets(graph) -> bool:
     return True
 
 
+def far_colors_commute(pred, n: int) -> bool:
+    """Stembridge's local axioms for colors i, j with |i - j| >= 2 (Trans.
+    AMS 355, 2003), read from pred at every vertex v: E_j E_i v and E_i E_j v
+    agree (undefined counting as equal), and are defined where E_i v and E_j v
+    are. So F_j keeps E_i defined or undefined as it was, and vice versa."""
+    pairs = [(i, j) for i in range(n) for j in range(i + 2, n)]
+    for row in pred:
+        for i, j in pairs:
+            a, b = row[i], row[j]
+            if a is not None:
+                if b is not None:
+                    if (c := pred[a][j]) is None or c != pred[b][i]:
+                        return False
+                elif pred[a][j] is not None:
+                    return False
+            elif b is not None and pred[b][i] is not None:
+                return False
+    return True
+
+
 def pop_crystal_by_components(graph: CrystalGraph, v: int) -> int:
     """Defining form of the crystal pop: the unique source of the component
     of v in the crystal restricted to the down-colors of v."""

@@ -153,6 +153,22 @@ def test_constructors_reject_wrong_shapes():
         nojoin_D(Partition((3, 3, 3), 4))
 
 
+def test_bowtie_C_hypothesis_gives_the_dual_pattern():
+    # nu_i = lambda_1 - lambda_{n+2-i} and q = n - p, so the drops of rows
+    # p..p+2 of lambda are the drops of rows q..q+2 of its dual, reversed:
+    # bowtie_C_via_duality needs no second check on the dual shape.
+    checked = 0
+    for parts, n in sweep_pairs(5, 8):
+        shape = Partition(parts, n)
+        nu, part = dual_shape(shape), shape.part
+        for p in range(1, len(parts) - 1):
+            if part(p) >= part(p + 1) >= part(p + 2) + 2:
+                q = n - p
+                assert nu.part(q) - 2 >= nu.part(q + 1) >= nu.part(q + 2), (parts, n, p)
+                checked += 1
+    assert checked
+
+
 @pytest.mark.parametrize("parts", [(3, 3, 2, 1), (3, 2, 1, 1)])
 def test_nojoin_D_pairs_have_no_join(parts):
     shape = Partition(parts, 4)

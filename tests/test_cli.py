@@ -625,6 +625,17 @@ def test_verify_crystal_at_high_rank_builds_only_the_quotient(capsys, monkeypatc
     ), "")
 
 
+@pytest.mark.parametrize("n,code,stdout,stderr", [
+    ("12", 0, "crystal 1 n=12: 13 vertices\npoppable: pass\n"
+              "pop agreement on embedded quotient: pass\n"
+              "key properties: pass (193 checks)\npop-key inequality: pass (13 checks)\n", ""),
+    ("13", 2, "", "invalid input: is_poppable takes at most 12 colors, got 13\n"),
+], ids=["12", "13"])
+def test_verify_crystal_stops_past_the_poppability_limit(capsys, n, code, stdout, stderr):
+    # MAX_POPPABLE_COLORS = 12 bounds the rank that verify --shape takes.
+    assert run(capsys, "verify", "--shape", "1", "--n", n) == (code, stdout, stderr)
+
+
 def test_verify_crystal_inconsistent_family_fails_the_property_check(capsys, monkeypatch):
     def skewed(graph, v, i):
         return weyl_reflect(graph, v, i) if i == 1 else v
@@ -669,7 +680,44 @@ def test_verify_crystal_with_a_cover_outside_its_member_fails(capsys, monkeypatc
         1, "", "property check failed: cover paths disagree at 32145 (color 2)\n")
 
 
-def test_verify_crystal_closes_each_member_once_and_labels_each_interval_once(
+def test_verify_crystal_with_a_member_below_a_bruhat_cover_fails(capsys, monkeypatch):
+    # The fourth closure, 312's member, loses vertex 1, and every key stays
+    # right. 312 covers 213 in the Bruhat order but not in the weak order,
+    # and 213's subset holds vertex 1: only the pass over Bruhat covers
+    # catches it.
+    drop_from_closure(monkeypatch, 4)
+    assert run(capsys, "verify", "--shape", "2,1", "--n", "2") == (1, "", (
+        "property check failed: 312 covers 213 in the Bruhat order, "
+        "but 213's subset is not inside 312's\n"))
+
+
+@pytest.mark.slow
+def test_verify_crystal_with_any_vertex_dropped_from_one_closure_fails(capsys, monkeypatch):
+    # Each of the 842 single-vertex drops from one closure on (4,2) n=4.
+    closure, added = key._closure, []
+
+    def recorded(succ, bits, i):
+        closed = closure(succ, bits, i)
+        added.append(closed & ~bits)
+        return closed
+
+    monkeypatch.setattr(key, "_closure", recorded)
+    assert run(capsys, "verify", "--shape", "4,2", "--n", "4")[0] == 0
+    drops = [(call, v) for call, bits in enumerate(added, 1) for v in perm._set_bits(bits)]
+    assert len(drops) == 842
+    for call, v in drops:
+        calls = []
+
+        def dropping(succ, bits, i, call=call, v=v, calls=calls):
+            calls.append(i)
+            closed = closure(succ, bits, i)
+            return closed & ~(1 << v) if len(calls) == call else closed
+
+        monkeypatch.setattr(key, "_closure", dropping)
+        assert run(capsys, "verify", "--shape", "4,2", "--n", "4")[:2] == (1, ""), (call, v)
+
+
+def test_verify_crystal_closes_each_member_once_and_labels_each_pair_of_colors_once(
         capsys, monkeypatch):
     counts = {}
     for module, name in ((key, "_closure"), (pop, "_one_source")):
@@ -682,7 +730,7 @@ def test_verify_crystal_closes_each_member_once_and_labels_each_interval_once(
         monkeypatch.setattr(module, name, counted)
     assert run(capsys, "verify", "--shape", "4,2", "--n", "4")[0] == 0
     # |W^J| = 20: one closure per member but the identity. n = 4 colors: one
-    # labelling pass per interval of at least two, 3 + 2 + 1.
+    # labelling pass per pair of colors, C(4, 2).
     assert len(counts["_closure"]) == 19
     assert len(counts["_one_source"]) == 6
 

@@ -27,6 +27,7 @@ from oracles import (
     all_permutations,
     coxeter_pop_by_longest_parabolic,
     down_colors,
+    far_colors_commute,
     identity,
     is_poppable_by_components,
     is_poppable_by_subsets,
@@ -235,11 +236,11 @@ def test_is_poppable_matches_one_pass_per_color_set_at_rank_five(parts):
 
 
 def test_far_colors_commute_on_every_crystal():
-    # So a crystal takes the interval passes, and a broken local check
-    # cannot fall back to every color set unseen.
+    # Stembridge's far-color axiom holds on every crystal; the graphs below
+    # break it, and is_poppable stays exact on them too.
     for parts, n in sweep_pairs(4, 7):
         graph = generate_crystal(Partition(parts, n))
-        assert pop._far_colors_commute(graph.pred, n), (parts, n)
+        assert far_colors_commute(graph.pred, n), (parts, n)
 
 
 def graph_of(size: int, edges) -> SimpleNamespace:
@@ -261,7 +262,7 @@ def test_far_colors_that_do_not_commute_check_every_color_set(edges):
     # source each, but the {1, 3}-component of 0 has sources 0 and 1.
     graph = graph_of(max(w for _, _, w in edges) + 1, edges)
     assert all(pop._one_source(graph.pred, colors) for colors in ([0, 1], [1, 2], [0, 1, 2]))
-    assert not pop._far_colors_commute(graph.pred, 3)
+    assert not far_colors_commute(graph.pred, 3)
     assert not is_poppable(graph)
     assert not is_poppable_by_subsets(graph)
     assert not is_poppable_by_components(graph)
@@ -270,13 +271,38 @@ def test_far_colors_that_do_not_commute_check_every_color_set(edges):
 @pytest.mark.parametrize("first,second", [(1, 3), (3, 1)])
 def test_far_colors_that_do_not_commute_on_a_poppable_chain(first, second):
     # F_1(0) = 1 and F_3(1) = 2, or F_3 then F_1: the second edge makes the
-    # first color's E undefined, so the local check fails, yet every color
-    # restriction is a chain with one source.
+    # first color's E undefined, so the far-color axiom fails, yet every
+    # color restriction is a chain with one source.
     graph = graph_of(3, [(0, first, 1), (1, second, 2)])
-    assert not pop._far_colors_commute(graph.pred, 3)
+    assert not far_colors_commute(graph.pred, 3)
     assert is_poppable(graph)
     assert is_poppable_by_subsets(graph)
     assert is_poppable_by_components(graph)
+
+
+def random_graph(rng: random.Random) -> SimpleNamespace:
+    """2-6 colors on 2-10 ids, each edge from a smaller id to a larger one,
+    with at most one edge in and one edge out of each vertex per color."""
+    n, size = rng.randint(2, 6), rng.randint(2, 10)
+    pred, succ = [[None] * n for _ in range(size)], [[None] * n for _ in range(size)]
+    for v in range(size - 1):
+        for i in range(n):
+            w = rng.randrange(v + 1, size)
+            if rng.random() < 0.5 and pred[w][i] is None:
+                succ[v][i], pred[w][i] = w, v
+    return SimpleNamespace(n=n, num_vertices=size, pred=pred, succ=succ)
+
+
+def test_is_poppable_matches_one_pass_per_color_set_on_random_graphs():
+    # Exact on any such graph, far colors commuting or not: checking only
+    # adjacent pairs, only intervals, or every pair but (0, n - 1) disagrees
+    # with the oracle on some graphs of this sample.
+    rng = random.Random(0)
+    graphs = [random_graph(rng) for _ in range(2000)]
+    verdicts = [is_poppable_by_subsets(graph) for graph in graphs]
+    assert [is_poppable(graph) for graph in graphs] == verdicts
+    assert set(verdicts) == {True, False}
+    assert not all(far_colors_commute(graph.pred, graph.n) for graph in graphs)
 
 
 def test_pop_agreement_on_quotient():
