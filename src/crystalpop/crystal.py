@@ -21,17 +21,17 @@ target and its neighbours all lie in the lower rows, so it is checked once,
 when its memo entry is built (the one time a word is decoded), and a bad one
 is stored as ~p. A top-row target ends its block, so the entry to its right
 is larger and only the entry below it, read from the code, is compared, per
-edge. Generation fills only codes and succ (pred waits for its first read),
-and no output builds a Tableau. Outputs for one vertex format graph.rows(v),
-code v decoded and cut by tableaux.row_slices. Whole-graph outputs (json_blocks,
-dot_blocks) come a block of BLOCK vertex ids at a time, vertex blocks then edge
-blocks, each one "".join of fixed strings, id strings and row texts:
-text_columns formats each distinct top row and lower-rows code once (the
-search's split), and an edge line is its source's head, built once per
-source, str of its destination, made as the edge is reached, and its
-color's tail. A caller that writes each block as it comes holds the row
-memos and one block's strings, never a string for every vertex or edge of
-the graph. to_json and to_dot join the blocks.
+edge. Generation fills only codes and succ, a tuple per vertex made as it is
+read (pred waits for its first read), and no output builds a Tableau. Outputs
+for one vertex format graph.rows(v), code v decoded and cut by
+tableaux.row_slices. Whole-graph outputs (json_blocks, dot_blocks) come a block
+of BLOCK vertex ids at a time, vertex blocks then edge blocks, each one "".join
+of fixed strings, id strings and row texts: text_columns formats each distinct
+top row and lower-rows code once (the search's split), and an edge line is its
+source's head, built once per source, str of its destination, made as the edge
+is reached, and its color's tail. A caller that writes each block as it comes
+holds the row memos and one block's strings, never a string for every vertex or
+edge of the graph. to_json and to_dot join the blocks.
 """
 
 from __future__ import annotations
@@ -118,16 +118,15 @@ class CrystalGraph:
     """Edge-colored DAG over the tableaux of one shape, each stored as its
     reading word's code; generation gives each vertex its top-row block ends
     from the edge that finds it and drops them with its level (see the module
-    docstring). succ[v][i-1] is the id of F_i(vertex v) or None; pred is the
-    E_i counterpart. Ids are breadth-first order from vertex 0, the
-    highest-weight tableau, and each edge adds one to the entry sum: vertex 0
-    is the minimum, every predecessor has a smaller id (ids are a topological
-    order) and the edges are exactly the covers. pred, and the pop memo that
-    crystalpop.pop keeps in the graph's __dict__, are built on first use,
-    sized to the vertices found so far, so neither may be read while
-    crystal_levels is still growing the graph."""
+    docstring). succ[v][i-1] is the id of F_i(vertex v) or None, pred the E_i
+    counterpart; rows are tuples, which CPython's collector untracks. Ids are
+    breadth-first order from vertex 0, the highest-weight tableau, and each
+    edge adds one to the entry sum: vertex 0 is the minimum, every predecessor
+    has a smaller id (ids are a topological order) and the edges are exactly
+    the covers. While crystal_levels runs, succ holds rows only below the
+    newest level; pred and crystalpop.pop's memo, sized to succ, must wait."""
 
-    def __init__(self, shape: Partition, codes: list[int], succ: list[list[Optional[int]]]):
+    def __init__(self, shape: Partition, codes: list[int], succ: list[tuple[Optional[int], ...]]):
         self.shape, self.codes, self.succ = shape, codes, succ
 
     @property
@@ -139,11 +138,12 @@ class CrystalGraph:
         return len(self.codes)
 
     @cached_property
-    def pred(self) -> list[list[Optional[int]]]:
+    def pred(self) -> list[tuple[Optional[int], ...]]:
         """The E_i table from succ on first read (E_i inverts F_i), ids as succ's ints."""
         pred = list(map(list.copy, repeat([None] * self.n, len(self.succ))))
         ids = [0] * len(self.succ)  # id w's int object, stored before row w is read
         for v, row in zip(ids, self.succ):
+            pred[v] = tuple(pred[v])  # final: its predecessors have smaller ids
             i = 0
             for w in row:
                 if w is not None:
@@ -176,7 +176,7 @@ def crystal_levels(shape: Partition, cap: Optional[int] = None) -> Iterator[Crys
     the module docstring sets out. F_i adds 1 to the letter sum, so the images
     of one level are the next level: ids holds the codes of the level being
     found, level those being read and tops their top-row block ends. Yields
-    the one growing graph as each level is found (the rows below it filled)."""
+    the one growing graph as each level is found, with the rows below it."""
     cap = default_cap(cap)
     n = shape.n
     over_cap = f"crystal for {shape.parts} at n={n} exceeds cap {cap}"
@@ -197,14 +197,14 @@ def crystal_levels(shape: Partition, cap: Optional[int] = None) -> Iterator[Crys
     level = {codes[0]: 0}
     tops = [[bisect_right(word, a, low) for a in range(n + 1)]]
     lower: dict[int, tuple] = {}  # lower rows: (i, depth[i], targets[i]), i = 1..n
-    succ: list[list[Optional[int]]] = [[None] * n]
-    colors, sentinel = range(1, n + 1), (n + 2,)
+    succ: list[tuple[Optional[int], ...]] = []
+    colors, sentinel, blank = range(1, n + 1), (n + 2,), [None] * n
     graph = CrystalGraph(shape=shape, codes=codes, succ=succ)
     while level:
         yield graph
         ids: dict[int, int] = {}
         found = []
-        for (code, head), ends in zip(level.items(), tops):
+        for code, ends in zip(level, tops):  # in id order, so row len(succ) is code's
             if (memo := lower.get(code & mask)) is None:
                 word = _decode(code, width, end)
                 depth, targets = _brackets(word[:low], n)
@@ -212,7 +212,7 @@ def crystal_levels(shape: Partition, cap: Optional[int] = None) -> Iterator[Crys
                 memo = lower[code & mask] = tuple(
                     (i, d, p if p is None or padded[right[p]] > i and padded[below[p]] > i + 1
                      else ~p) for i, d, p in zip(colors, depth[1:-1], targets[1:-1]))
-            row = succ[head]
+            row = blank.copy()
             for i, d, p in memo:
                 if (stop := ends[i]) - ends[i - 1] > d:
                     p = stop - 1
@@ -232,13 +232,13 @@ def crystal_levels(shape: Partition, cap: Optional[int] = None) -> Iterator[Crys
                         raise SizeLimitExceeded(over_cap)
                     ids[img] = w
                     codes.append(img)
-                    succ.append([None] * n)
                     if p < low:
                         found.append(ends)
                     else:
                         found.append(top := ends.copy())
                         top[i] = p
                 row[i - 1] = w
+            succ.append(tuple(row))
         level, tops = ids, found
 
 

@@ -214,11 +214,12 @@ def test_gen_json_at_rank_five_holds_no_string_per_edge(tmp_path):
 @pytest.mark.slow
 def test_pop_csv_at_rank_five_stays_under_its_peak_rss(tmp_path):
     # 62,370 vertices: about 42.8-43.9 MB with every vertex's text in one
-    # list, about 36.3 MB with the texts joined per vertex from row memos.
+    # list, about 36.3 MB with the texts joined per vertex from row memos,
+    # and 34.3-34.4 MB with the succ and pred rows as tuples.
     target = tmp_path / "orbits.csv"
     peak_kb = peak_rss_kb("pop", "--shape", "6,4,2", "--n", "5", "--format", "csv",
                           "--out", str(target))
-    assert peak_kb < 39 * 1024
+    assert peak_kb < 35.4 * 1024
     data = target.read_bytes()
     assert len(data) == 2_171_865
     assert hashlib.sha256(data).hexdigest() == (
