@@ -15,23 +15,20 @@ and F_i bumps its last i; otherwise F_i bumps the lower rows' own target. So
 the search memoizes the lower rows' signature by the code's low bits, and a
 vertex takes its top row's block ends from the edge that finds it: a top-row
 bump of color i ends block i one cell earlier, a lower-rows bump keeps them.
-An image differs from its source in one cell, so a bump is checked against
-that cell's neighbours, and validate_tableau raises any error. A lower-rows
-target and its neighbours all lie in the lower rows, so it is checked once,
-when its memo entry is built (the one time a word is decoded), and a bad one
-is stored as ~p. A top-row target ends its block, so the entry to its right
-is larger and only the entry below it, read from the code, is compared, per
-edge. Generation fills only codes and succ, a tuple per vertex made as it is
-read (pred waits for its first read), and no output builds a Tableau. Outputs
-for one vertex format graph.rows(v), code v decoded and cut by
-tableaux.row_slices. Whole-graph outputs (json_blocks, dot_blocks) come a block
-of BLOCK vertex ids at a time, vertex blocks then edge blocks, each one "".join
-of fixed strings, id strings and row texts: text_columns formats each distinct
-top row and lower-rows code once (the search's split), and an edge line is its
-source's head, built once per source, str of its destination, made as the edge
-is reached, and its color's tail. A caller that writes each block as it comes
-holds the row memos and one block's strings, never a string for every vertex or
-edge of the graph. to_json and to_dot join the blocks.
+An image differs from its source in one cell, so each image is checked once,
+when its code is first found, against that cell's right and lower neighbours
+read from the code, and validate_tableau raises any error. Generation fills
+only codes and succ, a tuple per vertex made as it is read (pred waits for its
+first read), and no output builds a Tableau. Outputs for one vertex format
+graph.rows(v), code v decoded and cut by tableaux.row_slices. Whole-graph
+outputs (json_blocks, dot_blocks) come a block of BLOCK vertex ids at a time,
+vertex blocks then edge blocks, each one "".join of fixed strings, id strings
+and row texts: text_columns formats each distinct top row and lower-rows code
+once (the search's split), and an edge line is its source's head, built once
+per source, str of its destination, made as the edge is reached, and its
+color's tail. A caller that writes each block as it comes holds the row memos
+and one block's strings, never a string for every vertex or edge of the graph.
+to_json and to_dot join the blocks.
 """
 
 from __future__ import annotations
@@ -175,7 +172,10 @@ def crystal_levels(shape: Partition, cap: Optional[int] = None) -> Iterator[Crys
     """Breadth-first closure of the highest-weight tableau under all F_i, as
     the module docstring sets out. F_i adds 1 to the letter sum, so the images
     of one level are the next level: ids holds the codes of the level being
-    found, level those being read and tops their top-row block ends. Yields
+    found, level those being read and tops their top-row block ends. A new
+    image is checked where ids first meets it: its source was checked when it
+    was found (the start is taken as valid), so only the bumped cell can break a row or
+    a column, and a bad image fails at the first edge that reaches it. Yields
     the one growing graph as each level is found, with the rows below it."""
     cap = default_cap(cap)
     n = shape.n
@@ -185,9 +185,9 @@ def crystal_levels(shape: Partition, cap: Optional[int] = None) -> Iterator[Crys
     cells = reading_cells(shape)
     end = len(cells)
     position = {cell: p for p, cell in enumerate(cells)}
-    right = [position.get((i, j + 1), end) for i, j in cells]
-    below = [position.get((i + 1, j), end) for i, j in cells]
     width = (n + 1).bit_length()
+    right = [width * position.get((i, j + 1), end) for i, j in cells]
+    below = [width * position.get((i + 1, j), end) for i, j in cells]
     letter = (1 << width) - 1
     shift = [1 << width * p for p in range(end)]
     low = end - shape.part(1)
@@ -198,7 +198,7 @@ def crystal_levels(shape: Partition, cap: Optional[int] = None) -> Iterator[Crys
     tops = [[bisect_right(word, a, low) for a in range(n + 1)]]
     lower: dict[int, tuple] = {}  # lower rows: (i, depth[i], targets[i]), i = 1..n
     succ: list[tuple[Optional[int], ...]] = []
-    colors, sentinel, blank = range(1, n + 1), (n + 2,), [None] * n
+    colors, blank = range(1, n + 1), [None] * n
     graph = CrystalGraph(shape=shape, codes=codes, succ=succ)
     while level:
         yield graph
@@ -206,27 +206,22 @@ def crystal_levels(shape: Partition, cap: Optional[int] = None) -> Iterator[Crys
         found = []
         for code, ends in zip(level, tops):  # in id order, so row len(succ) is code's
             if (memo := lower.get(code & mask)) is None:
-                word = _decode(code, width, end)
-                depth, targets = _brackets(word[:low], n)
-                padded = word + sentinel  # a missing neighbour reads n + 2
-                memo = lower[code & mask] = tuple(
-                    (i, d, p if p is None or padded[right[p]] > i and padded[below[p]] > i + 1
-                     else ~p) for i, d, p in zip(colors, depth[1:-1], targets[1:-1]))
+                depth, targets = _brackets(_decode(code, width, low), n)
+                memo = lower[code & mask] = tuple(zip(colors, depth[1:-1], targets[1:-1]))
             row = blank.copy()
             for i, d, p in memo:
                 if (stop := ends[i]) - ends[i - 1] > d:
                     p = stop - 1
-                    if (q := below[p]) < end and code >> width * q & letter <= i + 1:
-                        p = ~p
                 elif p is None:
                     continue
-                if p < 0:
-                    p = ~p
-                    bad = _decode(code + shift[p], width, end)
-                    validate_tableau(shape, map(bad.__getitem__, row_slices(shape)))
-                    raise RuntimeError(f"bump of letter {p} into {bad} passed validate_tableau")
                 img = code + shift[p]
                 if (w := ids.get(img)) is None:
+                    # The new i+1 at p against its right and lower neighbours, read
+                    # at their bit offsets; a missing one reads 0, below every letter.
+                    if 0 < img >> right[p] & letter <= i or 0 < img >> below[p] & letter <= i + 1:
+                        bad = _decode(img, width, end)
+                        validate_tableau(shape, map(bad.__getitem__, row_slices(shape)))
+                        raise RuntimeError(f"bump of letter {p} into {bad} passed validate_tableau")
                     w = len(codes)
                     if w >= cap:
                         raise SizeLimitExceeded(over_cap)

@@ -32,7 +32,8 @@ from .values import Value
 
 class InconsistentFamily(RuntimeError):
     """Two cover paths to the same quotient element reflect to different
-    vertices, or a Bruhat cover's subset does not lie inside the member."""
+    vertices, or a Bruhat lower cover's subset (a weak cover's among them)
+    does not lie inside the member."""
 
 
 class NonUniqueMinimum(RuntimeError):
@@ -70,12 +71,12 @@ def build_demazure_family(graph: CrystalGraph) -> DemazureFamily:
     only the first cover, in descent order, is closed: the closures of the
     other covers are not compared, and the key checks catch a corrupted
     subset that changes a key. The reflected vertices S_i(u_{w s_i}) of all
-    covers must agree, and each cover's subset must lie inside B_w. Once
-    every member is built, one more pass requires the same containment for
-    each Bruhat lower cover of w in the quotient that is not a weak cover:
-    w with positions a < b - 1 swapped, where w(a) > w(b) and no position
-    between holds a value between them (subsets grow with the Bruhat order),
-    so a subset that loses a vertex and no key still fails. A mismatch
+    covers must agree. Subsets grow with the Bruhat order, so right after
+    its closure B_w must hold the subset of each Bruhat lower cover of w in
+    the quotient: w with positions a < b swapped, where w(a) > w(b) and no
+    position between holds a value between them; b = a + 1 gives the weak
+    covers. Members are built by length, so each cover is built before w,
+    and a subset that loses a vertex and no key still fails. A mismatch
     raises InconsistentFamily."""
     order = parabolic_quotient(stabilizer_colors(graph.shape), graph.n + 1)
     index = {w.one_line: k for k, w in enumerate(order)}
@@ -87,16 +88,14 @@ def build_demazure_family(graph: CrystalGraph) -> DemazureFamily:
                 k = index[line[:i - 1] + (line[i], line[i - 1]) + line[i + 1:]]
                 x = weyl_reflect(graph, extremal[k], i)
                 if u is None:
-                    members.append(_closure(graph.succ, members[k], i))
+                    members.append(bits := _closure(graph.succ, members[k], i))
                     u = x
-                elif x != u or members[k] & ~members[-1]:
+                elif x != u:
                     raise InconsistentFamily(f"cover paths disagree at {w} (color {i})")
         extremal.append(u)
-    for w, bits in zip(order, members):
-        line = w.one_line
-        for a, top in enumerate(line[:-2]):
-            floor = line[a + 1] if line[a + 1] < top else 0  # largest below top between a and b
-            for b in range(a + 2, len(line)):
+        for a, top in enumerate(line):
+            floor = 0  # the largest value below top between positions a and b
+            for b in range(a + 1, len(line)):
                 if floor < line[b] < top:
                     floor = line[b]
                     k = index.get(line[:a] + (line[b],) + line[a + 1:b] + (top,) + line[b + 1:])

@@ -382,6 +382,19 @@ def test_lattice_prints_the_reference_certificate(capsys, shape, n):
     assert [line for line in out.splitlines() if line.startswith("bowtie")] == want
 
 
+def test_lattice_with_a_wrong_prediction_fails_the_property_check(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "predict_lattice", lambda shape: Classification(shape, False, None))
+    assert run(capsys, "lattice", "--shape", "3,2,1", "--n", "3") == (1, "", (
+        "property check failed: prediction False disagrees with brute force True "
+        "for (3, 2, 1), n=3\n"))
+
+
+def test_lattice_with_a_rejected_bowtie_fails_the_property_check(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "verify_bowtie", lambda graph, cert, index: False)
+    assert run(capsys, "lattice", "--shape", "5,2", "--n", "3") == (
+        1, "", "property check failed: non-lattice without a verifiable bowtie\n")
+
+
 def test_classify_small_sweep(capsys):
     code, out, _ = run(capsys, "classify", "--max-n", "2", "--max-cells", "4")
     assert code == 0
@@ -672,24 +685,37 @@ def test_verify_crystal_with_a_vertex_dropped_from_one_closure_fails(capsys, mon
 
 
 def test_verify_crystal_with_a_cover_outside_its_member_fails(capsys, monkeypatch):
-    # The fourth closure, 23145's member, loses a vertex. 32145 closes that
-    # member, and its other cover, 31245, holds the vertex. Every key stays
+    # The fourth closure, 23145's member, loses a vertex that 13245's subset
+    # holds, and 23145 covers 13245 in the Bruhat order. Every key stays
     # right, so only the containment of each cover's subset in the member
-    # catches it.
+    # catches it, where that member is built (not two members later, at
+    # 32145, whose other weak cover, 31245, also holds the vertex).
     drop_from_closure(monkeypatch, 4)
-    assert run(capsys, "verify", "--shape", "4,2", "--n", "4") == (
-        1, "", "property check failed: cover paths disagree at 32145 (color 2)\n")
+    assert run(capsys, "verify", "--shape", "4,2", "--n", "4") == (1, "", (
+        "property check failed: 23145 covers 13245 in the Bruhat order, "
+        "but 13245's subset is not inside 23145's\n"))
 
 
 def test_verify_crystal_with_a_member_below_a_bruhat_cover_fails(capsys, monkeypatch):
     # The fourth closure, 312's member, loses vertex 1, and every key stays
     # right. 312 covers 213 in the Bruhat order but not in the weak order,
-    # and 213's subset holds vertex 1: only the pass over Bruhat covers
-    # catches it.
+    # and 213's subset holds vertex 1: only the containment test over every
+    # Bruhat cover, not just the weak ones, catches it.
     drop_from_closure(monkeypatch, 4)
     assert run(capsys, "verify", "--shape", "2,1", "--n", "2") == (1, "", (
         "property check failed: 312 covers 213 in the Bruhat order, "
         "but 213's subset is not inside 312's\n"))
+
+
+def test_verify_crystal_with_a_member_below_a_weak_cover_fails(capsys, monkeypatch):
+    # The fifth closure, 321's member, loses a vertex that the subset of its
+    # weak cover 312 holds, and every key stays right. The weak covers are the
+    # Bruhat covers that swap adjacent positions, so the same containment test
+    # names them.
+    drop_from_closure(monkeypatch, 5)
+    assert run(capsys, "verify", "--shape", "2,1", "--n", "2") == (1, "", (
+        "property check failed: 321 covers 312 in the Bruhat order, "
+        "but 312's subset is not inside 321's\n"))
 
 
 @pytest.mark.slow
@@ -744,6 +770,31 @@ def test_verify_crystal_without_a_unique_key_fails_the_property_check(capsys, mo
     assert "are incomparable" in err
 
 
+@pytest.mark.parametrize("name,stderr", [
+    ("is_poppable", "crystal 2,1 n=2: 8 vertices\n"
+                    "pop agreement on embedded quotient: pass\n"
+                    "key properties: pass (40 checks)\npop-key inequality: pass (8 checks)\n"
+                    "poppable: FAIL\n"),
+    ("pop_agreement_on_quotient", "crystal 2,1 n=2: 8 vertices\npoppable: pass\n"
+                                  "key properties: pass (40 checks)\n"
+                                  "pop-key inequality: pass (8 checks)\n"
+                                  "pop agreement on embedded quotient: FAIL\n"),
+])
+def test_verify_crystal_reports_a_failing_check_after_the_passing_ones(
+        capsys, monkeypatch, name, stderr):
+    monkeypatch.setattr(cli, name, lambda *args: False)
+    assert run(capsys, "verify", "--shape", "2,1", "--n", "2") == (
+        1, "", "property check failed: " + stderr)
+
+
+def test_verify_lemma_suite_lists_each_violation_after_the_checks_line(capsys, monkeypatch):
+    report = perm.CheckReport(checked=5, violations=["first fails", "second fails"])
+    monkeypatch.setattr(cli, "verify_section3_lemmas", lambda m: report)
+    assert run(capsys, "verify", "--m", "3") == (1, "", (
+        "property check failed: quotient/pop lemmas on S_3: 5 checks\n"
+        "first fails\nsecond fails\n"))
+
+
 def test_verify_lemma_suite(capsys):
     code, out, _ = run(capsys, "verify", "--m", "3")
     assert code == 0
@@ -786,6 +837,11 @@ def test_invalid_shape_exit_code(capsys):
     code, _, err = run(capsys, "gen", "--shape", "1,2", "--n", "3")
     assert code == 2
     assert "invalid input" in err
+
+
+def test_gen_rejects_rank_zero(capsys):
+    assert run(capsys, "gen", "--shape", "1", "--n", "0") == (
+        2, "", "invalid input: rank n must be positive, got 0\n")
 
 
 def test_empty_shape_rejected_for_pop(capsys):

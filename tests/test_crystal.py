@@ -10,6 +10,8 @@ from crystalpop import crystal
 from crystalpop.classifier import sweep_pairs
 from crystalpop.crystal import (
     CAP_ENV_VAR,
+    CrystalGraph,
+    IsomorphismFailure,
     SizeLimitExceeded,
     crystal_levels,
     default_cap,
@@ -357,6 +359,34 @@ def test_dual_crystal_bijection():
         for src, dst, c in graph.edges():
             assert dual.graph.succ[dual.to_dual[src]][n - c] == dual.to_dual[dst]
         assert all(back[dual.to_dual[v]] == v for v in range(graph.num_vertices))
+
+
+# Hand-built graphs against the real duals: (1,) at n=1 is the chain 0 -F1-> 1,
+# its own dual; the dual of (1,) at n=2 is (1, 1), whose F_2 then F_1 chain
+# mirrors the graph's F_1 then F_2 chain.
+@pytest.mark.parametrize("parts,n,succ,message", [
+    ((1,), 1, [(1,), (2,), (None,)], "dual vertex count 2 != 3"),
+    ((1,), 1, [(None,), (None,)], "edge mismatch at vertex 0, color 1"),
+    ((1,), 2, [(1, None), (None, 1), (None, None)], "inconsistent image for vertex 1"),
+])
+def test_dual_crystal_rejects_a_graph_that_is_not_the_crystal(parts, n, succ, message):
+    graph = CrystalGraph(Partition(parts, n), [0] * len(succ), succ)
+    with pytest.raises(IsomorphismFailure) as got:
+        dual_crystal(graph)
+    assert str(got.value) == message
+
+
+def test_dual_crystal_rejects_a_matching_that_misses_a_vertex(monkeypatch):
+    # Against a real dual, which is connected from vertex 0, a matching with
+    # no mismatch reaches every dual vertex, so equal vertex counts make it a
+    # bijection; only a dual with a vertex out of reach leaves one unmatched.
+    shape = Partition((1,), 1)
+    unreached = [(1,), (None,), (None,)]
+    monkeypatch.setattr(crystal, "generate_crystal",
+                        lambda dual: CrystalGraph(dual, [0] * 3, unreached))
+    with pytest.raises(IsomorphismFailure) as got:
+        dual_crystal(CrystalGraph(shape, [0] * 3, unreached))
+    assert str(got.value) == "matching is not a bijection"
 
 
 def test_weyl_reflect_involution():

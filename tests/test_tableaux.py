@@ -34,7 +34,7 @@ def test_partition_strips_trailing_zeros():
     assert Partition((0, 0), 5).parts == ()
 
 
-@pytest.mark.parametrize("parts,n", [((1, 2), 3), ((3, -1), 3), ((2, 1, 1), 2)])
+@pytest.mark.parametrize("parts,n", [((1, 2), 3), ((3, -1), 3), ((2, 1, 1), 2), ((1,), 0)])
 def test_partition_rejects_bad_input(parts, n):
     with pytest.raises(ShapeMismatch):
         Partition(parts, n)
