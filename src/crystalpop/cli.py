@@ -59,7 +59,7 @@ class PropertyFailure(RuntimeError):
 
 def _emit(blocks: Iterable[str], out: Optional[str]) -> None:
     """Write blocks in order to the file out, or to stdout if out is None."""
-    if out:
+    if out is not None:
         try:
             with open(out, "w") as fh:
                 fh.writelines(blocks)
@@ -111,10 +111,10 @@ def cmd_gen(args) -> Iterable[str]:
 
 
 def cmd_pop(args) -> Iterable[str]:
-    if args.element and args.format != "text":
+    if args.element is not None and args.format != "text":
         raise ValueError(f"--element prints a text trajectory, not --format {args.format}")
     graph = _graph(args)
-    if args.element:
+    if args.element is not None:
         t = parse_tableau(args.element, graph.n)
         if t.shape != graph.shape:
             raise TableauError(f"element has shape {t.shape.parts}, crystal has {graph.shape.parts}")

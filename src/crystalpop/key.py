@@ -2,13 +2,14 @@
 
 The carrier is the family of lowering-closure subsets: starting from the
 singleton containing the minimum, the subset for w is the closure of the
-subset for any lower cover w s_i under F_i; the first cover is closed. The
-same pass embeds the quotient: the vertex u_w is S_i(u_{w s_i}) for every
-such cover, S_i the crystal's Weyl-group reflection (Kashiwara, Duke
-1993). The key of a vertex
-is then the Bruhat-order minimum among the quotient elements whose subset
-contains it (the weak order does not suffice: the membership filter can
-have two weak-minimal elements, yet its Bruhat minimum is unique).
+subset for any lower cover w s_i under F_i; the cover at w's last descent
+is closed, as a right-to-left walk over w's Bruhat lower covers meets it
+first. The same pass embeds the quotient: the vertex u_w is S_i(u_{w s_i})
+for every such cover, S_i the crystal's Weyl-group reflection (Kashiwara,
+Duke 1993). The key of a vertex is then the Bruhat-order minimum among
+the quotient elements whose subset contains it (the weak order does not
+suffice: the membership filter can have two weak-minimal elements, yet its
+Bruhat minimum is unique).
 The defining properties of the key map (how it interacts with E_i/F_i and
 with descents) are checked wholesale by verify_key_properties; any
 violation there falsifies the construction rather than the caller.
@@ -17,7 +18,7 @@ Both key checks number the distinct keys once, by one-line tuple in
 first-seen order, and compare key numbers, read from per-key tables built
 on the tuples; each distinct pair of keys is tested for the weak order
 once, and no Permutation is built per vertex or per key s_i. The family
-finds each lower cover by its swapped one-line tuple, too.
+finds each lower cover once, by its swapped one-line tuple, too.
 """
 
 from __future__ import annotations
@@ -65,43 +66,41 @@ def _closure(succ, bits: int, i: int) -> int:
 
 def build_demazure_family(graph: CrystalGraph) -> DemazureFamily:
     """Build the closure family over the quotient by the stabilizer of the
-    shape, with the embedded quotient. Every lower cover w s_i, one per
-    right descent i of w, is looked up by its one-line tuple. B_w is the
-    F_i-closure of B_{w s_i} for every descent i (Kashiwara, Duke 1993), so
-    only the first cover, in descent order, is closed: the closures of the
-    other covers are not compared, and the key checks catch a corrupted
-    subset that changes a key. The reflected vertices S_i(u_{w s_i}) of all
-    covers must agree. Subsets grow with the Bruhat order, so right after
-    its closure B_w must hold the subset of each Bruhat lower cover of w in
-    the quotient: w with positions a < b swapped, where w(a) > w(b) and no
-    position between holds a value between them; b = a + 1 gives the weak
-    covers. Members are built by length, so each cover is built before w,
+    shape, with the embedded quotient. Subsets grow with the Bruhat order,
+    and the Bruhat lower covers of w in the quotient are w with positions
+    a < b swapped, where w(a) > w(b) and no position between holds a value
+    between them; b = a + 1 gives the weak covers. One walk meets each cover
+    once, by its swapped one-line tuple, taking a from the right. w rises
+    after its last descent i, so no later position starts a cover, and the
+    first cover met is w s_i. B_w is the F_i-closure of B_{w s_i} for every
+    descent i (Kashiwara, Duke 1993), so that cover is closed, and u_w is
+    S_i(u_{w s_i}). Every later cover's subset must lie inside B_w, and a
+    weak one must also reflect to u_w; the closures of the other covers are
+    not compared, and the key checks catch a corrupted subset that changes
+    a key. Members are built by length, so each cover is built before w,
     and a subset that loses a vertex and no key still fails. A mismatch
     raises InconsistentFamily."""
     order = parabolic_quotient(stabilizer_colors(graph.shape), graph.n + 1)
     index = {w.one_line: k for k, w in enumerate(order)}
     members, extremal = [1 << 0], [0]  # in quotient order, the identity's first
     for w in order[1:]:
-        line, u = w.one_line, None
-        for i in range(1, len(line)):
-            if line[i - 1] > line[i]:
-                k = index[line[:i - 1] + (line[i], line[i - 1]) + line[i + 1:]]
-                x = weyl_reflect(graph, extremal[k], i)
-                if u is None:
-                    members.append(bits := _closure(graph.succ, members[k], i))
-                    u = x
-                elif x != u:
-                    raise InconsistentFamily(f"cover paths disagree at {w} (color {i})")
-        extremal.append(u)
-        for a, top in enumerate(line):
-            floor = 0  # the largest value below top between positions a and b
+        line, bits = w.one_line, 0  # bits: B_w, once its first cover is closed
+        for a in reversed(range(len(line))):
+            top, floor = line[a], 0  # floor: the largest value below top between a and b
             for b in range(a + 1, len(line)):
                 if floor < line[b] < top:
                     floor = line[b]
                     k = index.get(line[:a] + (line[b],) + line[a + 1:b] + (top,) + line[b + 1:])
-                    if k is not None and members[k] & ~bits:
+                    if k is None:
+                        continue
+                    if not bits:
+                        members.append(bits := _closure(graph.succ, members[k], b))
+                        extremal.append(weyl_reflect(graph, extremal[k], b))
+                    elif members[k] & ~bits:
                         raise InconsistentFamily(f"{w} covers {order[k]} in the Bruhat order, "
                                                  f"but {order[k]}'s subset is not inside {w}'s")
+                    elif b == a + 1 and weyl_reflect(graph, extremal[k], b) != extremal[-1]:
+                        raise InconsistentFamily(f"cover paths disagree at {w} (color {b})")
     return DemazureFamily(members=dict(zip(order, members)), extremal=dict(zip(order, extremal)))
 
 

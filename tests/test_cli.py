@@ -302,6 +302,18 @@ def test_pop_element_rejects_a_csv_or_json_format(capsys, fmt):
         2, "", f"invalid input: --element prints a text trajectory, not --format {fmt}\n")
 
 
+@pytest.mark.parametrize("argv,stderr", [
+    (["pop", "--shape", "2,1", "--n", "2", "--element", ""], "bad tableau ''"),
+    (["pop", "--shape", "2,1", "--n", "2", "--element", "", "--format", "csv"],
+     "--element prints a text trajectory, not --format csv"),
+    (["gen", "--shape", "2,1", "--n", "2", "--out", ""],
+     "cannot write : No such file or directory"),
+    (["perm-pop", "--element", ""], "empty permutation"),
+], ids=["pop_element", "pop_element_csv", "gen_out", "perm_pop_element"])
+def test_an_empty_element_or_out_is_given_not_absent(capsys, argv, stderr):
+    assert run(capsys, *argv) == (2, "", f"invalid input: {stderr}\n")
+
+
 def test_pop_element_wrong_shape(capsys):
     code, _, err = run(capsys, "pop", "--shape", "2,1", "--n", "2",
                        "--element", "1,1,1/2")
@@ -657,7 +669,9 @@ def test_verify_crystal_inconsistent_family_fails_the_property_check(capsys, mon
     monkeypatch.setattr(key, "weyl_reflect", skewed)
     code, out, err = run(capsys, "verify", "--shape", "2,1", "--n", "2")
     assert (code, out) == (1, "")
-    assert err == "property check failed: cover paths disagree at 321 (color 2)\n"
+    # 321's member is closed from its cover at the last descent, 2, whose
+    # reflection is skewed; its other weak cover, at color 1, disagrees.
+    assert err == "property check failed: cover paths disagree at 321 (color 1)\n"
 
 
 def drop_from_closure(monkeypatch, call: int) -> None:
@@ -708,19 +722,19 @@ def test_verify_crystal_with_a_member_below_a_bruhat_cover_fails(capsys, monkeyp
 
 
 def test_verify_crystal_with_a_member_below_a_weak_cover_fails(capsys, monkeypatch):
-    # The fifth closure, 321's member, loses a vertex that the subset of its
-    # weak cover 312 holds, and every key stays right. The weak covers are the
-    # Bruhat covers that swap adjacent positions, so the same containment test
-    # names them.
+    # The fifth closure, 321's member, closed from its weak cover 312, loses a
+    # vertex that the subset of its other weak cover 231 holds, and every key
+    # stays right. The weak covers are the Bruhat covers that swap adjacent
+    # positions, so the same containment test names them.
     drop_from_closure(monkeypatch, 5)
     assert run(capsys, "verify", "--shape", "2,1", "--n", "2") == (1, "", (
-        "property check failed: 321 covers 312 in the Bruhat order, "
-        "but 312's subset is not inside 321's\n"))
+        "property check failed: 321 covers 231 in the Bruhat order, "
+        "but 231's subset is not inside 321's\n"))
 
 
 @pytest.mark.slow
 def test_verify_crystal_with_any_vertex_dropped_from_one_closure_fails(capsys, monkeypatch):
-    # Each of the 842 single-vertex drops from one closure on (4,2) n=4.
+    # Each of the 926 single-vertex drops from one closure on (4,2) n=4.
     closure, added = key._closure, []
 
     def recorded(succ, bits, i):
@@ -731,7 +745,7 @@ def test_verify_crystal_with_any_vertex_dropped_from_one_closure_fails(capsys, m
     monkeypatch.setattr(key, "_closure", recorded)
     assert run(capsys, "verify", "--shape", "4,2", "--n", "4")[0] == 0
     drops = [(call, v) for call, bits in enumerate(added, 1) for v in perm._set_bits(bits)]
-    assert len(drops) == 842
+    assert len(drops) == 926
     for call, v in drops:
         calls = []
 
@@ -760,6 +774,21 @@ def test_verify_crystal_closes_each_member_once_and_labels_each_pair_of_colors_o
     # labelling pass per pair of colors, C(4, 2).
     assert len(counts["_closure"]) == 19
     assert len(counts["_one_source"]) == 6
+
+
+def test_verify_crystal_reflects_along_each_weak_cover_once(capsys, monkeypatch):
+    calls = []
+
+    def counted(graph, v, i):
+        calls.append(i)
+        return weyl_reflect(graph, v, i)
+
+    monkeypatch.setattr(key, "weyl_reflect", counted)
+    assert run(capsys, "verify", "--shape", "4,2", "--n", "4")[0] == 0
+    # One reflection per weak cover w s_i: per right descent i of each w in W^J.
+    quotient = perm.parabolic_quotient(crystal.stabilizer_colors(Partition((4, 2), 4)), 5)
+    covers = sum(x > y for w in quotient for x, y in zip(w.one_line, w.one_line[1:]))
+    assert len(calls) == covers
 
 
 def test_verify_crystal_without_a_unique_key_fails_the_property_check(capsys, monkeypatch):
